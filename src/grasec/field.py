@@ -3,8 +3,10 @@
 Everything downstream reduces to matrix ranks over F_p, so this module is
 deliberately small: dense integer matrices reduced mod p, rank via
 division-free Gaussian elimination, canonical reduced row-echelon bases,
-first-order dual numbers for exact directional derivatives of polynomial
-maps, and maximal minors of small matrices (Pluecker coordinates).
+evaluation of monomial tables at a point (the value and first partials of
+a Veronese vector in one call), and maximal minors of small matrices
+(Pluecker coordinates).  Every modulus is checked to be a prime below
+2**31.
 
 Matrices are numpy int64 arrays.  With p < 2**31 every product of two
 reduced entries, and every difference of two such products, stays inside
@@ -16,9 +18,8 @@ integers.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -29,9 +30,39 @@ DEFAULT_PRIMES = (DEFAULT_PRIME, CONFIRMATION_PRIME)
 _MAX_MODULUS = 2**31
 
 
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; bases 2, 3, 5, 7 are exact below 3.2e9."""
+    bases = (2, 3, 5, 7)
+    if n < 2:
+        return False
+    if n in bases:
+        return True
+    if any(n % b == 0 for b in bases):
+        return False
+    d, twos = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        twos += 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+# Cached: matrix construction checks its modulus on every call.
+@functools.lru_cache(maxsize=64)
 def _check_modulus(p: int) -> None:
     if not 2 <= p < _MAX_MODULUS:
         raise ValueError(f"modulus {p} outside the supported range [2, 2**31)")
+    if not _is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
 
 
 def as_matrix(rows, p: int) -> np.ndarray:
@@ -133,104 +164,44 @@ def subspace_contains(span_rows, candidate_rows, p: int) -> bool:
     return matrix_rank(np.vstack([span, cand]), p) == base
 
 
-@dataclass(frozen=True)
-class Dual:
-    """Dual number a + b*eps over F_p, with eps**2 = 0.
+def dual_evaluate(x, exponents: np.ndarray, coeffs: np.ndarray, p: int) -> np.ndarray:
+    """Entrywise ``coeffs * x**exponents`` mod p, for a table of monomials.
 
-    The derivative part propagates exactly through ring operations, which
-    gives exact directional derivatives of polynomial maps.
+    ``exponents`` has shape ``coeffs.shape + (len(x),)``.  Given the power-rule
+    table of a Veronese vector (entry 0 the vector, entry 1 + j its partials
+    a_j * x^(a - e_j)), this is the evaluation at x + eps*e_j for every j at
+    once: entry 0 is the value part, entry 1 + j the eps part.  Entries are
+    reduced after every product, which keeps the int64 arithmetic exact.
     """
-
-    a: int
-    b: int
-    p: int
-
-    def __add__(self, other: "Dual") -> "Dual":
-        return Dual((self.a + other.a) % self.p, (self.b + other.b) % self.p, self.p)
-
-    def __sub__(self, other: "Dual") -> "Dual":
-        return Dual((self.a - other.a) % self.p, (self.b - other.b) % self.p, self.p)
-
-    def __neg__(self) -> "Dual":
-        return Dual(-self.a % self.p, -self.b % self.p, self.p)
-
-    def __mul__(self, other: "Dual") -> "Dual":
-        p = self.p
-        return Dual(
-            self.a * other.a % p,
-            (self.a * other.b + self.b * other.a) % p,
-            p,
-        )
-
-    def __pow__(self, e: int) -> "Dual":
-        # (a + b eps)**e = a**e + e a**(e-1) b eps
-        p = self.p
-        if e == 0:
-            return Dual(1, 0, p)
-        return Dual(pow(self.a, e, p), e * pow(self.a, e - 1, p) * self.b % p, p)
-
-
-# A polynomial map is one list of terms per output coordinate; each term is
-# (coefficient, exponent tuple) over the input variables.
-Monomial = tuple[int, tuple[int, ...]]
-PolynomialMap = Sequence[Sequence[Monomial]]
-
-
-def dual_evaluate(
-    f: PolynomialMap,
-    x: Sequence[int],
-    direction: Sequence[int],
-    p: int,
-) -> tuple[list[int], list[int]]:
-    """Evaluate ``f`` at ``x + eps*direction``; return (values, directional derivatives)."""
     _check_modulus(p)
-    if len(x) != len(direction):
-        raise ValueError("point and direction have different lengths")
-    duals = [Dual(int(xi) % p, int(vi) % p, p) for xi, vi in zip(x, direction)]
-    values: list[int] = []
-    derivs: list[int] = []
-    for terms in f:
-        acc = Dual(0, 0, p)
-        for coeff, exps in terms:
-            if len(exps) != len(x):
-                raise ValueError("monomial arity does not match the point")
-            term = Dual(int(coeff) % p, 0, p)
-            for xi, e in zip(duals, exps):
-                if e:
-                    term = term * xi**e
-            acc = acc + term
-        values.append(acc.a)
-        derivs.append(acc.b)
-    return values, derivs
+    x = np.asarray(x, dtype=np.int64) % p
+    top = int(exponents.max(initial=0))
+    powers = np.ones((len(x), top + 1), dtype=np.int64)
+    for e in range(1, top + 1):
+        powers[:, e] = powers[:, e - 1] * x % p
+    out = np.asarray(coeffs, dtype=np.int64) % p
+    for j in range(len(x)):
+        out = out * powers[j, exponents[..., j]] % p
+    return out
 
 
-def maximal_minors(rows: Sequence[Sequence[Dual]]) -> list[Dual]:
-    """All t x t minors of a t x c dual matrix, t = number of rows.
+def maximal_minors(rows, p: int) -> list[int]:
+    """All t x t minors of a t x c matrix over F_p, t = number of rows.
 
     Column subsets run in lexicographic order, matching the fixed Pluecker
     coordinate ordering.  Computed by Laplace expansion row by row, sharing
     sub-minors across column subsets.
     """
-    t = len(rows)
-    c = len(rows[0])
-    p = rows[0][0].p
-    zero = Dual(0, 0, p)
-    prev: dict[tuple[int, ...], Dual] = {(): Dual(1, 0, p)}
+    m = as_matrix(rows, p).tolist()
+    t, c = len(m), len(m[0])
+    prev: dict[tuple[int, ...], int] = {(): 1}
     for i in range(t):
-        cur: dict[tuple[int, ...], Dual] = {}
+        cur: dict[tuple[int, ...], int] = {}
         for cols in itertools.combinations(range(c), i + 1):
-            acc = zero
+            acc = 0
             for idx, j in enumerate(cols):
-                sub = prev[cols[:idx] + cols[idx + 1:]]
-                term = rows[i][j] * sub
-                acc = acc + term if (i + idx) % 2 == 0 else acc - term
-            cur[cols] = acc
+                term = m[i][j] * prev[cols[:idx] + cols[idx + 1:]]
+                acc += term if (i + idx) % 2 == 0 else -term
+            cur[cols] = acc % p
         prev = cur
     return [prev[cols] for cols in itertools.combinations(range(c), t)]
-
-
-def field_minors(rows, p: int) -> list[int]:
-    """Maximal minors of an integer matrix over F_p (same ordering as above)."""
-    m = as_matrix(rows, p)
-    dual_rows = [[Dual(int(v), 0, p) for v in row] for row in m]
-    return [d.a for d in maximal_minors(dual_rows)]

@@ -6,10 +6,11 @@ points of X.  Its dimension is computed here both
 
 * through the slice map: dim GS_X(w, s) =
   dim sigma_s(Seg(P^k x X)) - (w+1)(k+1) + 1 with w = min(k, s-1), and
-* directly, as the Jacobian rank of the parameterization
-  (points, coefficient matrix) -> Pluecker coordinates of the spanned
-  w-plane, minus one (the image is a cone, so the scaling direction is
-  already in the column span).
+* directly, as the rank of the differential of the parameterization
+  (points, coefficient matrix) -> the spanned w-plane L, with tangent
+  vectors taken in T_L Gr = Hom(L, V/L): each derivative of the spanning
+  matrix is reduced modulo L.  The rank is the dimension itself; the
+  scaling of the coefficient matrix moves inside L and reduces to zero.
 
 Agreement of the two values on every instance is the package's central
 executable identity.
@@ -76,6 +77,19 @@ def expected_gs_dim(n: int, k: int, s: int, r: int) -> int:
     return min(s * n + (k + 1) * (s - 1 - k), (k + 1) * (r - k))
 
 
+def _seg_secant(
+    spec: varieties.SegreVeroneseSpec,
+    k: int,
+    s: int,
+    trials: int,
+    seed: int,
+    primes: tuple[int, ...],
+) -> secant.SecantReport:
+    """Secant report of sigma_s(Seg(P^k x X)); for k = 0 that is sigma_s(X)."""
+    seg = spec if k == 0 else varieties.prepend_projective_factor(spec, k)
+    return secant.secant_dim(seg, s, trials=trials, seed=seed, primes=primes)
+
+
 def gs_dim_phi(
     spec: varieties.SegreVeroneseSpec,
     k: int,
@@ -89,11 +103,8 @@ def gs_dim_phi(
         raise ValueError("k must be >= 0")
     if s - 1 > spec.ambient_dim:
         raise ValueError("the slice-map formula requires s - 1 <= r")
-    if k == 0:
-        return secant.secant_dim(spec, s, trials=trials, seed=seed, primes=primes).dim
     w = min(k, s - 1)
-    seg = varieties.prepend_projective_factor(spec, k)
-    seg_dim = secant.secant_dim(seg, s, trials=trials, seed=seed, primes=primes).dim
+    seg_dim = _seg_secant(spec, k, s, trials, seed, primes).dim
     return seg_dim - (w + 1) * (k + 1) + 1
 
 
@@ -105,43 +116,37 @@ def _direct_rank(
     p: int,
 ) -> int:
     w = min(k, s - 1)
-    r = spec.ambient_dim
     for _ in range(_MAX_RESAMPLES):
         points = [varieties.random_parameter_point(spec, rng, p) for _ in range(s)]
-        P = field.as_matrix([varieties.embed(spec, u, p) for u in points], p)
+        frames = np.stack([varieties._frame_rows(spec, u, p) for u in points])
         lam = field.as_matrix(
             [[rng.randrange(p) for _ in range(s)] for _ in range(w + 1)], p
         )
-        M = field.matmul_mod(lam, P, p)
-        if field.matrix_rank(M, p) == w + 1:
+        basis = field.row_space_basis(field.matmul_mod(lam, frames[:, 0], p), p)
+        if basis.shape[0] == w + 1:
             break
     else:
         raise SamplingError(f"degenerate coefficient matrix for GS on {spec}")
 
-    columns: list[list[int]] = []
-
-    def minors_derivative(dM: np.ndarray) -> list[int]:
-        rows = [
-            [field.Dual(int(M[a, j]), int(dM[a, j]) % p, p) for j in range(r + 1)]
-            for a in range(w + 1)
-        ]
-        return [d.b for d in field.maximal_minors(rows)]
-
-    # s*n point parameters: affine-chart directions as in the tangent frames
-    for i, u in enumerate(points):
-        for direction in varieties.tangent_directions(spec, u):
-            _, deriv = varieties.embed_dual(spec, u, direction, p)
-            dM = np.outer(lam[:, i], np.array(deriv, dtype=np.int64)) % p
-            columns.append(minors_derivative(dM))
-    # (w+1)*s coefficient-matrix parameters
+    # Each parameter derivative dM of M = lam @ P is an outer product: a
+    # column of lam times a frame partial, or a unit vector times a row of
+    # P.  Reducing dM modulo L = rowspace(M), dM - dM[:, pivots] @ rref(M),
+    # therefore reduces just that row vector.
+    r = spec.ambient_dim
+    pivots = (basis != 0).argmax(axis=1)
+    rows = frames.reshape(-1, r + 1)
+    reduced = ((rows - field.matmul_mod(rows[:, pivots], basis, p)) % p).reshape(frames.shape)
+    # s*n point parameters: lam[:, i] times each reduced partial at point i
+    point_part = lam.T[:, None, :, None] * reduced[:, 1:, None, :] % p
+    # (w+1)*s coefficient parameters: reduced point b placed in row a
+    coeff_part = np.zeros((w + 1, s, w + 1, r + 1), dtype=np.int64)
     for a in range(w + 1):
-        for b in range(s):
-            dM = np.zeros_like(M)
-            dM[a] = P[b]
-            columns.append(minors_derivative(dM))
-
-    jacobian = np.array(columns, dtype=np.int64).T
-    return field.matrix_rank(jacobian, p) - 1
+        coeff_part[a, :, a] = reduced[:, 0]
+    jacobian = np.concatenate([
+        point_part.reshape(-1, (w + 1) * (r + 1)),
+        coeff_part.reshape(-1, (w + 1) * (r + 1)),
+    ])
+    return field.matrix_rank(jacobian.T, p)
 
 
 def gs_dim_direct(
@@ -152,7 +157,7 @@ def gs_dim_direct(
     seed: int = 0,
     primes: tuple[int, ...] = field.DEFAULT_PRIMES,
 ) -> int:
-    """dim GS_X(w, s) as the Jacobian rank of the Pluecker parameterization."""
+    """dim GS_X(w, s) as the rank of the parameterization's differential into Hom(L, V/L)."""
     if k < 0 or s < 1:
         raise ValueError("need k >= 0 and s >= 1")
     w = min(k, s - 1)
@@ -187,11 +192,7 @@ def gs_report(
     n, r = spec.dim, spec.ambient_dim
     w = min(k, s - 1)
     dim_direct = gs_dim_direct(spec, k, s, trials=trials, seed=seed, primes=primes)
-    if k == 0:
-        seg_report = secant.secant_dim(spec, s, trials=trials, seed=seed, primes=primes)
-    else:
-        seg = varieties.prepend_projective_factor(spec, k)
-        seg_report = secant.secant_dim(seg, s, trials=trials, seed=seed, primes=primes)
+    seg_report = _seg_secant(spec, k, s, trials, seed, primes)
     dim_phi = seg_report.dim - ((w + 1) * (k + 1) - 1)
     expected = expected_gs_dim(n, w, s, r)
 

@@ -108,7 +108,7 @@ def phi(tensor: SlicedTensor) -> PluckerPoint:
     """
     basis = field.row_space_basis(tensor.slices, tensor.p)
     w = basis.shape[0] - 1
-    coords = tuple(field.field_minors(basis, tensor.p))
+    coords = tuple(field.maximal_minors(basis, tensor.p))
     return PluckerPoint(
         w=w,
         p=tensor.p,
@@ -223,11 +223,7 @@ def fiber_consistency(
     if s - 1 > spec.ambient_dim:
         raise ValueError("need s - 1 <= r")
     w = min(k, s - 1)
-    if k == 0:
-        seg_dim = secant.secant_dim(spec, s, trials=trials, seed=seed, primes=primes).dim
-    else:
-        seg = varieties.prepend_projective_factor(spec, k)
-        seg_dim = secant.secant_dim(seg, s, trials=trials, seed=seed, primes=primes).dim
+    seg_dim = grassec._seg_secant(spec, k, s, trials, seed, primes).dim
     gs_dim = grassec.gs_dim_direct(spec, k, s, trials=trials, seed=seed, primes=primes)
     expected_gap = (w + 1) * (k + 1) - 1
     gap_ok = (seg_dim - gs_dim) == expected_gap
@@ -301,8 +297,8 @@ def count_decompositions(
     suitable coefficient points of P^k exist exactly when every slice lies
     in the span of the chosen points, a linear solvability test.
     """
-    if q > 7:
-        raise ValueError("exhaustive enumeration is limited to q <= 7")
+    if q not in (2, 3, 5, 7):
+        raise ValueError(f"exhaustive enumeration needs a prime q <= 7, got q={q}")
     points = enumerate_variety_points(spec, q)
     if isinstance(target, PluckerPoint):
         rows = target.basis

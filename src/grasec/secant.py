@@ -16,6 +16,8 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from . import field, varieties
 from .errors import InconsistencyError, SamplingError
 
@@ -78,7 +80,7 @@ def subseed(seed: int, trial: int, prime: int) -> int:
 
 def _sample_frame(
     spec: varieties.SegreVeroneseSpec, rng: random.Random, p: int
-) -> list[list[int]]:
+) -> np.ndarray:
     for _ in range(_MAX_POINT_RESAMPLES):
         point = varieties.random_parameter_point(spec, rng, p)
         try:
@@ -92,9 +94,7 @@ def terracini_rank(
     spec: varieties.SegreVeroneseSpec, s: int, rng: random.Random, p: int
 ) -> int:
     """Rank of the s stacked tangent frames at random points, minus one."""
-    rows: list[list[int]] = []
-    for _ in range(s):
-        rows.extend(_sample_frame(spec, rng, p))
+    rows = np.vstack([_sample_frame(spec, rng, p) for _ in range(s)])
     return field.matrix_rank(rows, p) - 1
 
 

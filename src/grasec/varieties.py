@@ -10,6 +10,11 @@ ambient vector into k+1 consecutive slices of length r+1.
 
 Parameter points are plain nested tuples: one coordinate tuple of length
 n_i + 1 per factor, each nonzero.
+
+Embeddings and tangent frames come from one builder: the ambient vector is
+the Kronecker product of the per-factor Veronese vectors, and a tangent
+direction of factor i swaps in that factor's partial derivative, whose
+entries follow the power rule a_j * x^(a - e_j).
 """
 
 from __future__ import annotations
@@ -19,7 +24,9 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
+
+import numpy as np
 
 from . import field
 from .errors import SamplingError
@@ -118,11 +125,6 @@ def monomials(spec: SegreVeroneseSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def coordinate_map(spec: SegreVeroneseSpec) -> field.PolynomialMap:
-    """The embedding as a polynomial map (one unit monomial per coordinate)."""
-    return [[(1, exps)] for exps in monomials(spec)]
-
-
 def _flatten(spec: SegreVeroneseSpec, point: ParameterPoint) -> list[int]:
     if len(point) != len(spec.factors):
         raise ValueError("parameter point has the wrong number of factors")
@@ -136,57 +138,62 @@ def _flatten(spec: SegreVeroneseSpec, point: ParameterPoint) -> list[int]:
     return flat
 
 
+@functools.lru_cache(maxsize=None)
+def _power_rule(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents and power-rule coefficients of a Veronese vector and its partials.
+
+    Entry 0 of the leading axis is the Veronese vector itself (coefficient
+    1); entry 1 + j is the partial along x_j, whose coordinate with exponent
+    a is a_j * x^(a - e_j).  Where a_j = 0 the coefficient is 0 and the
+    exponent is clipped to stay a valid table index.
+    """
+    exps = np.array(_degree_monomials(n + 1, d), dtype=np.int64)   # N x (n+1)
+    lowered = exps[None] - np.eye(n + 1, dtype=np.int64)[:, None, :]
+    exponents = np.concatenate([exps[None], np.maximum(lowered, 0)])
+    coeffs = np.concatenate([np.ones((1, len(exps)), dtype=np.int64), exps.T])
+    exponents.flags.writeable = coeffs.flags.writeable = False  # shared by the cache
+    return exponents, coeffs
+
+
+def _frame_rows(spec: SegreVeroneseSpec, point: ParameterPoint, p: int) -> np.ndarray:
+    """Embedding of ``point`` (row 0) and its n affine-chart partials, reduced mod p.
+
+    Per factor the partials run over the coordinates other than the pivot
+    (first nonzero) one, so projective rescaling never degenerates the
+    frame.  Every row is the Kronecker product over factors of the factor's
+    Veronese vector, except that the factor owning the row's direction
+    contributes its partial instead; entries are reduced after every
+    product, which keeps the int64 arithmetic exact for p < 2**31.
+    """
+    x = field.as_matrix(_flatten(spec, point), p)[0]
+    nrows = spec.dim + 1
+    frame = np.ones((nrows, 1), dtype=np.int64)
+    row = 1
+    for (n, d), coords, off in zip(spec.factors, point, spec.factor_offsets()):
+        block = field.dual_evaluate(x[off:off + n + 1], *_power_rule(n, d), p)
+        pivot = next(j for j, c in enumerate(coords) if c)
+        # row 0 and the rows of the other factors take the Veronese vector
+        pick = np.zeros(nrows, dtype=np.int64)
+        pick[row:row + n] = [1 + j for j in range(n + 1) if j != pivot]
+        row += n
+        frame = (frame[:, :, None] * block[pick][:, None, :] % p).reshape(nrows, -1)
+    return frame
+
+
 def embed(spec: SegreVeroneseSpec, point: ParameterPoint, p: int) -> list[int]:
     """Ambient coordinates of the embedded point, length r + 1."""
-    flat = _flatten(spec, point)
-    values, _ = field.dual_evaluate(coordinate_map(spec), flat, [0] * len(flat), p)
-    return values
+    return _frame_rows(spec, point, p)[0].tolist()
 
 
-def embed_dual(
-    spec: SegreVeroneseSpec,
-    point: ParameterPoint,
-    direction: Sequence[int],
-    p: int,
-) -> tuple[list[int], list[int]]:
-    """Embedding value and exact directional derivative along ``direction``.
-
-    ``direction`` is a vector over the concatenated parameter coordinates.
-    """
-    flat = _flatten(spec, point)
-    return field.dual_evaluate(coordinate_map(spec), flat, list(direction), p)
-
-
-def tangent_directions(spec: SegreVeroneseSpec, point: ParameterPoint) -> list[list[int]]:
-    """The n affine-chart directions at ``point``.
-
-    Per factor: the coordinate directions complementary to the pivot (first
-    nonzero) coordinate, so projective rescaling never degenerates the frame.
-    """
-    offsets = spec.factor_offsets()
-    arity = spec.arity
-    dirs = []
-    for (n, _), coords, off in zip(spec.factors, point, offsets):
-        pivot = next(i for i, c in enumerate(coords) if c)
-        for j in range(n + 1):
-            if j == pivot:
-                continue
-            v = [0] * arity
-            v[off + j] = 1
-            dirs.append(v)
-    return dirs
-
-
-def tangent_frame(spec: SegreVeroneseSpec, point: ParameterPoint, p: int) -> list[list[int]]:
+def tangent_frame(spec: SegreVeroneseSpec, point: ParameterPoint, p: int) -> np.ndarray:
     """n + 1 ambient vectors spanning the tangent space to the cone at embed(point).
 
-    Raises SamplingError if the frame is degenerate (rank < n + 1), which
-    signals the caller to resample.
+    Row 0 is the embedded point; the other rows are the partials along the
+    affine-chart directions of each factor.  Raises SamplingError if the
+    frame is degenerate (rank < n + 1), which signals the caller to
+    resample.
     """
-    frame = [embed(spec, point, p)]
-    for direction in tangent_directions(spec, point):
-        _, deriv = embed_dual(spec, point, direction, p)
-        frame.append(deriv)
+    frame = _frame_rows(spec, point, p)
     if field.matrix_rank(frame, p) < spec.dim + 1:
         raise SamplingError(f"degenerate tangent frame on {spec} at {point}")
     return frame

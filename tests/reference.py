@@ -1,0 +1,90 @@
+"""Slow plain-Python reference paths that the fast numpy paths are tested against.
+
+* :func:`frame` builds a tangent frame monomial by monomial with the power
+  rule, in the coordinate order of :func:`grasec.varieties.monomials`.
+* :func:`plucker_direct_rank` is the Grassmann-secant Jacobian of the
+  Pluecker parameterization: the derivative of every maximal minor of the
+  spanning matrix, by row replacement
+  (d det M = sum_a det(M with row a replaced by dM_a)).
+"""
+
+from __future__ import annotations
+
+import random
+
+from grasec import field, varieties
+from grasec.errors import SamplingError
+
+
+def _monomial(exps, x, p: int) -> int:
+    value = 1
+    for xi, e in zip(x, exps):
+        value = value * pow(xi, e, p) % p
+    return value
+
+
+def _partial(exps, x, var: int, p: int) -> int:
+    """d/dx_var of x^exps: exps[var] * x^(exps - e_var)."""
+    if exps[var] == 0:
+        return 0
+    lowered = list(exps)
+    lowered[var] -= 1
+    return exps[var] * _monomial(lowered, x, p) % p
+
+
+def frame(spec: varieties.SegreVeroneseSpec, point, p: int) -> list[list[int]]:
+    """Embedded point, then its partials along each factor's non-pivot coordinates."""
+    x = [c % p for coords in point for c in coords]
+    monos = varieties.monomials(spec)
+    rows = [[_monomial(exps, x, p) for exps in monos]]
+    for (n, _), coords, off in zip(spec.factors, point, spec.factor_offsets()):
+        pivot = next(j for j, c in enumerate(coords) if c)
+        for j in range(n + 1):
+            if j != pivot:
+                rows.append([_partial(exps, x, off + j, p) for exps in monos])
+    return rows
+
+
+def _minors_derivative(m: list[list[int]], dm: list[list[int]], p: int) -> list[int]:
+    total = [0] * len(field.maximal_minors(m, p))
+    for a in range(len(m)):
+        replaced = m[:a] + [dm[a]] + m[a + 1:]
+        total = [(t + v) % p for t, v in zip(total, field.maximal_minors(replaced, p))]
+    return total
+
+
+def plucker_direct_rank(
+    spec: varieties.SegreVeroneseSpec, k: int, s: int, rng: random.Random, p: int
+) -> int:
+    """Rank of the Pluecker-minor Jacobian at the point ``grassec._direct_rank`` samples.
+
+    Draws from ``rng`` in the same order, so with equal generators both see
+    the same points and coefficient matrix.  The image is a cone, so this
+    rank exceeds dim GS by the scaling direction.
+    """
+    w = min(k, s - 1)
+    r = spec.ambient_dim
+    for _ in range(5):
+        points = [varieties.random_parameter_point(spec, rng, p) for _ in range(s)]
+        frames = [frame(spec, u, p) for u in points]
+        lam = [[rng.randrange(p) for _ in range(s)] for _ in range(w + 1)]
+        m = [
+            [sum(lam[a][b] * frames[b][0][j] for b in range(s)) % p for j in range(r + 1)]
+            for a in range(w + 1)
+        ]
+        if field.matrix_rank(m, p) == w + 1:
+            break
+    else:
+        raise SamplingError("degenerate coefficient matrix")
+
+    columns = []
+    for i in range(s):
+        for partial in frames[i][1:]:
+            dm = [[lam[a][i] * v % p for v in partial] for a in range(w + 1)]
+            columns.append(_minors_derivative(m, dm, p))
+    for a in range(w + 1):
+        for b in range(s):
+            dm = [[0] * (r + 1) for _ in range(w + 1)]
+            dm[a] = frames[b][0]
+            columns.append(_minors_derivative(m, dm, p))
+    return field.matrix_rank(columns, p)

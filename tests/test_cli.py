@@ -117,6 +117,11 @@ class TestExitCodes:
     def test_success_is_zero(self, capsys):
         assert run(capsys, "secant", "--spec", "1,1", "--s", "2")[0] == 0
 
+    def test_composite_prime_is_one(self, capsys):
+        code, out, err = run(capsys, "secant", "--spec", "1,1", "--s", "1", "--prime", "4")
+        assert code == 1 and out == ""
+        assert "modulus 4 is not prime" in err
+
 
 class TestDeterminism:
     def test_byte_identical_json(self, capsys):

@@ -1,4 +1,4 @@
-"""Exact linear algebra over F_p: ranks, canonical bases, dual numbers."""
+"""Exact linear algebra over F_p: ranks, canonical bases, minors, moduli."""
 
 import itertools
 import random
@@ -115,43 +115,17 @@ class TestMatmulMod:
         assert field.matmul_mod(a, b, P).tolist() == [[expected]]
 
 
-class TestDualNumbers:
-    def test_square_derivative(self):
-        values, derivs = field.dual_evaluate([[(1, (2,))]], [3], [1], P)
-        assert (values, derivs) == ([9], [6])
-
-    def test_product_rule(self):
-        a, b = 5, 11
-        values, derivs = field.dual_evaluate([[(1, (1, 1))]], [a, b], [1, 0], P)
-        assert (values, derivs) == ([a * b], [b])
-
-    def test_cube_derivative(self):
-        values, derivs = field.dual_evaluate([[(1, (3,))]], [2], [1], P)
-        assert (values, derivs) == ([8], [12])
-
-    def test_arity_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            field.dual_evaluate([[(1, (1, 1))]], [2], [1], P)
-
-    def test_random_monomial_derivatives(self):
-        # d/dx_j of c * prod x_i^{e_i} is c * e_j * x_j^{e_j - 1} * rest
-        rng = random.Random(7)
-        for _ in range(100):
-            nvars = rng.randrange(1, 4)
-            exps = tuple(rng.randrange(0, 4) for _ in range(nvars))
-            coeff = rng.randrange(1, P)
-            x = [rng.randrange(1, P) for _ in range(nvars)]
-            j = rng.randrange(nvars)
-            direction = [1 if i == j else 0 for i in range(nvars)]
-            _, derivs = field.dual_evaluate([[(coeff, exps)]], x, direction, P)
-            symbolic = coeff * exps[j] % P
-            for i, e in enumerate(exps):
-                power = e - 1 if i == j else e
-                if power > 0:
-                    symbolic = symbolic * pow(x[i], power, P) % P
-                elif power < 0:
-                    symbolic = 0
-            assert derivs[0] == symbolic % P
+def test_dual_evaluate_matches_scalar_monomials():
+    rng = random.Random(5)
+    for p in (P, 5, 7):
+        x = [rng.randrange(p) for _ in range(3)]
+        exponents = np.array([[rng.randrange(4) for _ in range(3)] for _ in range(6)])
+        coeffs = np.array([rng.randrange(-p, p) for _ in range(6)])
+        expected = [
+            int(c) * pow(x[0], int(a), p) * pow(x[1], int(b), p) * pow(x[2], int(e), p) % p
+            for c, (a, b, e) in zip(coeffs, exponents)
+        ]
+        assert field.dual_evaluate(x, exponents, coeffs, p).tolist() == expected
 
 
 class TestMaximalMinors:
@@ -177,7 +151,7 @@ class TestMaximalMinors:
             t = rng.randrange(1, 4)
             c = rng.randrange(t, t + 4)
             m = [[rng.randrange(P) for _ in range(c)] for _ in range(t)]
-            mine = field.field_minors(m, P)
+            mine = field.maximal_minors(m, P)
             combos = list(itertools.combinations(range(c), t))
             brute = [
                 self._brute_det([[m[i][j] for j in cols] for i in range(t)], P)
@@ -185,28 +159,27 @@ class TestMaximalMinors:
             ]
             assert mine == brute
 
-    def test_derivative_via_row_replacement(self):
-        # d det(M + eps dM) = sum over rows of det(M with that row replaced by dM)
-        rng = random.Random(13)
-        t, c = 3, 5
-        m = [[rng.randrange(P) for _ in range(c)] for _ in range(t)]
-        dm = [[rng.randrange(P) for _ in range(c)] for _ in range(t)]
-        rows = [
-            [field.Dual(m[i][j], dm[i][j], P) for j in range(c)] for i in range(t)
-        ]
-        derivs = [d.b for d in field.maximal_minors(rows)]
-        for idx, cols in enumerate(itertools.combinations(range(c), t)):
-            expected = 0
-            for rep in range(t):
-                sub = [
-                    [(dm if i == rep else m)[i][j] for j in cols] for i in range(t)
-                ]
-                expected = (expected + self._brute_det(sub, P)) % P
-            assert derivs[idx] == expected
-
 
 def test_modulus_range_is_enforced():
     with pytest.raises(ValueError):
         field.matrix_rank([[1]], 2**31)
     with pytest.raises(ValueError):
         field.as_matrix([[1]], 1)
+
+
+def test_composite_modulus_rejected():
+    # 561 is a Carmichael number; 2047 and 25326001 are strong pseudoprimes
+    # to base 2 and to bases 2, 3, 5
+    for n in (4, 9, 561, 2047, 25326001, 46337**2):
+        with pytest.raises(ValueError, match=f"modulus {n} is not prime"):
+            field.as_matrix([[1]], n)
+    for p in (2, 3, 5, 7, 101, field.DEFAULT_PRIME, field.CONFIRMATION_PRIME):
+        assert field.as_matrix([[p + 1]], p).tolist() == [[1]]
+
+
+def test_primality_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    for n in range(3000):
+        assert field._is_prime(n) == trial(n), n

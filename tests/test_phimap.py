@@ -63,7 +63,7 @@ class TestPhi:
             rows = [[rng.randrange(P) for _ in range(4)] for _ in range(2)]
             if field.matrix_rank(rows, P) < 2:
                 continue
-            p01, p02, p03, p12, p13, p23 = field.field_minors(rows, P)
+            p01, p02, p03, p12, p13, p23 = field.maximal_minors(rows, P)
             assert (p01 * p23 - p02 * p13 + p03 * p12) % P == 0
 
     def test_coords_match_basis_minors(self):
@@ -72,7 +72,7 @@ class TestPhi:
             SegreVeroneseSpec.parse("1,1"), 1, 2, p=P, rng=rng
         )
         plucker = phimap.phi(witness.tensor)
-        assert list(plucker.coords) == field.field_minors(plucker.basis, P)
+        assert list(plucker.coords) == field.maximal_minors(plucker.basis, P)
 
 
 class TestWitnesses:
@@ -157,3 +157,10 @@ class TestCounting:
         witness = phimap.random_secant_point(spec, 0, 2, seed=1, p=5)
         with pytest.raises(ValueError):
             phimap.count_decompositions(spec, 11, 2, witness.tensor)
+
+    def test_prime_power_field_rejected(self):
+        # Z/4 is not the field F_4, so q = 4 must not enumerate
+        spec = SegreVeroneseSpec.parse("1,1")
+        witness = phimap.random_secant_point(spec, 0, 2, seed=1, p=5)
+        with pytest.raises(ValueError, match="enumeration"):
+            phimap.count_decompositions(spec, 4, 2, witness.tensor)

@@ -1,0 +1,106 @@
+"""Fast paths against the plain-Python references in reference.py."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference
+from grasec import field, grassec, reproduce, varieties
+from grasec.errors import SamplingError
+from grasec.varieties import SegreVeroneseSpec
+
+P = field.DEFAULT_PRIME
+
+
+def _catalog_specs() -> list[str]:
+    """Every variety whose frames the reproduction catalog builds, with two large ones."""
+    bases = {"1,1,1,1,1", "3,3,3", "6:1,2:2", "1,1", "1,1,1", "1:4", "2:3",
+             *reproduce.PHI_GRID_SPECS}
+    texts = set(bases)
+    for text in reproduce.PHI_GRID_SPECS + ("1:4", "2:3", "1,2"):
+        for k in (1, 2, 3):
+            texts.add(f"{k},{text}")
+    for text, k in reproduce.NEVER_DEFECTIVE_CASES:
+        texts.update((text, f"{k},{text}"))
+    return sorted(texts) + ["1,1,1,1,1,1,1,1,1", "4,4,4,4"]
+
+
+def _assert_frame_matches(spec: SegreVeroneseSpec, point, p: int) -> None:
+    expected = reference.frame(spec, point, p)
+    assert varieties.embed(spec, point, p) == expected[0]
+    try:
+        frame = varieties.tangent_frame(spec, point, p)
+    except SamplingError:
+        assert field.matrix_rank(expected, p) < spec.dim + 1
+    else:
+        assert frame.dtype.name == "int64"
+        assert frame.tolist() == expected
+
+
+@pytest.mark.parametrize("text", _catalog_specs())
+@pytest.mark.parametrize("p", [P, 5, 7])
+def test_frames_match_power_rule_reference(text, p):
+    spec = SegreVeroneseSpec.parse(text)
+    rng = random.Random(f"{text}:{p}")
+    for _ in range(2):
+        _assert_frame_matches(spec, varieties.random_parameter_point(spec, rng, p), p)
+
+
+def test_frame_coefficients_reduce_mod_small_primes():
+    # d/dy of (x^3, x^2 y, x y^2, y^3) is (0, x^2, 2xy, 3y^2)
+    spec = SegreVeroneseSpec.parse("1:3")
+    assert varieties.tangent_frame(spec, ((1, 1),), 3).tolist() == [[1, 1, 1, 1], [0, 1, 2, 0]]
+    assert varieties.tangent_frame(spec, ((1, 1),), 2).tolist() == [[1, 1, 1, 1], [0, 1, 0, 1]]
+
+
+_factor = st.tuples(st.integers(1, 2), st.integers(1, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(_factor, min_size=1, max_size=3),
+    st.sampled_from([2, 3, 5, 7, 101, P]),
+    st.integers(0, 2**32),
+)
+def test_random_spec_frames_match_reference(factors, p, seed):
+    spec = SegreVeroneseSpec(tuple(factors))
+    point = varieties.random_parameter_point(spec, random.Random(seed), p)
+    _assert_frame_matches(spec, point, p)
+
+
+GS_CASES = (
+    ("1:3", 1, 2), ("1:3", 2, 3), ("2:2", 1, 3), ("2:2", 2, 3), ("1,1", 0, 2),
+    ("1,1", 1, 2), ("1,2", 1, 3), ("1:4", 1, 3), ("2,2", 1, 4), ("1:3", 3, 2),
+)
+
+
+@pytest.mark.parametrize("text,k,s", GS_CASES)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_hom_rank_is_pluecker_rank_minus_one(text, k, s, seed):
+    spec = SegreVeroneseSpec.parse(text)
+    direct = grassec._direct_rank(spec, k, s, random.Random(seed), P)
+    assert direct == reference.plucker_direct_rank(spec, k, s, random.Random(seed), P) - 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(_factor, min_size=1, max_size=2).filter(
+        lambda fs: SegreVeroneseSpec(tuple(fs)).ambient_dim <= 8
+    ),
+    st.integers(0, 2),
+    st.integers(1, 4),
+    st.sampled_from([101, P]),
+    st.integers(0, 2**32),
+)
+def test_random_spec_hom_rank_matches_oracle(factors, k, s, p, seed):
+    spec = SegreVeroneseSpec(tuple(factors))
+    s = min(s, spec.ambient_dim + 1)
+    try:
+        direct = grassec._direct_rank(spec, k, s, random.Random(seed), p)
+    except SamplingError:
+        with pytest.raises(SamplingError):
+            reference.plucker_direct_rank(spec, k, s, random.Random(seed), p)
+        return
+    assert direct == reference.plucker_direct_rank(spec, k, s, random.Random(seed), p) - 1
