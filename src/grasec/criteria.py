@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from importlib import resources
 
 from . import field, grassec, secant, varieties
@@ -209,14 +209,16 @@ def never_defective_check(
 ) -> list[secant.SecantReport]:
     """For k = r - n, verify that no secant variety of Seg(P^k x X) is defective.
 
-    Runs the full classification up to the filling order and raises on any
-    nonzero defect.
+    Runs the full classification up to the order ceil((N+1)/(m+1)) of
+    Seg(P^k x X) in P^N, m = k + n, and raises on any nonzero defect.  A
+    non-defective secant variety of that order fills P^N, so it is the
+    filling order whenever the check passes.
     """
     n, r = spec.dim, spec.ambient_dim
     if k != r - n:
         raise ValueError(f"this check applies only to k = r - n = {r - n}, got k = {k}")
     seg = varieties.prepend_projective_factor(spec, k)
-    fill = secant.generic_rank(seg, trials=trials, seed=seed, primes=primes)
+    fill = math.ceil((seg.ambient_dim + 1) / (seg.dim + 1))
     reports = secant.classify_secant_range(seg, fill, trials=trials, seed=seed, primes=primes)
     for rep in reports:
         if rep.defect != 0:

@@ -1,12 +1,12 @@
 """Exact linear algebra over prime fields.
 
 Everything downstream reduces to matrix ranks over F_p, so this module is
-deliberately small: dense integer matrices reduced mod p, rank via
-division-free Gaussian elimination, canonical reduced row-echelon bases,
-evaluation of monomial tables at a point (the value and first partials of
-a Veronese vector in one call), and maximal minors of small matrices
-(Pluecker coordinates).  Every modulus is checked to be a prime below
-2**31.
+deliberately small: dense integer matrices reduced mod p, one reduced
+row-echelon kernel (:func:`_echelon`) behind every rank, echelon form,
+row-space basis and containment test, evaluation of monomial tables at a
+point (the value and first partials of a Veronese vector in one call), and
+maximal minors of small matrices (Pluecker coordinates).  Every modulus
+is checked to be a prime below 2**31.
 
 Matrices are numpy int64 arrays.  With p < 2**31 every product of two
 reduced entries, and every difference of two such products, stays inside
@@ -88,61 +88,51 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
     return ((left @ right) % p).astype(np.int64)
 
 
-def matrix_rank(rows, p: int) -> int:
-    """Rank of a matrix over F_p, by division-free Gaussian elimination.
+def _echelon(rows, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row-echelon basis of the row space over F_p, and its pivot columns.
 
-    Rows below the pivot are cleared as ``pivot*row - factor*pivot_row``,
-    so no inverses are needed; pivoting picks the first row with a nonzero
-    entry in the current column, which makes the procedure deterministic.
+    The basis has one row per pivot, each pivot scaled to 1 and alone in
+    its column, so equal row spaces give byte-identical bases.  The RREF
+    is unique, so the pivot row may be any row with a nonzero entry.  At
+    pivot column c the pivot row is zero left of c, so each update touches
+    columns ``c:`` only.
     """
     m = as_matrix(rows, p)
     nrows, ncols = m.shape
-    r = 0
+    pivots: list[int] = []
     for c in range(ncols):
+        r = len(pivots)
         if r == nrows:
             break
-        piv = None
-        for i in range(r, nrows):
-            if m[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        pivot = int(m[r, c])
-        if r + 1 < nrows:
-            below = m[r + 1:]
-            factors = below[:, c].copy()
-            below[...] = (below * pivot - np.outer(factors, m[r])) % p
-        r += 1
-    return r
+        if not m[r, c]:
+            i = r + int(m[r:, c].argmax())
+            if not m[i, c]:
+                continue
+            m[[r, i]] = m[[i, r]]
+        right = m[:, c:]
+        inv = pow(int(right[r, 0]), -1, p)
+        # Subtracting factors[i] * (row r) clears column c in every other
+        # row and leaves inv * (row r) in row r.
+        factors = right[:, 0] * inv % p
+        factors[r] = 1 - inv
+        right -= factors[:, None] * right[r]
+        right %= p
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def matrix_rank(rows, p: int) -> int:
+    """Rank of a matrix over F_p."""
+    return len(_echelon(rows, p)[1])
 
 
 def rref(rows, p: int) -> np.ndarray:
-    """Fully reduced row-echelon form over F_p (unique, pivots scaled to 1)."""
+    """Fully reduced row-echelon form over F_p (unique, pivots scaled to 1), in the input's shape."""
     m = as_matrix(rows, p)
-    nrows, ncols = m.shape
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = None
-        for i in range(r, nrows):
-            if m[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        inv = pow(int(m[r, c]), -1, p)
-        m[r] = (m[r] * inv) % p
-        factors = m[:, c].copy()
-        factors[r] = 0
-        m[...] = (m - np.outer(factors, m[r])) % p
-        r += 1
-    return m
+    basis, _ = _echelon(m, p)
+    out = np.zeros_like(m)
+    out[:basis.shape[0]] = basis
+    return out
 
 
 def row_space_basis(rows, p: int) -> np.ndarray:
@@ -151,17 +141,22 @@ def row_space_basis(rows, p: int) -> np.ndarray:
     Equal row spaces yield byte-identical output, so subspace equality is
     plain array comparison.
     """
-    m = rref(rows, p)
-    nonzero = [i for i in range(m.shape[0]) if m[i].any()]
-    return m[nonzero]
+    return _echelon(rows, p)[0]
 
 
 def subspace_contains(span_rows, candidate_rows, p: int) -> bool:
-    """True iff every row of ``candidate_rows`` lies in the row space of ``span_rows``."""
-    span = as_matrix(span_rows, p)
+    """True iff every row of ``candidate_rows`` lies in the row space of ``span_rows``.
+
+    The candidates are reduced by the RREF basis of the span, pivot by
+    pivot; they lie in the span iff nothing is left.
+    """
+    basis, pivots = _echelon(span_rows, p)
     cand = as_matrix(candidate_rows, p)
-    base = matrix_rank(span, p)
-    return matrix_rank(np.vstack([span, cand]), p) == base
+    if cand.shape[1] != basis.shape[1]:
+        raise ValueError("span and candidate rows have different lengths")
+    for row, c in zip(basis, pivots):
+        cand = (cand - cand[:, c, None] * row) % p
+    return not cand.any()
 
 
 def dual_evaluate(x, exponents: np.ndarray, coeffs: np.ndarray, p: int) -> np.ndarray:

@@ -42,8 +42,6 @@ class GrassmannSecantReport:
     seg_dim: int
     seg_expected_dim: int
     defect_transfer: bool | None
-    trials_used: int
-    primes_used: tuple[int, ...]
     seed: int
 
     @property
@@ -64,8 +62,6 @@ class GrassmannSecantReport:
             "seg_dim": self.seg_dim,
             "seg_expected_dim": self.seg_expected_dim,
             "defect_transfer": self.defect_transfer,
-            "trials_used": self.trials_used,
-            "primes_used": list(self.primes_used),
             "seed": self.seed,
         }
 
@@ -122,8 +118,8 @@ def _direct_rank(
         lam = field.as_matrix(
             [[rng.randrange(p) for _ in range(s)] for _ in range(w + 1)], p
         )
-        basis = field.row_space_basis(field.matmul_mod(lam, frames[:, 0], p), p)
-        if basis.shape[0] == w + 1:
+        basis, pivots = field._echelon(field.matmul_mod(lam, frames[:, 0], p), p)
+        if len(pivots) == w + 1:
             break
     else:
         raise SamplingError(f"degenerate coefficient matrix for GS on {spec}")
@@ -133,7 +129,6 @@ def _direct_rank(
     # P.  Reducing dM modulo L = rowspace(M), dM - dM[:, pivots] @ rref(M),
     # therefore reduces just that row vector.
     r = spec.ambient_dim
-    pivots = (basis != 0).argmax(axis=1)
     rows = frames.reshape(-1, r + 1)
     reduced = ((rows - field.matmul_mod(rows[:, pivots], basis, p)) % p).reshape(frames.shape)
     # s*n point parameters: lam[:, i] times each reduced partial at point i
@@ -164,16 +159,9 @@ def gs_dim_direct(
     if s - 1 > spec.ambient_dim:
         raise ValueError(f"need s - 1 <= r, got s={s}, r={spec.ambient_dim}")
     bound = expected_gs_dim(spec.dim, w, s, spec.ambient_dim)
-    dim = -1
-    for p in primes:
-        for t in range(trials):
-            rng = random.Random(secant.subseed(seed, t, p))
-            dim = max(dim, _direct_rank(spec, k, s, rng, p))
-            if dim == bound:
-                break
-        if dim == bound:
-            break
-    return dim
+    return secant._max_rank(
+        lambda rng, p: _direct_rank(spec, k, s, rng, p), bound, trials, seed, primes
+    )[0]
 
 
 def gs_report(
@@ -212,7 +200,5 @@ def gs_report(
         seg_dim=seg_report.dim,
         seg_expected_dim=seg_report.expected_dim,
         defect_transfer=defect_transfer,
-        trials_used=trials,
-        primes_used=tuple(primes),
         seed=seed,
     )

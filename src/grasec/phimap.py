@@ -229,8 +229,8 @@ def fiber_consistency(
     gap_ok = (seg_dim - gs_dim) == expected_gap
 
     containment_ok = True
+    p = primes[0]
     for t in range(trials):
-        p = field.DEFAULT_PRIME if not primes else primes[0]
         rng = random.Random(secant.subseed(seed, t, p) ^ 0x5EC4)
         witness = random_secant_point(spec, k, s, p=p, rng=rng)
         span = witness.embedded_points
@@ -274,13 +274,10 @@ def _count_subsets_containing(
             f"{total} span tests exceed the budget of {budget}"
         )
     target = field.as_matrix(target_rows, q)
-    count = 0
-    for idx in itertools.combinations(range(points.shape[0]), s):
-        span = points[list(idx)]
-        base = field.matrix_rank(span, q)
-        if field.matrix_rank(np.vstack([span, target]), q) == base:
-            count += 1
-    return count
+    return sum(
+        field.subspace_contains(points[list(idx)], target, q)
+        for idx in itertools.combinations(range(points.shape[0]), s)
+    )
 
 
 def count_decompositions(

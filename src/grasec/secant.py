@@ -14,7 +14,8 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field as dc_field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +35,8 @@ class SecantReport:
     dim: int
     expected_dim: int
     fills_ambient: bool
-    trials_used: int
-    primes_used: tuple[int, ...]
+    trials_used: int                # rank evaluations that ran; 0 when propagated
+    primes_used: tuple[int, ...]    # distinct primes they ran on, in order
     seed: int
     propagated: bool = False
 
@@ -98,6 +99,38 @@ def terracini_rank(
     return field.matrix_rank(rows, p) - 1
 
 
+def _max_rank(
+    rank_at: Callable[[random.Random, int], int],
+    bound: int,
+    trials: int,
+    seed: int,
+    primes: tuple[int, ...],
+) -> tuple[int, tuple[int, ...]]:
+    """Largest ``rank_at(rng, p)`` over primes x trials, stopping once it reaches ``bound``.
+
+    Returns the value and the prime of every rank evaluation that ran, in
+    order.  Trial t on prime p draws from ``Random(subseed(seed, t, p))``.
+    A value above ``bound`` contradicts the parameter count and raises.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not primes:
+        raise ValueError("at least one prime is needed")
+    best, ran = -1, []
+    for p in primes:
+        for t in range(trials):
+            value = rank_at(random.Random(subseed(seed, t, p)), p)
+            ran.append(p)
+            if value > bound:
+                raise InconsistencyError(
+                    f"computed dimension {value} exceeds the expected dimension {bound}"
+                )
+            best = max(best, value)
+            if best == bound:
+                return best, tuple(ran)
+    return best, tuple(ran)
+
+
 def secant_dim(
     spec: varieties.SegreVeroneseSpec,
     s: int,
@@ -110,32 +143,18 @@ def secant_dim(
     The maximum is sound because the rank at any special point only
     under-estimates the generic rank.
     """
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     expected = expected_secant_dim(spec, s)
-    dim = -1
-    for p in primes:
-        for t in range(trials):
-            rng = random.Random(subseed(seed, t, p))
-            dim = max(dim, terracini_rank(spec, s, rng, p))
-            if dim == expected:
-                break
-        if dim == expected:
-            break
-    if dim > expected:
-        raise InconsistencyError(
-            f"computed dimension {dim} exceeds the expected dimension {expected}"
-        )
+    dim, ran = _max_rank(
+        lambda rng, p: terracini_rank(spec, s, rng, p), expected, trials, seed, primes
+    )
     return SecantReport(
         spec=str(spec),
         s=s,
         dim=dim,
         expected_dim=expected,
         fills_ambient=(dim == spec.ambient_dim),
-        trials_used=trials,
-        primes_used=tuple(primes),
+        trials_used=len(ran),
+        primes_used=tuple(dict.fromkeys(ran)),
         seed=seed,
     )
 
@@ -160,13 +179,7 @@ def generic_rank(
     raise InconsistencyError(f"no filling secant variety found for {spec} up to s = r + 1")
 
 
-def _propagated(
-    spec: varieties.SegreVeroneseSpec,
-    s: int,
-    dim: int,
-    seed: int,
-    primes: tuple[int, ...],
-) -> SecantReport:
+def _propagated(spec: varieties.SegreVeroneseSpec, s: int, dim: int, seed: int) -> SecantReport:
     return SecantReport(
         spec=str(spec),
         s=s,
@@ -174,7 +187,7 @@ def _propagated(
         expected_dim=expected_secant_dim(spec, s),
         fills_ambient=(dim == spec.ambient_dim),
         trials_used=0,
-        primes_used=tuple(primes),
+        primes_used=(),
         seed=seed,
         propagated=True,
     )
@@ -209,14 +222,14 @@ def classify_secant_range(
     propagate_down = pivot.dim == s_pivot * (n + 1) - 1
     for t in range(s_pivot - 1, 0, -1):
         if propagate_down:
-            reports[t] = _propagated(spec, t, t * (n + 1) - 1, seed, primes)
+            reports[t] = _propagated(spec, t, t * (n + 1) - 1, seed)
         else:
             propagate_down = compute(t).dim == t * (n + 1) - 1
 
     fills = pivot.fills_ambient
     for t in range(s_pivot + 1, s_max + 1):
         if fills:
-            reports[t] = _propagated(spec, t, r, seed, primes)
+            reports[t] = _propagated(spec, t, r, seed)
         else:
             fills = compute(t).fills_ambient
 

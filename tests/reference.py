@@ -6,6 +6,9 @@
   Pluecker parameterization: the derivative of every maximal minor of the
   spanning matrix, by row replacement
   (d det M = sum_a det(M with row a replaced by dM_a)).
+* :func:`rref` is textbook Gauss-Jordan elimination on Python integers,
+  the oracle for every rank and echelon form, the kernel in
+  :mod:`grasec.field` included.
 """
 
 from __future__ import annotations
@@ -14,6 +17,30 @@ import random
 
 from grasec import field, varieties
 from grasec.errors import SamplingError
+
+
+def rref(rows, p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row-echelon form (input shape, pivots scaled to 1) and pivot columns."""
+    m = [[int(v) % p for v in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        i = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [v * inv % p for v in m[r]]
+        for j in range(len(m)):
+            if j != r and m[j][c]:
+                f = m[j][c]
+                m[j] = [(a - f * b) % p for a, b in zip(m[j], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def rank(rows, p: int) -> int:
+    return len(rref(rows, p)[1])
 
 
 def _monomial(exps, x, p: int) -> int:
@@ -72,7 +99,7 @@ def plucker_direct_rank(
             [sum(lam[a][b] * frames[b][0][j] for b in range(s)) % p for j in range(r + 1)]
             for a in range(w + 1)
         ]
-        if field.matrix_rank(m, p) == w + 1:
+        if rank(m, p) == w + 1:
             break
     else:
         raise SamplingError("degenerate coefficient matrix")
@@ -87,4 +114,4 @@ def plucker_direct_rank(
             dm = [[0] * (r + 1) for _ in range(w + 1)]
             dm[a] = frames[b][0]
             columns.append(_minors_derivative(m, dm, p))
-    return field.matrix_rank(columns, p)
+    return rank(columns, p)

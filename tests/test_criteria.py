@@ -2,10 +2,23 @@
 
 import pytest
 
-from grasec import criteria, grassec, secant
+from grasec import criteria, grassec, reproduce, secant
 from grasec.criteria import FAILS, HOLDS, NOT_DECIDED
 from grasec.errors import InconsistencyError
 from grasec.varieties import SegreVeroneseSpec, prepend_projective_factor
+
+
+def _classify_to_generic_rank(spec, k, **budget):
+    """The filling order by generic_rank search, then the range classification."""
+    seg = prepend_projective_factor(spec, k)
+    fill = secant.generic_rank(seg, **budget)
+    reports = secant.classify_secant_range(seg, fill, **budget)
+    for rep in reports:
+        if rep.defect != 0:
+            raise InconsistencyError(
+                f"defect {rep.defect} at s = {rep.s} on {seg}, expected none for k = r - n"
+            )
+    return reports
 
 
 class TestTheoremTre:
@@ -120,6 +133,21 @@ class TestNeverDefective:
     def test_wrong_k_rejected(self):
         with pytest.raises(ValueError):
             criteria.never_defective_check(SegreVeroneseSpec.parse("2:2"), 2)
+
+    @pytest.mark.parametrize("text,k", reproduce.NEVER_DEFECTIVE_CASES)
+    def test_matches_generic_rank_search(self, text, k):
+        spec = SegreVeroneseSpec.parse(text)
+        assert criteria.never_defective_check(spec, k, seed=5) == \
+            _classify_to_generic_rank(spec, k, seed=5)
+
+    def test_defect_message_matches_generic_rank_search(self):
+        # over F_3 the random frames of Seg(P^1 x P^1 x P^1) lose rank at s = 2
+        spec, budget = SegreVeroneseSpec.parse("1,1"), {"trials": 1, "primes": (3,)}
+        with pytest.raises(InconsistencyError) as old:
+            _classify_to_generic_rank(spec, 1, **budget)
+        with pytest.raises(InconsistencyError, match="defect") as new:
+            criteria.never_defective_check(spec, 1, **budget)
+        assert str(new.value) == str(old.value)
 
 
 class TestCatalog:

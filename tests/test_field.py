@@ -95,6 +95,11 @@ class TestSubspaceContains:
         span = [[1, 0, 0]]
         assert not field.subspace_contains(span, [[0, 1, 0]], P)
 
+    @pytest.mark.parametrize("span", [[[0, 0]], [[1, 2]]])
+    def test_width_mismatch_rejected(self, span):
+        with pytest.raises(ValueError):
+            field.subspace_contains(span, [[0, 0, 0]], P)
+
 
 class TestMatmulMod:
     def test_matches_python_integers(self):

@@ -46,6 +46,11 @@ class TestDirectRoute:
     def test_twisted_cubic(self):
         assert grassec.gs_dim_direct(V3P1, 1, 2) == 2
 
+    @pytest.mark.parametrize("budget", [{"trials": 0}, {"primes": ()}])
+    def test_empty_budget_rejected(self, budget):
+        with pytest.raises(ValueError):
+            grassec.gs_dim_direct(V3P1, 1, 2, **budget)
+
     def test_chordal_case_is_sn(self):
         # k = s-1 with sn small: dim GS = s * n
         assert grassec.gs_dim_direct(V2P2, 1, 2) == 4

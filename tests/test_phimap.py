@@ -119,6 +119,10 @@ class TestFiberConsistency:
         rep = phimap.fiber_consistency(SegreVeroneseSpec.parse("1:3"), 3, 2, trials=1)
         assert rep.expected_gap == 7 and rep.ok
 
+    def test_empty_prime_list_rejected(self):
+        with pytest.raises(ValueError):
+            phimap.fiber_consistency(SegreVeroneseSpec.parse("2:2"), 1, 3, primes=())
+
 
 class TestCounting:
     def test_enumerated_points_are_distinct_and_on_x(self):

@@ -14,6 +14,63 @@ from grasec.varieties import SegreVeroneseSpec
 P = field.DEFAULT_PRIME
 
 
+@st.composite
+def _matrices(draw, q: int, max_side: int = 8):
+    """Random, zero, duplicate-row or low-rank matrices over F_q, any shape up to max_side."""
+    nrows, ncols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    entry = st.integers(-q, 2 * q)
+    kind = draw(st.sampled_from(["random", "zero", "duplicate", "low_rank"]))
+    if kind == "zero":
+        return [[0] * ncols for _ in range(nrows)]
+    base = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=nrows if kind == "random" else 3))
+    if kind == "random":
+        return base
+    if kind == "duplicate":
+        picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=nrows, max_size=nrows))
+        return [list(base[i]) for i in picks]
+    coeffs = draw(st.lists(st.lists(entry, min_size=len(base), max_size=len(base)),
+                           min_size=nrows, max_size=nrows))
+    return [[sum(c * row[j] for c, row in zip(cs, base)) % q for j in range(ncols)]
+            for cs in coeffs]
+
+
+_ELIMINATION_PRIMES = st.sampled_from([2, 3, 5, 7, P])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_elimination_matches_reference(data):
+    q = data.draw(_ELIMINATION_PRIMES)
+    rows = data.draw(_matrices(q))
+    expected, pivots = reference.rref(rows, q)
+    assert field.matrix_rank(rows, q) == len(pivots)
+    out = field.rref(rows, q)
+    assert out.dtype.name == "int64"
+    assert out.tolist() == expected
+    assert field.row_space_basis(rows, q).tolist() == expected[:len(pivots)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_containment_matches_reference(data):
+    q = data.draw(_ELIMINATION_PRIMES)
+    span = data.draw(_matrices(q))
+    ncols = len(span[0])
+    inside = [[sum(c * row[j] for c, row in zip(cs, span)) % q for j in range(ncols)]
+              for cs in data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=len(span),
+                                                    max_size=len(span)), max_size=3))]
+    anywhere = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=ncols,
+                                           max_size=ncols), max_size=2))
+    candidates = inside + anywhere
+    if not candidates:
+        candidates = [[0] * ncols]
+    expected = reference.rank(span, q) == reference.rank(span + candidates, q)
+    assert field.subspace_contains(span, candidates, q) == expected
+    if not anywhere:
+        assert expected
+
+
 def _catalog_specs() -> list[str]:
     """Every variety whose frames the reproduction catalog builds, with two large ones."""
     bases = {"1,1,1,1,1", "3,3,3", "6:1,2:2", "1,1", "1,1,1", "1:4", "2:3",
@@ -33,7 +90,7 @@ def _assert_frame_matches(spec: SegreVeroneseSpec, point, p: int) -> None:
     try:
         frame = varieties.tangent_frame(spec, point, p)
     except SamplingError:
-        assert field.matrix_rank(expected, p) < spec.dim + 1
+        assert reference.rank(expected, p) < spec.dim + 1
     else:
         assert frame.dtype.name == "int64"
         assert frame.tolist() == expected

@@ -1,8 +1,11 @@
 """Secant dimensions, defects, generic ranks and range classification."""
 
+import random
+
 import pytest
 
 from grasec import field, secant
+from grasec.errors import InconsistencyError
 from grasec.varieties import SegreVeroneseSpec
 
 PENCILS = SegreVeroneseSpec.parse("1,1,1,1,1")
@@ -49,6 +52,39 @@ class TestSecantDim:
         with pytest.raises(ValueError):
             secant.secant_dim(PENCILS, 0)
 
+    @pytest.mark.parametrize("budget", [{"trials": 0}, {"primes": ()}])
+    def test_empty_budget_rejected(self, budget):
+        with pytest.raises(ValueError):
+            secant.secant_dim(PENCILS, 3, **budget)
+
+
+class TestTrialLedger:
+    def test_stops_at_first_certifying_trial(self):
+        rep = secant.secant_dim(PENCILS, 3)
+        assert rep.trials_used == 1
+        assert rep.to_dict()["primes_used"] == [field.DEFAULT_PRIME]
+
+    def test_defective_runs_the_whole_budget(self):
+        rep = secant.secant_dim(SegreVeroneseSpec.parse("2,2"), 2, trials=2)
+        assert rep.trials_used == 4 and rep.primes_used == field.DEFAULT_PRIMES
+
+    def test_loop_order_and_seeds(self):
+        calls = []
+
+        def rank_at(rng, p):
+            calls.append((rng.random(), p))
+            return 2 if len(calls) < 4 else 3
+
+        dim, ran = secant._max_rank(rank_at, 3, 2, 5, (7, 11, 13))
+        assert dim == 3 and ran == (7, 7, 11, 11)
+        expected = [(random.Random(secant.subseed(5, t, p)).random(), p)
+                    for p in (7, 11) for t in range(2)]
+        assert calls == expected
+
+    def test_rank_above_bound_raises(self):
+        with pytest.raises(InconsistencyError, match="exceeds the expected dimension 3"):
+            secant._max_rank(lambda rng, p: 4, 3, 1, 0, (7,))
+
 
 class TestGenericRank:
     def test_pencils(self):
@@ -67,6 +103,7 @@ class TestClassifyRange:
         assert [rep.s for rep in reports] == list(range(1, 9))
         assert reports[6].propagated and reports[7].propagated
         assert reports[6].dim == reports[7].dim == 31
+        assert reports[6].trials_used == 0 and reports[6].primes_used == ()
 
     def test_nondefective_propagates_downward(self):
         reports = secant.classify_secant_range(PENCILS, 8)
