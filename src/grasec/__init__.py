@@ -8,7 +8,7 @@ from .field import CONFIRMATION_PRIME, DEFAULT_PRIME, DEFAULT_PRIMES
 from .varieties import SegreVeroneseSpec, prepend_projective_factor
 from .secant import SecantReport, classify_secant_range, expected_secant_dim, generic_rank, secant_dim
 from .grassec import GrassmannSecantReport, expected_gs_dim, gs_dim_direct, gs_dim_phi, gs_report
-from .phimap import PluckerPoint, SecantWitness, SlicedTensor, count_decompositions, fiber_consistency, phi, random_secant_point
+from .phimap import PluckerPoint, SecantWitness, SlicedTensor, count_decompositions, phi, random_secant_point
 from .criteria import (
     DimsegreCase,
     IdentifiabilityVerdict,
@@ -43,7 +43,6 @@ __all__ = [
     "SecantWitness",
     "SlicedTensor",
     "count_decompositions",
-    "fiber_consistency",
     "phi",
     "random_secant_point",
     "DimsegreCase",

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from . import field, grassec, secant, varieties
+from . import field, secant, varieties
 from .errors import InconsistencyError
 
 HOLDS = "holds"

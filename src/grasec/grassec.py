@@ -73,6 +73,17 @@ def expected_gs_dim(n: int, k: int, s: int, r: int) -> int:
     return min(s * n + (k + 1) * (s - 1 - k), (k + 1) * (r - k))
 
 
+def _plane_dim(spec: varieties.SegreVeroneseSpec, k: int, s: int) -> int:
+    """Check (k, s) against X and return w = min(k, s-1).
+
+    The slice span of a general point of sigma_s(Seg(P^k x X)) is a w-plane.
+    """
+    r = spec.ambient_dim
+    if k < 0 or s < 1 or s - 1 > r:
+        raise ValueError(f"need k >= 0, s >= 1 and s - 1 <= r, got k={k}, s={s}, r={r}")
+    return min(k, s - 1)
+
+
 def _seg_secant(
     spec: varieties.SegreVeroneseSpec,
     k: int,
@@ -95,23 +106,18 @@ def gs_dim_phi(
     primes: tuple[int, ...] = field.DEFAULT_PRIMES,
 ) -> int:
     """dim GS_X(w, s) from the secant dimension of Seg(P^k x X)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if s - 1 > spec.ambient_dim:
-        raise ValueError("the slice-map formula requires s - 1 <= r")
-    w = min(k, s - 1)
+    w = _plane_dim(spec, k, s)
     seg_dim = _seg_secant(spec, k, s, trials, seed, primes).dim
     return seg_dim - (w + 1) * (k + 1) + 1
 
 
 def _direct_rank(
     spec: varieties.SegreVeroneseSpec,
-    k: int,
+    w: int,
     s: int,
     rng: random.Random,
     p: int,
 ) -> int:
-    w = min(k, s - 1)
     for _ in range(_MAX_RESAMPLES):
         points = [varieties.random_parameter_point(spec, rng, p) for _ in range(s)]
         frames = np.stack([varieties._frame_rows(spec, u, p) for u in points])
@@ -153,14 +159,10 @@ def gs_dim_direct(
     primes: tuple[int, ...] = field.DEFAULT_PRIMES,
 ) -> int:
     """dim GS_X(w, s) as the rank of the parameterization's differential into Hom(L, V/L)."""
-    if k < 0 or s < 1:
-        raise ValueError("need k >= 0 and s >= 1")
-    w = min(k, s - 1)
-    if s - 1 > spec.ambient_dim:
-        raise ValueError(f"need s - 1 <= r, got s={s}, r={spec.ambient_dim}")
+    w = _plane_dim(spec, k, s)
     bound = expected_gs_dim(spec.dim, w, s, spec.ambient_dim)
     return secant._max_rank(
-        lambda rng, p: _direct_rank(spec, k, s, rng, p), bound, trials, seed, primes
+        lambda rng, p: _direct_rank(spec, w, s, rng, p), bound, trials, seed, primes
     )[0]
 
 
@@ -178,7 +180,7 @@ def gs_report(
     secant defect equals the secant defect of Seg(P^k x X).
     """
     n, r = spec.dim, spec.ambient_dim
-    w = min(k, s - 1)
+    w = _plane_dim(spec, k, s)
     dim_direct = gs_dim_direct(spec, k, s, trials=trials, seed=seed, primes=primes)
     seg_report = _seg_secant(spec, k, s, trials, seed, primes)
     dim_phi = seg_report.dim - ((w + 1) * (k + 1) - 1)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import field, grassec, secant, varieties
+from . import field, secant, varieties
 from .errors import BudgetExceededError, SamplingError
 
 DEFAULT_ENUMERATION_BUDGET = 10**8
@@ -58,9 +58,6 @@ class SlicedTensor:
     def to_vector(self) -> list[int]:
         return [v for row in self.slices for v in row]
 
-    def matrix(self) -> np.ndarray:
-        return field.as_matrix(self.slices, self.p)
-
     def scaled(self, c: int) -> "SlicedTensor":
         c %= self.p
         if c == 0:
@@ -81,9 +78,6 @@ class PluckerPoint:
     p: int
     coords: tuple[int, ...]
     basis: tuple[tuple[int, ...], ...]
-
-    def basis_matrix(self) -> np.ndarray:
-        return field.as_matrix(self.basis, self.p)
 
 
 @dataclass(frozen=True)
@@ -173,80 +167,6 @@ def random_secant_point(
             tensor=tensor,
         )
     raise SamplingError(f"could not sample an independent secant witness on {spec}")
-
-
-@dataclass(frozen=True)
-class FiberReport:
-    spec: str
-    k: int
-    s: int
-    w: int
-    seg_dim: int
-    gs_dim: int
-    expected_gap: int
-    gap_ok: bool
-    containment_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.gap_ok and self.containment_ok
-
-    def to_dict(self) -> dict:
-        return {
-            "spec": self.spec,
-            "k": self.k,
-            "s": self.s,
-            "w": self.w,
-            "seg_dim": self.seg_dim,
-            "gs_dim": self.gs_dim,
-            "expected_gap": self.expected_gap,
-            "gap_ok": self.gap_ok,
-            "containment_ok": self.containment_ok,
-            "status": "pass" if self.ok else "fail",
-        }
-
-
-def fiber_consistency(
-    spec: varieties.SegreVeroneseSpec,
-    k: int,
-    s: int,
-    trials: int = secant.DEFAULT_TRIALS,
-    seed: int = 0,
-    primes: tuple[int, ...] = field.DEFAULT_PRIMES,
-) -> FiberReport:
-    """Check the fiber-dimension identity and the span containment of slices.
-
-    The secant dimension of Seg(P^k x X) must exceed the Grassmann secant
-    dimension by exactly (w+1)(k+1) - 1, and for every sampled witness the
-    slice span must sit inside the span of the witness points.
-    """
-    if s - 1 > spec.ambient_dim:
-        raise ValueError("need s - 1 <= r")
-    w = min(k, s - 1)
-    seg_dim = grassec._seg_secant(spec, k, s, trials, seed, primes).dim
-    gs_dim = grassec.gs_dim_direct(spec, k, s, trials=trials, seed=seed, primes=primes)
-    expected_gap = (w + 1) * (k + 1) - 1
-    gap_ok = (seg_dim - gs_dim) == expected_gap
-
-    containment_ok = True
-    p = primes[0]
-    for t in range(trials):
-        rng = random.Random(secant.subseed(seed, t, p) ^ 0x5EC4)
-        witness = random_secant_point(spec, k, s, p=p, rng=rng)
-        span = witness.embedded_points
-        if not field.subspace_contains(span, phi(witness.tensor).basis, p):
-            containment_ok = False
-    return FiberReport(
-        spec=str(spec),
-        k=k,
-        s=s,
-        w=w,
-        seg_dim=seg_dim,
-        gs_dim=gs_dim,
-        expected_gap=expected_gap,
-        gap_ok=gap_ok,
-        containment_ok=containment_ok,
-    )
 
 
 def enumerate_variety_points(spec: varieties.SegreVeroneseSpec, q: int) -> np.ndarray:

@@ -8,7 +8,7 @@ serialized output.
 
 from __future__ import annotations
 
-import math
+import random
 
 from . import criteria, field, grassec, phimap, secant, varieties
 from .errors import InconsistencyError
@@ -30,11 +30,18 @@ def _check(name: str, anchor: str, computed, expected) -> dict:
     }
 
 
+def _generic_rank(reports: list[secant.SecantReport]) -> int | None:
+    """Least s whose report fills the ambient space, if any does."""
+    return next((rep.s for rep in reports if rep.fills_ambient), None)
+
+
 def _secant_checks(seed: int, primes: tuple[int, ...], trials: int) -> list[dict]:
+    # each range computes sigma_{s_max} and sigma_{s_max - 1}; propagation
+    # fills in the rest, and the generic rank is read off the same reports
     checks = []
     pencils = varieties.SegreVeroneseSpec.parse("1,1,1,1,1")
-    r6 = secant.secant_dim(pencils, 6, trials=trials, seed=seed, primes=primes)
-    r5 = secant.secant_dim(pencils, 5, trials=trials, seed=seed, primes=primes)
+    reps = secant.classify_secant_range(pencils, 6, trials=trials, seed=seed, primes=primes)
+    r6, r5 = reps[5], reps[4]
     checks.append(_check(
         "pencil-2x2x2x2-sigma6",
         "the 6th secant variety of the five-fold Segre product of P^1 fills P^31",
@@ -48,11 +55,11 @@ def _secant_checks(seed: int, primes: tuple[int, ...], trials: int) -> list[dict
     checks.append(_check(
         "pencil-2x2x2x2-generic-rank",
         "the generic pencil of 2x2x2x2 tensors has rank 6",
-        secant.generic_rank(pencils, trials=trials, seed=seed, primes=primes), 6,
+        _generic_rank(reps), 6,
     ))
     cubes = varieties.SegreVeroneseSpec.parse("3,3,3")
-    r7 = secant.secant_dim(cubes, 7, trials=trials, seed=seed, primes=primes)
-    r6b = secant.secant_dim(cubes, 6, trials=trials, seed=seed, primes=primes)
+    reps = secant.classify_secant_range(cubes, 7, trials=trials, seed=seed, primes=primes)
+    r7, r6b = reps[6], reps[5]
     checks.append(_check(
         "matrix-4x4-sigma7",
         "the 7th secant variety of P^3 x P^3 x P^3 fills P^63",
@@ -66,7 +73,7 @@ def _secant_checks(seed: int, primes: tuple[int, ...], trials: int) -> list[dict
     checks.append(_check(
         "matrix-4x4-generic-rank",
         "the generic dimension-3 linear system of 4x4 matrices has rank 7",
-        secant.generic_rank(cubes, trials=trials, seed=seed, primes=primes), 7,
+        _generic_rank(reps), 7,
     ))
     return checks
 
@@ -147,8 +154,6 @@ def _dimsegre_check(seed: int, primes: tuple[int, ...], trials: int) -> dict:
 
 
 def _slice_map_checks(seed: int, primes: tuple[int, ...]) -> dict:
-    import random
-
     p = primes[0]
     specs = ["1,1", "1,1,1", "2:2", "1:3", "1,2"]
     ok = 0
@@ -199,8 +204,6 @@ def _cardinality_check(seed: int) -> dict:
 
 
 def _soundness_check(seed: int, primes: tuple[int, ...], trials: int) -> dict:
-    import random
-
     # parameter choices must not depend on the prime list, only on the seed
     rng = random.Random(secant.subseed(seed, 424242, 0))
     specs = ["1,1", "2:2", "1:4", "2:3", "1,2"]

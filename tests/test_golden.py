@@ -1,0 +1,31 @@
+"""CLI stdout pinned byte for byte against saved outputs in tests/golden/.
+
+A refactor that changes which points are drawn, which secants are computed
+or how a report is serialized shows up here as a diff.  Regenerate a file
+only for an intended output change, e.g.
+``PYTHONPATH=src python -m grasec.cli reproduce --seed 0 > tests/golden/reproduce_seed0.txt``.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from grasec import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "reproduce_seed0.txt": ["reproduce", "--seed", "0"],
+    "grassmann_2-4_k3_s5.txt": ["grassmann", "--spec", "2:4", "--k", "3", "--s", "5"],
+    "secant_2-2_s1-4.txt": ["secant", "--spec", "2,2", "--s", "1..4"],
+    "identifiability_format_4-4_k1_s3.txt": [
+        "identifiability", "--format", "4,4", "--k", "1", "--s", "3",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_golden(name, capsys, monkeypatch):
+    monkeypatch.delenv("GRASEC_SEED", raising=False)
+    cli.main(CASES[name])
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()

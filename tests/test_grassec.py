@@ -67,6 +67,14 @@ class TestDirectRoute:
             assert grassec.gs_dim_direct(spec, k, s, trials=1) == expected
 
 
+@pytest.mark.parametrize("route", [grassec.gs_dim_phi, grassec.gs_dim_direct, grassec.gs_report])
+@pytest.mark.parametrize("k,s", [(-1, 2), (1, 0), (1, 6)])
+def test_plane_dim_rejects_bad_k_s(route, k, s):
+    # V3P1 has r = 3: k = -1, s = 0 and s - 1 > r are each out of range
+    with pytest.raises(ValueError, match="need k >= 0, s >= 1 and s - 1 <= r"):
+        route(V3P1, k, s)
+
+
 class TestReport:
     def test_cross_check_passes(self):
         rep = grassec.gs_report(V3P1, 1, 2)

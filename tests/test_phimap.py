@@ -1,4 +1,4 @@
-"""The slice map, secant witnesses, fiber checks and micro-enumeration."""
+"""The slice map, secant witnesses and micro-enumeration."""
 
 import random
 
@@ -104,24 +104,6 @@ class TestWitnesses:
         )
         # all slices proportional to the single point: w = 0
         assert phimap.phi(witness.tensor).w == 0
-
-
-class TestFiberConsistency:
-    def test_veronese_surface_gap_three(self):
-        rep = phimap.fiber_consistency(SegreVeroneseSpec.parse("2:2"), 1, 3, trials=1)
-        assert rep.expected_gap == 3 and rep.ok
-
-    def test_k_zero_gap_zero(self):
-        rep = phimap.fiber_consistency(SegreVeroneseSpec.parse("1,1"), 0, 2, trials=1)
-        assert rep.expected_gap == 0 and rep.ok
-
-    def test_w_reduction_gap_seven(self):
-        rep = phimap.fiber_consistency(SegreVeroneseSpec.parse("1:3"), 3, 2, trials=1)
-        assert rep.expected_gap == 7 and rep.ok
-
-    def test_empty_prime_list_rejected(self):
-        with pytest.raises(ValueError):
-            phimap.fiber_consistency(SegreVeroneseSpec.parse("2:2"), 1, 3, primes=())
 
 
 class TestCounting:

@@ -137,7 +137,8 @@ GS_CASES = (
 @pytest.mark.parametrize("seed", [0, 1])
 def test_hom_rank_is_pluecker_rank_minus_one(text, k, s, seed):
     spec = SegreVeroneseSpec.parse(text)
-    direct = grassec._direct_rank(spec, k, s, random.Random(seed), P)
+    w = grassec._plane_dim(spec, k, s)
+    direct = grassec._direct_rank(spec, w, s, random.Random(seed), P)
     assert direct == reference.plucker_direct_rank(spec, k, s, random.Random(seed), P) - 1
 
 
@@ -154,8 +155,9 @@ def test_hom_rank_is_pluecker_rank_minus_one(text, k, s, seed):
 def test_random_spec_hom_rank_matches_oracle(factors, k, s, p, seed):
     spec = SegreVeroneseSpec(tuple(factors))
     s = min(s, spec.ambient_dim + 1)
+    w = grassec._plane_dim(spec, k, s)
     try:
-        direct = grassec._direct_rank(spec, k, s, random.Random(seed), p)
+        direct = grassec._direct_rank(spec, w, s, random.Random(seed), p)
     except SamplingError:
         with pytest.raises(SamplingError):
             reference.plucker_direct_rank(spec, k, s, random.Random(seed), p)
