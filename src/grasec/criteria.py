@@ -110,6 +110,9 @@ def theorem_tre(
     """
     if min(n, r, s, k) < 0:
         raise ValueError("parameters must be non-negative")
+    if spec is not None and (n, r) != (spec.dim, spec.ambient_dim):
+        raise ValueError(f"(n, r) = ({n}, {r}) does not describe {spec}: it has "
+                         f"n = {spec.dim}, r = {spec.ambient_dim}")
     defectivity_source = "flag"
     if s_defective is None:
         if spec is None:
@@ -237,10 +240,6 @@ def load_catalog() -> list[dict]:
     return json.loads(text)
 
 
-def _all_two(format_dims) -> bool:
-    return all(d == 2 for d in format_dims)
-
-
 def recorded_facts(format_dims: tuple[int, ...], k: int, s: int) -> list[CriterionStep]:
     """Catalog entries applying to dimension-k systems of the given format."""
     steps: list[CriterionStep] = []
@@ -273,7 +272,7 @@ def recorded_facts(format_dims: tuple[int, ...], k: int, s: int) -> list[Criteri
                 continue
             outcome = HOLDS
         elif entry.get("family") == "all-two-pencil":
-            if not _all_two(format_dims) or k != 1:
+            if any(d != 2 for d in format_dims) or k != 1:
                 continue
             if entry["fact"] == "generic-rank-formula":
                 if t < 4:
@@ -312,6 +311,12 @@ def format_to_spec(format_dims) -> varieties.SegreVeroneseSpec:
     return varieties.SegreVeroneseSpec(tuple((d - 1, 1) for d in format_dims))
 
 
+def _check_k_s(k: int, s: int | None) -> None:
+    """Reject k < 0 and s < 1 (s = None means no s was given)."""
+    if k < 0 or (s is not None and s < 1):
+        raise ValueError(f"need k >= 0 and s >= 1, got k={k}, s={s}")
+
+
 def identifiability_report(
     k: int,
     s: int,
@@ -324,6 +329,7 @@ def identifiability_report(
     """Full verdict chain for (k, s)-identifiability of a format or a spec."""
     if (format_dims is None) == (spec is None):
         raise ValueError("pass exactly one of format_dims or spec")
+    _check_k_s(k, s)
     chain: list[CriterionStep] = []
     if format_dims is not None:
         spec = format_to_spec(format_dims)
@@ -356,9 +362,10 @@ def linear_system_report(
     product with P^k prepended.  Identifiability verdicts (computed and
     recorded) are attached when ``s`` is given.
     """
+    _check_k_s(k, s)
     format_dims = tuple(int(d) for d in format_dims)
     spec = format_to_spec(format_dims)
-    prepended = varieties.prepend_projective_factor(spec, k) if k >= 1 else spec
+    prepended = varieties.prepend_projective_factor(spec, k)
     rank = secant.generic_rank(prepended, trials=trials, seed=seed, primes=primes)
     report = {
         "format": list(format_dims),

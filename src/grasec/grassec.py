@@ -84,19 +84,6 @@ def _plane_dim(spec: varieties.SegreVeroneseSpec, k: int, s: int) -> int:
     return min(k, s - 1)
 
 
-def _seg_secant(
-    spec: varieties.SegreVeroneseSpec,
-    k: int,
-    s: int,
-    trials: int,
-    seed: int,
-    primes: tuple[int, ...],
-) -> secant.SecantReport:
-    """Secant report of sigma_s(Seg(P^k x X)); for k = 0 that is sigma_s(X)."""
-    seg = spec if k == 0 else varieties.prepend_projective_factor(spec, k)
-    return secant.secant_dim(seg, s, trials=trials, seed=seed, primes=primes)
-
-
 def gs_dim_phi(
     spec: varieties.SegreVeroneseSpec,
     k: int,
@@ -107,7 +94,8 @@ def gs_dim_phi(
 ) -> int:
     """dim GS_X(w, s) from the secant dimension of Seg(P^k x X)."""
     w = _plane_dim(spec, k, s)
-    seg_dim = _seg_secant(spec, k, s, trials, seed, primes).dim
+    seg = varieties.prepend_projective_factor(spec, k)
+    seg_dim = secant.secant_dim(seg, s, trials=trials, seed=seed, primes=primes).dim
     return seg_dim - (w + 1) * (k + 1) + 1
 
 
@@ -182,7 +170,8 @@ def gs_report(
     n, r = spec.dim, spec.ambient_dim
     w = _plane_dim(spec, k, s)
     dim_direct = gs_dim_direct(spec, k, s, trials=trials, seed=seed, primes=primes)
-    seg_report = _seg_secant(spec, k, s, trials, seed, primes)
+    seg = varieties.prepend_projective_factor(spec, k)
+    seg_report = secant.secant_dim(seg, s, trials=trials, seed=seed, primes=primes)
     dim_phi = seg_report.dim - ((w + 1) * (k + 1) - 1)
     expected = expected_gs_dim(n, w, s, r)
 

@@ -78,24 +78,16 @@ def _secant_checks(seed: int, primes: tuple[int, ...], trials: int) -> list[dict
     return checks
 
 
-def phi_grid_reports(
-    seed: int, primes: tuple[int, ...], trials: int = 1
-) -> list[grassec.GrassmannSecantReport]:
+def _grid_checks(seed: int, primes: tuple[int, ...]) -> list[dict]:
     reports = []
     for text in PHI_GRID_SPECS:
         spec = varieties.SegreVeroneseSpec.parse(text)
         for k in PHI_GRID_K:
             for s in PHI_GRID_S:
-                if s - 1 > spec.ambient_dim:
-                    continue
-                reports.append(
-                    grassec.gs_report(spec, k, s, trials=trials, seed=seed, primes=primes)
-                )
-    return reports
-
-
-def _grid_checks(seed: int, primes: tuple[int, ...]) -> list[dict]:
-    reports = phi_grid_reports(seed, primes)
+                if s - 1 <= spec.ambient_dim:
+                    reports.append(
+                        grassec.gs_report(spec, k, s, trials=1, seed=seed, primes=primes)
+                    )
     total = len(reports)
     identity_pass = sum(
         1 for rep in reports
@@ -141,9 +133,10 @@ def _never_defective_checks(seed: int, primes: tuple[int, ...], trials: int) -> 
 
 
 def _dimsegre_check(seed: int, primes: tuple[int, ...], trials: int) -> dict:
-    spec = varieties.SegreVeroneseSpec.parse("6:1,2:2")
-    report = secant.secant_dim(spec, 5, trials=trials, seed=seed, primes=primes)
-    case = criteria.dimsegre_classify(n=2, r=5, k=6, s=5)
+    veronese = varieties.SegreVeroneseSpec.parse("2:2")
+    seg = varieties.prepend_projective_factor(veronese, 6)
+    report = secant.secant_dim(seg, 5, trials=trials, seed=seed, primes=primes)
+    case = criteria.dimsegre_classify(n=veronese.dim, r=veronese.ambient_dim, k=6, s=5)
     return _check(
         "dimsegre-case-ii-b-p6-x-veronese-p2",
         "for s-1 < min(r, k) and s-1 > r-n the dimension is s(k+r-s+2)-1 and the secant variety is defective",

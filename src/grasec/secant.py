@@ -109,13 +109,16 @@ def _max_rank(
     """Largest ``rank_at(rng, p)`` over primes x trials, stopping once it reaches ``bound``.
 
     Returns the value and the prime of every rank evaluation that ran, in
-    order.  Trial t on prime p draws from ``Random(subseed(seed, t, p))``.
+    order.  Trial t on prime p draws from ``Random(subseed(seed, t, p))``,
+    so a repeated prime would only rerun the same evaluations and is rejected.
     A value above ``bound`` contradicts the parameter count and raises.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not primes:
         raise ValueError("at least one prime is needed")
+    if len(set(primes)) < len(primes):
+        raise ValueError(f"each prime may be given once, got {list(primes)}")
     best, ran = -1, []
     for p in primes:
         for t in range(trials):
@@ -171,7 +174,7 @@ def generic_rank(
     ceil((r+1)/(n+1)); sigma_{r+1} always fills, so the loop terminates.
     """
     r = spec.ambient_dim
-    s = max(1, math.ceil((r + 1) / (spec.dim + 1)))
+    s = math.ceil((r + 1) / (spec.dim + 1))
     while s <= r + 1:
         if secant_dim(spec, s, trials=trials, seed=seed, primes=primes).fills_ambient:
             return s
@@ -216,7 +219,7 @@ def classify_secant_range(
         reports[s] = rep
         return rep
 
-    s_pivot = min(s_max, max(1, math.ceil((r + 1) / (n + 1))))
+    s_pivot = min(s_max, math.ceil((r + 1) / (n + 1)))
     pivot = compute(s_pivot)
 
     propagate_down = pivot.dim == s_pivot * (n + 1) - 1

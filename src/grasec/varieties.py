@@ -92,10 +92,10 @@ class SegreVeroneseSpec:
 
 
 def prepend_projective_factor(spec: SegreVeroneseSpec, k: int) -> SegreVeroneseSpec:
-    """Spec of the Segre product P^k x X, as factor (k, 1) in front of X."""
-    if k < 1:
-        raise ValueError("k must be >= 1 (k = 0 is the identity and is left to the caller)")
-    return SegreVeroneseSpec(((k, 1),) + spec.factors)
+    """Spec of the Segre product P^k x X: factor (k, 1) in front of X, and X itself for k = 0."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got k={k}")
+    return SegreVeroneseSpec(((k, 1),) + spec.factors) if k else spec
 
 
 def _degree_monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
@@ -106,23 +106,6 @@ def _degree_monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
         for rest in _degree_monomials(nvars - 1, degree - e):
             out.append((e,) + rest)
     return out
-
-
-@functools.lru_cache(maxsize=None)
-def monomials(spec: SegreVeroneseSpec) -> tuple[tuple[int, ...], ...]:
-    """Exponent tuples of all ambient coordinates, in the fixed ordering.
-
-    Exponents run over the concatenated parameter vector; the first factor
-    is the major index (itertools.product varies the last factor fastest).
-    """
-    per_factor = [_degree_monomials(n + 1, d) for n, d in spec.factors]
-    out = []
-    for combo in itertools.product(*per_factor):
-        exps: tuple[int, ...] = ()
-        for part in combo:
-            exps += part
-        out.append(exps)
-    return tuple(out)
 
 
 def _flatten(spec: SegreVeroneseSpec, point: ParameterPoint) -> list[int]:

@@ -1,7 +1,8 @@
 """Slow plain-Python reference paths that the fast numpy paths are tested against.
 
-* :func:`frame` builds a tangent frame monomial by monomial with the power
-  rule, in the coordinate order of :func:`grasec.varieties.monomials`.
+* :func:`monomials` lists the ambient coordinates in the ordering the
+  :mod:`grasec.varieties` docstring fixes, and :func:`frame` builds a
+  tangent frame monomial by monomial with the power rule in that order.
 * :func:`plucker_direct_rank` is the Grassmann-secant Jacobian of the
   Pluecker parameterization: the derivative of every maximal minor of the
   spanning matrix, by row replacement
@@ -13,6 +14,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from grasec import field, varieties
@@ -43,6 +45,21 @@ def rank(rows, p: int) -> int:
     return len(rref(rows, p)[1])
 
 
+def monomials(spec: varieties.SegreVeroneseSpec) -> list[tuple[int, ...]]:
+    """Exponent tuples of the ambient coordinates over the concatenated parameter vector.
+
+    Inside a factor (n, d): every exponent vector of n + 1 variables and
+    degree d, in decreasing lexicographic order (largest exponent on the
+    first variable first).  Across factors the first factor is the major
+    index, which is the order itertools.product walks.
+    """
+    per_factor = []
+    for n, d in spec.factors:
+        exps = [e for e in itertools.product(range(d + 1), repeat=n + 1) if sum(e) == d]
+        per_factor.append(sorted(exps, reverse=True))
+    return [sum(combo, ()) for combo in itertools.product(*per_factor)]
+
+
 def _monomial(exps, x, p: int) -> int:
     value = 1
     for xi, e in zip(x, exps):
@@ -62,7 +79,7 @@ def _partial(exps, x, var: int, p: int) -> int:
 def frame(spec: varieties.SegreVeroneseSpec, point, p: int) -> list[list[int]]:
     """Embedded point, then its partials along each factor's non-pivot coordinates."""
     x = [c % p for coords in point for c in coords]
-    monos = varieties.monomials(spec)
+    monos = monomials(spec)
     rows = [[_monomial(exps, x, p) for exps in monos]]
     for (n, _), coords, off in zip(spec.factors, point, spec.factor_offsets()):
         pivot = next(j for j, c in enumerate(coords) if c)

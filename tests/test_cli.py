@@ -122,6 +122,17 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "modulus 4 is not prime" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("identifiability", "--spec", "2:4", "--k", "-2", "--s", "0"),
+        ("identifiability", "--format", "4,4", "--k", "1", "--s", "0"),
+        ("identifiability", "--format", "4,4", "--k", "-1", "--s", "3"),
+        ("secant", "--spec", "2:2", "--s", "2",
+         "--prime", "2147483647", "--prime", "2147483647"),
+    ])
+    def test_invalid_k_s_or_repeated_prime_is_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err.startswith("error:")
+
 
 class TestDeterminism:
     def test_byte_identical_json(self, capsys):

@@ -40,6 +40,11 @@ class TestTheoremTre:
         with pytest.raises(ValueError):
             criteria.theorem_tre(1, 10, 3, 1)
 
+    def test_spec_must_match_n_and_r(self):
+        # (n, r) = (1, 100) would pass r > s*n + s - 1; the Veronese surface has (2, 5)
+        with pytest.raises(ValueError, match="does not describe 2:2"):
+            criteria.theorem_tre(1, 100, 3, 1, spec=SegreVeroneseSpec.parse("2:2"))
+
 
 class TestCodimensionCriterion:
     def test_holds(self):
@@ -129,6 +134,12 @@ class TestNeverDefective:
         )
         assert all(rep.defect == 0 for rep in reports)
         assert reports[-1].fills_ambient
+
+    def test_projective_space_k_zero(self):
+        # X = P^3 has r = n, so k = r - n = 0 and Seg(P^0 x X) is X itself
+        reports = criteria.never_defective_check(SegreVeroneseSpec.parse("3"), 0)
+        assert len(reports) == 1
+        assert reports[0].defect == 0 and reports[0].fills_ambient
 
     def test_wrong_k_rejected(self):
         with pytest.raises(ValueError):
@@ -221,6 +232,19 @@ class TestReports:
             criteria.identifiability_report(
                 1, 2, format_dims=(2, 2), spec=SegreVeroneseSpec.parse("1,1")
             )
+
+    @pytest.mark.parametrize("call", [
+        lambda: criteria.identifiability_report(-2, 0, spec=SegreVeroneseSpec.parse("2:4")),
+        lambda: criteria.identifiability_report(1, 0, format_dims=(4, 4)),
+        lambda: criteria.linear_system_report((4, 4), 1, s=0),
+        lambda: criteria.linear_system_report((4, 4), -1, s=3),
+    ], ids=["spec-k-2-s0", "format-s0", "system-s0", "system-k-1"])
+    def test_invalid_k_s_rejected_before_any_secant(self, call, monkeypatch):
+        def no_secant(*args, **kwargs):
+            raise AssertionError("a secant was computed")
+        monkeypatch.setattr(secant, "secant_dim", no_secant)
+        with pytest.raises(ValueError, match="need k >= 0 and s >= 1"):
+            call()
 
     def test_format_validation(self):
         with pytest.raises(ValueError):

