@@ -7,7 +7,7 @@ computed exactly over large prime fields; see the README for the CLI.
 from .field import CONFIRMATION_PRIME, DEFAULT_PRIME, DEFAULT_PRIMES
 from .varieties import SegreVeroneseSpec, prepend_projective_factor
 from .secant import SecantReport, classify_secant_range, expected_secant_dim, generic_rank, secant_dim
-from .grassec import GrassmannSecantReport, expected_gs_dim, gs_dim_direct, gs_dim_phi, gs_report
+from .grassec import GrassmannSecantReport, expected_gs_dim, gs_dim_direct, gs_report
 from .phimap import PluckerPoint, SecantWitness, SlicedTensor, count_decompositions, phi, random_secant_point
 from .criteria import (
     DimsegreCase,
@@ -37,7 +37,6 @@ __all__ = [
     "GrassmannSecantReport",
     "expected_gs_dim",
     "gs_dim_direct",
-    "gs_dim_phi",
     "gs_report",
     "PluckerPoint",
     "SecantWitness",

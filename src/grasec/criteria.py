@@ -149,6 +149,8 @@ def theorem_tre(
 
 def codimension_criterion(n: int, r: int, s: int) -> IdentifiabilityVerdict:
     """If the codimension r - n exceeds s, then (s-1, s)-identifiability holds."""
+    if n < 0 or r < n or s < 1:
+        raise ValueError(f"need 0 <= n <= r and s >= 1, got n={n}, r={r}, s={s}")
     ok = r - n > s
     step = CriterionStep(
         name="excess-codimension-criterion",
@@ -311,10 +313,12 @@ def format_to_spec(format_dims) -> varieties.SegreVeroneseSpec:
     return varieties.SegreVeroneseSpec(tuple((d - 1, 1) for d in format_dims))
 
 
-def _check_k_s(k: int, s: int | None) -> None:
-    """Reject k < 0 and s < 1 (s = None means no s was given)."""
+def _check_k_s(spec: varieties.SegreVeroneseSpec, k: int, s: int | None) -> None:
+    """Reject k < 0, s < 1 and s - 1 > r (s = None means no s was given)."""
     if k < 0 or (s is not None and s < 1):
         raise ValueError(f"need k >= 0 and s >= 1, got k={k}, s={s}")
+    if s is not None:
+        secant._check_order(spec, s)
 
 
 def identifiability_report(
@@ -329,11 +333,10 @@ def identifiability_report(
     """Full verdict chain for (k, s)-identifiability of a format or a spec."""
     if (format_dims is None) == (spec is None):
         raise ValueError("pass exactly one of format_dims or spec")
-    _check_k_s(k, s)
-    chain: list[CriterionStep] = []
     if format_dims is not None:
         spec = format_to_spec(format_dims)
-        chain.extend(recorded_facts(tuple(format_dims), k, s))
+    _check_k_s(spec, k, s)
+    chain = recorded_facts(tuple(format_dims), k, s) if format_dims is not None else []
     n, r = spec.dim, spec.ambient_dim
     if 0 < k <= s - 1:
         computed = theorem_tre(
@@ -362,9 +365,9 @@ def linear_system_report(
     product with P^k prepended.  Identifiability verdicts (computed and
     recorded) are attached when ``s`` is given.
     """
-    _check_k_s(k, s)
     format_dims = tuple(int(d) for d in format_dims)
     spec = format_to_spec(format_dims)
+    _check_k_s(spec, k, s)
     prepended = varieties.prepend_projective_factor(spec, k)
     rank = secant.generic_rank(prepended, trials=trials, seed=seed, primes=primes)
     report = {

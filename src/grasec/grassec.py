@@ -84,21 +84,6 @@ def _plane_dim(spec: varieties.SegreVeroneseSpec, k: int, s: int) -> int:
     return min(k, s - 1)
 
 
-def gs_dim_phi(
-    spec: varieties.SegreVeroneseSpec,
-    k: int,
-    s: int,
-    trials: int = secant.DEFAULT_TRIALS,
-    seed: int = 0,
-    primes: tuple[int, ...] = field.DEFAULT_PRIMES,
-) -> int:
-    """dim GS_X(w, s) from the secant dimension of Seg(P^k x X)."""
-    w = _plane_dim(spec, k, s)
-    seg = varieties.prepend_projective_factor(spec, k)
-    seg_dim = secant.secant_dim(seg, s, trials=trials, seed=seed, primes=primes).dim
-    return seg_dim - (w + 1) * (k + 1) + 1
-
-
 def _direct_rank(
     spec: varieties.SegreVeroneseSpec,
     w: int,
@@ -164,6 +149,8 @@ def gs_report(
 ) -> GrassmannSecantReport:
     """Both dimension computations plus expected dimension and defect checks.
 
+    ``dim_phi`` is the slice-map route, read off the secant dimension of
+    Seg(P^k x X); ``dim_direct`` is :func:`gs_dim_direct`.
     ``defect_transfer`` verifies, when k <= s-1 < r, that the Grassmann
     secant defect equals the secant defect of Seg(P^k x X).
     """

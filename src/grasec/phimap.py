@@ -3,8 +3,8 @@
 A point of the ambient space of Seg(P^k x X) is stored as a (k+1) x (r+1)
 slice matrix: slice j holds coordinates j*(r+1) .. j*(r+1)+r.  The slice
 map sends such a point to the row space of its slice matrix, a point of
-the Grassmannian recorded by Pluecker coordinates plus a canonical
-row-space basis.
+the Grassmannian recorded by its canonical (reduced echelon) row-space
+basis, which determines the Pluecker coordinates.
 
 The module also counts decompositions exhaustively over tiny finite
 fields: given s points of X whose span must contain the target, the
@@ -44,20 +44,6 @@ class SlicedTensor:
         if not any(any(row) for row in self.slices):
             raise ValueError("the zero tensor has no slice span")
 
-    @classmethod
-    def from_vector(cls, vec, k: int, p: int) -> "SlicedTensor":
-        vec = [int(v) % p for v in vec]
-        if len(vec) % (k + 1):
-            raise ValueError("vector length is not divisible by k + 1")
-        r = len(vec) // (k + 1) - 1
-        slices = tuple(
-            tuple(vec[j * (r + 1):(j + 1) * (r + 1)]) for j in range(k + 1)
-        )
-        return cls(k=k, r=r, p=p, slices=slices)
-
-    def to_vector(self) -> list[int]:
-        return [v for row in self.slices for v in row]
-
     def scaled(self, c: int) -> "SlicedTensor":
         c %= self.p
         if c == 0:
@@ -72,11 +58,14 @@ class SlicedTensor:
 
 @dataclass(frozen=True)
 class PluckerPoint:
-    """A subspace of P^r: Pluecker coordinates plus a canonical row basis."""
+    """A w-plane of P^r as its canonical (reduced echelon) row basis over F_p.
+
+    Two planes are equal exactly when their bases are; the Pluecker
+    coordinates are the maximal minors of ``basis``.
+    """
 
     w: int
     p: int
-    coords: tuple[int, ...]
     basis: tuple[tuple[int, ...], ...]
 
 
@@ -84,29 +73,17 @@ class PluckerPoint:
 class SecantWitness:
     """A secant point together with the decomposition that built it."""
 
-    spec: varieties.SegreVeroneseSpec
-    k: int
-    s: int
-    p: int
     lambdas: tuple[tuple[int, ...], ...]          # s points of P^k
-    parameter_points: tuple[varieties.ParameterPoint, ...]
     embedded_points: tuple[tuple[int, ...], ...]  # s rows of length r+1
     tensor: SlicedTensor
 
 
 def phi(tensor: SlicedTensor) -> PluckerPoint:
-    """Row space of the slice matrix, as a Pluecker point.
-
-    The Pluecker coordinates are all maximal minors of the canonical
-    row-space basis, column subsets in lexicographic order.
-    """
+    """Row space of the slice matrix, as its canonical row basis."""
     basis = field.row_space_basis(tensor.slices, tensor.p)
-    w = basis.shape[0] - 1
-    coords = tuple(field.maximal_minors(basis, tensor.p))
     return PluckerPoint(
-        w=w,
+        w=basis.shape[0] - 1,
         p=tensor.p,
-        coords=coords,
         basis=tuple(tuple(int(v) for v in row) for row in basis),
     )
 
@@ -157,12 +134,7 @@ def random_secant_point(
             lambdas.append(lam)
         tensor = assemble_tensor(spec, lambdas, embedded, p)
         return SecantWitness(
-            spec=spec,
-            k=k,
-            s=s,
-            p=p,
             lambdas=tuple(lambdas),
-            parameter_points=tuple(points),
             embedded_points=tuple(tuple(v for v in row) for row in embedded),
             tensor=tensor,
         )
@@ -216,6 +188,8 @@ def count_decompositions(
     """
     if q not in (2, 3, 5, 7):
         raise ValueError(f"exhaustive enumeration needs a prime q <= 7, got q={q}")
+    if target.p != q:
+        raise ValueError(f"the target lives over F_{target.p}, not over F_{q}")
     points = enumerate_variety_points(spec, q)
     if isinstance(target, PluckerPoint):
         rows = target.basis

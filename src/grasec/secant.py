@@ -79,6 +79,13 @@ def subseed(seed: int, trial: int, prime: int) -> int:
     return int.from_bytes(digest, "big")
 
 
+def _check_order(spec: varieties.SegreVeroneseSpec, s: int) -> None:
+    """Reject s < 1, and s - 1 > r: sigma_{r+1} already fills P^r."""
+    r = spec.ambient_dim
+    if s < 1 or s - 1 > r:
+        raise ValueError(f"need s >= 1 and s - 1 <= r, got s={s}, r={r}")
+
+
 def _sample_frame(
     spec: varieties.SegreVeroneseSpec, rng: random.Random, p: int
 ) -> np.ndarray:
@@ -146,6 +153,7 @@ def secant_dim(
     The maximum is sound because the rank at any special point only
     under-estimates the generic rank.
     """
+    _check_order(spec, s)
     expected = expected_secant_dim(spec, s)
     dim, ran = _max_rank(
         lambda rng, p: terracini_rank(spec, s, rng, p), expected, trials, seed, primes
@@ -209,8 +217,7 @@ def classify_secant_range(
     space, all larger ones fill; once some secant variety attains the
     unconstrained maximum s*(n+1) - 1, all smaller ones do too.
     """
-    if s_max < 1:
-        raise ValueError("s_max must be >= 1")
+    _check_order(spec, s_max)
     n, r = spec.dim, spec.ambient_dim
     reports: dict[int, SecantReport] = {}
 

@@ -60,11 +60,6 @@ class SegreVeroneseSpec:
             count *= math.comb(n + d, n)
         return count - 1
 
-    @property
-    def arity(self) -> int:
-        """Length of the concatenated affine parameter vector."""
-        return sum(n + 1 for n, _ in self.factors)
-
     def factor_offsets(self) -> list[int]:
         """Start index of each factor inside the concatenated parameter vector."""
         offsets = [0]

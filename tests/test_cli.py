@@ -128,6 +128,10 @@ class TestExitCodes:
         ("identifiability", "--format", "4,4", "--k", "-1", "--s", "3"),
         ("secant", "--spec", "2:2", "--s", "2",
          "--prime", "2147483647", "--prime", "2147483647"),
+        ("secant", "--spec", "1,1", "--s", "5"),
+        ("secant", "--spec", "1,1", "--s", "1..5"),
+        ("identifiability", "--spec", "1:3", "--k", "0", "--s", "6"),
+        ("identifiability", "--spec", "1:3", "--k", "1", "--s", "6"),
     ])
     def test_invalid_k_s_or_repeated_prime_is_one(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -57,6 +57,11 @@ class TestCodimensionCriterion:
         # twisted cubic, s = 2: codimension 2 is not > 2
         assert criteria.codimension_criterion(1, 3, 2).verdict == NOT_DECIDED
 
+    @pytest.mark.parametrize("n,r,s", [(1, 10, 0), (-5, 0, 1), (3, 2, 1)])
+    def test_impossible_input_rejected(self, n, r, s):
+        with pytest.raises(ValueError, match="need 0 <= n <= r and s >= 1"):
+            criteria.codimension_criterion(n, r, s)
+
 
 class TestRecheck:
     def test_chain_is_replayable(self):
@@ -244,6 +249,17 @@ class TestReports:
             raise AssertionError("a secant was computed")
         monkeypatch.setattr(secant, "secant_dim", no_secant)
         with pytest.raises(ValueError, match="need k >= 0 and s >= 1"):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: criteria.identifiability_report(0, 6, spec=SegreVeroneseSpec.parse("1:3")),
+        lambda: criteria.identifiability_report(1, 6, spec=SegreVeroneseSpec.parse("1:3")),
+        lambda: criteria.linear_system_report((2, 2), 1, s=5),
+    ], ids=["spec-k0", "spec-k1", "system"])
+    def test_order_above_r_plus_one_rejected_before_any_secant(self, call, monkeypatch):
+        # the twisted cubic and 2x2 matrices both have r = 3
+        monkeypatch.setattr(secant, "terracini_rank", None)
+        with pytest.raises(ValueError, match="s - 1 <= r"):
             call()
 
     def test_format_validation(self):

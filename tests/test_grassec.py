@@ -29,17 +29,17 @@ class TestExpectedDim:
 
 class TestPhiRoute:
     def test_twisted_cubic(self):
-        assert grassec.gs_dim_phi(V3P1, 1, 2) == 2
+        assert grassec.gs_report(V3P1, 1, 2).dim_phi == 2
 
     def test_k_zero_is_plain_secant(self):
-        assert grassec.gs_dim_phi(V2P2, 0, 3) == secant.secant_dim(V2P2, 3).dim
+        assert grassec.gs_report(V2P2, 0, 3).dim_phi == secant.secant_dim(V2P2, 3).dim
 
     def test_veronese_surface_nondefective(self):
-        assert grassec.gs_dim_phi(V2P2, 1, 3) == 8
+        assert grassec.gs_report(V2P2, 1, 3).dim_phi == 8
 
     def test_hypothesis_violation_rejected(self):
         with pytest.raises(ValueError):
-            grassec.gs_dim_phi(V3P1, 1, 6)
+            grassec.gs_report(V3P1, 1, 6)
 
 
 class TestDirectRoute:
@@ -72,7 +72,7 @@ class TestDirectRoute:
             assert grassec.gs_dim_direct(spec, k, s, trials=1) == expected
 
 
-@pytest.mark.parametrize("route", [grassec.gs_dim_phi, grassec.gs_dim_direct, grassec.gs_report])
+@pytest.mark.parametrize("route", [grassec.gs_dim_direct, grassec.gs_report])
 @pytest.mark.parametrize("k,s", [(-1, 2), (1, 0), (1, 6)])
 def test_plane_dim_rejects_bad_k_s(route, k, s):
     # V3P1 has r = 3: k = -1, s = 0 and s - 1 > r are each out of range

@@ -57,6 +57,15 @@ class TestSecantDim:
         with pytest.raises(ValueError):
             secant.secant_dim(PENCILS, 3, **budget)
 
+    @pytest.mark.parametrize("route", [secant.secant_dim, secant.classify_secant_range])
+    def test_order_above_r_plus_one_rejected_before_sampling(self, route, monkeypatch):
+        # 2x2 matrices have r = 3: sigma_4 fills P^3 and s = 5 says nothing new
+        matrices = SegreVeroneseSpec.parse("1,1")
+        assert route(matrices, 4)
+        monkeypatch.setattr(secant, "terracini_rank", None)
+        with pytest.raises(ValueError, match="s - 1 <= r, got s=5, r=3"):
+            route(matrices, 5)
+
     def test_repeated_prime_rejected(self):
         # trial t on prime p always draws the same points, so p twice reruns them
         p = field.DEFAULT_PRIMES[0]

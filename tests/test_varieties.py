@@ -20,7 +20,6 @@ class TestSpec:
     def test_dim_and_arity(self):
         spec = SegreVeroneseSpec.parse("2:2,1")
         assert spec.dim == 3
-        assert spec.arity == 5
         assert spec.factor_offsets() == [0, 3]
 
     def test_parse_str_roundtrip(self):
