@@ -142,34 +142,15 @@ def random_secant_point(
 
 
 def enumerate_variety_points(spec: varieties.SegreVeroneseSpec, q: int) -> np.ndarray:
-    """All distinct F_q-points of the embedded variety, canonically normalized.
+    """All F_q-points of the embedded variety, one row each, in sorted order.
 
-    Each embedded vector is scaled so its first nonzero coordinate is 1;
-    duplicates (possible for even embedding degrees) are removed.  Rows
-    come out in a deterministic sorted order.
+    The embedding of a normalized parameter point is already normalized
+    (first nonzero coordinate 1) and determines the point, so the rows are
+    canonical and pairwise distinct; see the frame invariant in
+    :mod:`grasec.varieties`.
     """
-    seen: set[tuple[int, ...]] = set()
-    for point in varieties.enumerate_parameter_points(spec, q):
-        vec = varieties.embed(spec, point, q)
-        pivot = next(v for v in vec if v)
-        inv = pow(pivot, -1, q)
-        seen.add(tuple(v * inv % q for v in vec))
-    return field.as_matrix(sorted(seen), q)
-
-
-def _count_subsets_containing(
-    points: np.ndarray, s: int, target_rows, q: int, budget: int
-) -> int:
-    total = math.comb(points.shape[0], s)
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} span tests exceed the budget of {budget}"
-        )
-    target = field.as_matrix(target_rows, q)
-    return sum(
-        field.subspace_contains(points[list(idx)], target, q)
-        for idx in itertools.combinations(range(points.shape[0]), s)
-    )
+    points = varieties.enumerate_parameter_points(spec, q)
+    return field.as_matrix(sorted(varieties.embed(spec, u, q) for u in points), q)
 
 
 def count_decompositions(
@@ -190,9 +171,14 @@ def count_decompositions(
         raise ValueError(f"exhaustive enumeration needs a prime q <= 7, got q={q}")
     if target.p != q:
         raise ValueError(f"the target lives over F_{target.p}, not over F_{q}")
+    # #X(F_q) = prod #P^{n_i}(F_q): the embedding is injective on F_q-points
+    npoints = math.prod((q ** (n + 1) - 1) // (q - 1) for n, _ in spec.factors)
+    total = math.comb(npoints, s)
+    if total > budget:
+        raise BudgetExceededError(f"{total} span tests exceed the budget of {budget}")
     points = enumerate_variety_points(spec, q)
-    if isinstance(target, PluckerPoint):
-        rows = target.basis
-    else:
-        rows = target.slices
-    return _count_subsets_containing(points, s, rows, q, budget)
+    rows = field.as_matrix(target.basis if isinstance(target, PluckerPoint) else target.slices, q)
+    return sum(
+        field.subspace_contains(points[list(idx)], rows, q)
+        for idx in itertools.combinations(range(npoints), s)
+    )

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import field, varieties
-from .errors import InconsistencyError, SamplingError
+from .errors import InconsistencyError
 
 DEFAULT_TRIALS = 3
-_MAX_POINT_RESAMPLES = 5
 
 
 @dataclass(frozen=True)
@@ -86,23 +85,12 @@ def _check_order(spec: varieties.SegreVeroneseSpec, s: int) -> None:
         raise ValueError(f"need s >= 1 and s - 1 <= r, got s={s}, r={r}")
 
 
-def _sample_frame(
-    spec: varieties.SegreVeroneseSpec, rng: random.Random, p: int
-) -> np.ndarray:
-    for _ in range(_MAX_POINT_RESAMPLES):
-        point = varieties.random_parameter_point(spec, rng, p)
-        try:
-            return varieties.tangent_frame(spec, point, p)
-        except SamplingError:
-            continue
-    raise SamplingError(f"repeated degenerate tangent frames on {spec}")
-
-
 def terracini_rank(
     spec: varieties.SegreVeroneseSpec, s: int, rng: random.Random, p: int
 ) -> int:
     """Rank of the s stacked tangent frames at random points, minus one."""
-    rows = np.vstack([_sample_frame(spec, rng, p) for _ in range(s)])
+    points = [varieties.random_parameter_point(spec, rng, p) for _ in range(s)]
+    rows = np.vstack([varieties.tangent_frame(spec, u, p) for u in points])
     return field.matrix_rank(rows, p) - 1
 
 

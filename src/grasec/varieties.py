@@ -9,12 +9,20 @@ first).  With this ordering, prepending a degree-one factor P^k turns the
 ambient vector into k+1 consecutive slices of length r+1.
 
 Parameter points are plain nested tuples: one coordinate tuple of length
-n_i + 1 per factor, each nonzero.
+n_i + 1 per factor, each nonzero mod p.
 
-Embeddings and tangent frames come from one builder: the ambient vector is
-the Kronecker product of the per-factor Veronese vectors, and a tangent
-direction of factor i swaps in that factor's partial derivative, whose
-entries follow the power rule a_j * x^(a - e_j).
+Embeddings and tangent frames come from one builder, :func:`tangent_frame`:
+the ambient vector is the Kronecker product of the per-factor Veronese
+vectors, and a tangent direction of factor i swaps in that factor's
+partial derivative, whose entries follow the power rule a_j * x^(a - e_j).
+
+Frame invariant: every tangent frame has rank n + 1 over every prime.  With
+x_p the pivot (first nonzero coordinate) of each factor, the columns where
+each factor takes x_p^d, or one factor takes x_p^(d-1) * x_j (j != p), make
+the frame triangular with nonzero powers of the pivots on the diagonal.
+At pivots 1 the x_p^d column is the first nonzero one and reads 1, and the
+others read every x_j: a normalized point embeds to a normalized vector
+that determines the point.
 """
 
 from __future__ import annotations
@@ -29,7 +37,6 @@ from typing import Iterator
 import numpy as np
 
 from . import field
-from .errors import SamplingError
 
 ParameterPoint = tuple[tuple[int, ...], ...]
 
@@ -103,16 +110,17 @@ def _degree_monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _flatten(spec: SegreVeroneseSpec, point: ParameterPoint) -> list[int]:
+def _flatten(spec: SegreVeroneseSpec, point: ParameterPoint, p: int) -> list[int]:
     if len(point) != len(spec.factors):
         raise ValueError("parameter point has the wrong number of factors")
     flat: list[int] = []
     for (n, _), coords in zip(spec.factors, point):
         if len(coords) != n + 1:
             raise ValueError("factor coordinate vector has the wrong length")
-        if not any(coords):
+        reduced = [int(c) % p for c in coords]
+        if not any(reduced):
             raise ValueError("factor coordinate vector is zero")
-        flat.extend(int(c) for c in coords)
+        flat.extend(reduced)
     return flat
 
 
@@ -133,23 +141,24 @@ def _power_rule(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return exponents, coeffs
 
 
-def _frame_rows(spec: SegreVeroneseSpec, point: ParameterPoint, p: int) -> np.ndarray:
+def tangent_frame(spec: SegreVeroneseSpec, point: ParameterPoint, p: int) -> np.ndarray:
     """Embedding of ``point`` (row 0) and its n affine-chart partials, reduced mod p.
 
     Per factor the partials run over the coordinates other than the pivot
-    (first nonzero) one, so projective rescaling never degenerates the
-    frame.  Every row is the Kronecker product over factors of the factor's
-    Veronese vector, except that the factor owning the row's direction
-    contributes its partial instead; entries are reduced after every
-    product, which keeps the int64 arithmetic exact for p < 2**31.
+    (first nonzero) one, which gives rank n + 1 over every prime: the
+    module's frame invariant.  Every row is the Kronecker product over
+    factors of the factor's Veronese vector, except that the factor owning
+    the row's direction contributes its partial instead; entries are reduced
+    after every product, which keeps the int64 arithmetic exact for p < 2**31.
     """
-    x = field.as_matrix(_flatten(spec, point), p)[0]
+    flat = _flatten(spec, point, p)
+    x = field.as_matrix(flat, p)[0]
     nrows = spec.dim + 1
     frame = np.ones((nrows, 1), dtype=np.int64)
     row = 1
-    for (n, d), coords, off in zip(spec.factors, point, spec.factor_offsets()):
+    for (n, d), off in zip(spec.factors, spec.factor_offsets()):
         block = field.dual_evaluate(x[off:off + n + 1], *_power_rule(n, d), p)
-        pivot = next(j for j, c in enumerate(coords) if c)
+        pivot = next(j for j in range(n + 1) if flat[off + j])
         # row 0 and the rows of the other factors take the Veronese vector
         pick = np.zeros(nrows, dtype=np.int64)
         pick[row:row + n] = [1 + j for j in range(n + 1) if j != pivot]
@@ -160,21 +169,7 @@ def _frame_rows(spec: SegreVeroneseSpec, point: ParameterPoint, p: int) -> np.nd
 
 def embed(spec: SegreVeroneseSpec, point: ParameterPoint, p: int) -> list[int]:
     """Ambient coordinates of the embedded point, length r + 1."""
-    return _frame_rows(spec, point, p)[0].tolist()
-
-
-def tangent_frame(spec: SegreVeroneseSpec, point: ParameterPoint, p: int) -> np.ndarray:
-    """n + 1 ambient vectors spanning the tangent space to the cone at embed(point).
-
-    Row 0 is the embedded point; the other rows are the partials along the
-    affine-chart directions of each factor.  Raises SamplingError if the
-    frame is degenerate (rank < n + 1), which signals the caller to
-    resample.
-    """
-    frame = _frame_rows(spec, point, p)
-    if field.matrix_rank(frame, p) < spec.dim + 1:
-        raise SamplingError(f"degenerate tangent frame on {spec} at {point}")
-    return frame
+    return tangent_frame(spec, point, p)[0].tolist()
 
 
 def random_parameter_point(

@@ -10,6 +10,9 @@
 * :func:`rref` is textbook Gauss-Jordan elimination on Python integers,
   the oracle for every rank and echelon form, the kernel in
   :mod:`grasec.field` included.
+* :func:`variety_points` lists X(F_q) by embedding every nonzero
+  parameter vector, scaling each row to first nonzero coordinate 1 and
+  removing duplicates.
 """
 
 from __future__ import annotations
@@ -87,6 +90,24 @@ def frame(spec: varieties.SegreVeroneseSpec, point, p: int) -> list[list[int]]:
             if j != pivot:
                 rows.append([_partial(exps, x, off + j, p) for exps in monos])
     return rows
+
+
+def nonzero_points(spec: varieties.SegreVeroneseSpec, q: int):
+    """Every parameter point over F_q, unnormalized: all nonzero vectors per factor."""
+    per_factor = [
+        [v for v in itertools.product(range(q), repeat=n + 1) if any(v)] for n, _ in spec.factors
+    ]
+    return itertools.product(*per_factor)
+
+
+def variety_points(spec: varieties.SegreVeroneseSpec, q: int) -> list[list[int]]:
+    """Distinct embedded F_q-points, each scaled to first nonzero coordinate 1, sorted."""
+    seen = set()
+    for point in nonzero_points(spec, q):
+        vec = frame(spec, point, q)[0]
+        inv = pow(next(v for v in vec if v), -1, q)
+        seen.add(tuple(v * inv % q for v in vec))
+    return [list(v) for v in sorted(seen)]
 
 
 def _minors_derivative(m: list[list[int]], dm: list[list[int]], p: int) -> list[int]:

@@ -132,6 +132,18 @@ class TestCounting:
         with pytest.raises(phimap.BudgetExceededError):
             phimap.count_decompositions(spec, 5, 2, witness.tensor, budget=10)
 
+    def test_budget_checked_before_enumeration(self, monkeypatch):
+        # #X(F_7) = 57**3 points would take seconds to enumerate
+        def unreachable(spec, q):
+            raise AssertionError("enumerated X(F_q) before checking the budget")
+
+        monkeypatch.setattr(phimap, "enumerate_variety_points", unreachable)
+        spec = SegreVeroneseSpec.parse("2,2,2")
+        witness = phimap.random_secant_point(spec, 0, 2, seed=1, p=7)
+        with pytest.raises(phimap.BudgetExceededError,
+                           match="^17148131028 span tests exceed the budget of 10$"):
+            phimap.count_decompositions(spec, 7, 2, witness.tensor, budget=10)
+
     def test_large_field_rejected(self):
         spec = SegreVeroneseSpec.parse("1,1")
         witness = phimap.random_secant_point(spec, 0, 2, seed=1, p=5)

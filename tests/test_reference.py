@@ -1,5 +1,6 @@
 """Fast paths against the plain-Python references in reference.py."""
 
+import math
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from grasec import field, grassec, reproduce, varieties
+from grasec import field, grassec, phimap, reproduce, varieties
 from grasec.errors import SamplingError
 from grasec.varieties import SegreVeroneseSpec
 
@@ -87,13 +88,10 @@ def _catalog_specs() -> list[str]:
 def _assert_frame_matches(spec: SegreVeroneseSpec, point, p: int) -> None:
     expected = reference.frame(spec, point, p)
     assert varieties.embed(spec, point, p) == expected[0]
-    try:
-        frame = varieties.tangent_frame(spec, point, p)
-    except SamplingError:
-        assert reference.rank(expected, p) < spec.dim + 1
-    else:
-        assert frame.dtype.name == "int64"
-        assert frame.tolist() == expected
+    frame = varieties.tangent_frame(spec, point, p)
+    assert frame.dtype.name == "int64"
+    assert frame.tolist() == expected
+    assert reference.rank(expected, p) == spec.dim + 1
 
 
 @pytest.mark.parametrize("text", _catalog_specs())
@@ -110,6 +108,25 @@ def test_frame_coefficients_reduce_mod_small_primes():
     spec = SegreVeroneseSpec.parse("1:3")
     assert varieties.tangent_frame(spec, ((1, 1),), 3).tolist() == [[1, 1, 1, 1], [0, 1, 2, 0]]
     assert varieties.tangent_frame(spec, ((1, 1),), 2).tolist() == [[1, 1, 1, 1], [0, 1, 0, 1]]
+
+
+@pytest.mark.parametrize("text", ["1:3", "2:2", "1,2", "1,1,1", "1:2,1:2"])
+@pytest.mark.parametrize("q", [2, 3])
+def test_every_frame_has_full_rank(text, q):
+    # the frame invariant: no point of any factor degenerates the frame,
+    # even where q divides a power-rule coefficient
+    spec = SegreVeroneseSpec.parse(text)
+    for point in reference.nonzero_points(spec, q):
+        assert reference.rank(varieties.tangent_frame(spec, point, q), q) == spec.dim + 1
+
+
+@pytest.mark.parametrize("text", ["1:2", "2:2", "1:4", "1,1", "1:2,1"])
+@pytest.mark.parametrize("q", [3, 5])
+def test_enumeration_matches_normalize_and_dedup(text, q):
+    spec = SegreVeroneseSpec.parse(text)
+    points = phimap.enumerate_variety_points(spec, q).tolist()
+    assert points == reference.variety_points(spec, q)
+    assert len(points) == math.prod((q ** (n + 1) - 1) // (q - 1) for n, _ in spec.factors)
 
 
 _factor = st.tuples(st.integers(1, 2), st.integers(1, 3))

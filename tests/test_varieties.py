@@ -59,6 +59,12 @@ class TestEmbed:
         with pytest.raises(ValueError):
             varieties.embed(spec, ((0, 0), (1, 1)), P)
 
+    def test_factor_zero_mod_p_rejected(self):
+        # (7, 14) is the zero vector over F_7; its frame could not have full rank
+        spec = SegreVeroneseSpec.parse("1,1")
+        with pytest.raises(ValueError, match="zero"):
+            varieties.tangent_frame(spec, ((7, 14), (1, 1)), 7)
+
     def test_multihomogeneity(self):
         # scaling factor i by c scales the embedding by c**d_i
         rng = random.Random(2)
