@@ -3,8 +3,8 @@
 Subcommands: ``secant``, ``grassmann``, ``identifiability``, ``reproduce``.
 Output is JSON (default), CSV or a plain text table; identical
 configurations (including the seed) produce byte-identical JSON.  Exit
-codes: 0 success, 1 usage or parse error, 2 internal inconsistency or a
-failed reproduction check.
+codes: 0 success, 1 usage or parse error, 2 internal inconsistency, a
+sampling or budget failure, or a failed reproduction check.
 """
 
 from __future__ import annotations
@@ -22,6 +22,13 @@ from .errors import BudgetExceededError, InconsistencyError, SamplingError
 
 class UsageError(Exception):
     pass
+
+
+_FAILURE_LABELS = {
+    InconsistencyError: "inconsistency",
+    SamplingError: "sampling failed",
+    BudgetExceededError: "budget exceeded",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,7 +149,7 @@ def _cmd_identifiability(args) -> tuple[dict, int]:
     else:
         spec = varieties.SegreVeroneseSpec.parse(args.spec)
         verdict = criteria.identifiability_report(
-            args.k, args.s, spec=spec, trials=args.trials,
+            spec, args.k, args.s, trials=args.trials,
             seed=args.seed, primes=args.primes,
         )
         results = [verdict.to_dict()]
@@ -213,8 +220,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InconsistencyError, SamplingError, BudgetExceededError) as exc:
-        print(f"inconsistency: {exc}", file=sys.stderr)
+    except tuple(_FAILURE_LABELS) as exc:
+        print(f"{_FAILURE_LABELS[type(exc)]}: {exc}", file=sys.stderr)
         return 2
 
     if args.output == "json":

@@ -90,36 +90,24 @@ def _verdict_from_chain(subject: str, k: int, s: int, chain) -> IdentifiabilityV
 
 
 def theorem_tre(
-    n: int,
-    r: int,
+    spec: varieties.SegreVeroneseSpec,
     s: int,
     k: int,
-    s_defective: bool | None = None,
-    spec: varieties.SegreVeroneseSpec | None = None,
     trials: int = secant.DEFAULT_TRIALS,
     seed: int = 0,
     primes: tuple[int, ...] = field.DEFAULT_PRIMES,
 ) -> IdentifiabilityVerdict:
-    """Sufficient criterion for (k, s)-identifiability of an n-dim X in P^r.
+    """Sufficient criterion for (k, s)-identifiability of X, of dimension n in P^r.
 
     Hypotheses: 0 < k <= s-1, the ambient dimension strictly exceeds
     s*n + s - 1 (so the s-th secant variety of the Segre product cannot
     cover its span), X is not s-defective, and
-    s*n + (k+1)(s-1-k) < (k+1)(r-k).  When ``s_defective`` is None and a
-    spec is given, the defectivity hypothesis is certified by computation.
+    s*n + (k+1)(s-1-k) < (k+1)(r-k).  Non-defectivity is certified by
+    computing dim sigma_s(X) with :func:`secant.secant_dim`.
     """
-    if min(n, r, s, k) < 0:
-        raise ValueError("parameters must be non-negative")
-    if spec is not None and (n, r) != (spec.dim, spec.ambient_dim):
-        raise ValueError(f"(n, r) = ({n}, {r}) does not describe {spec}: it has "
-                         f"n = {spec.dim}, r = {spec.ambient_dim}")
-    defectivity_source = "flag"
-    if s_defective is None:
-        if spec is None:
-            raise ValueError("pass s_defective or a spec to certify it")
-        report = secant.secant_dim(spec, s, trials=trials, seed=seed, primes=primes)
-        s_defective = report.defect > 0
-        defectivity_source = "computed"
+    secant._check_order(spec, k, s)
+    n, r = spec.dim, spec.ambient_dim
+    s_defective = secant.secant_dim(spec, s, trials=trials, seed=seed, primes=primes).defect > 0
     hypotheses = {
         "0 < k <= s-1": 0 < k <= s - 1,
         "r > s*n + s - 1": r > s * n + s - 1,
@@ -131,8 +119,8 @@ def theorem_tre(
         name="rank-defect-criterion",
         inputs={
             "n": n, "r": r, "s": s, "k": k,
-            "s_defective": bool(s_defective),
-            "defectivity_source": defectivity_source,
+            "s_defective": s_defective,
+            "defectivity_source": "computed",
             "hypotheses": hypotheses,
         },
         outcome=outcome,
@@ -143,14 +131,13 @@ def theorem_tre(
         ),
         provenance="computed",
     )
-    subject = str(spec) if spec is not None else f"X(n={n}, r={r})"
-    return _verdict_from_chain(subject, k, s, [step])
+    return _verdict_from_chain(str(spec), k, s, [step])
 
 
-def codimension_criterion(n: int, r: int, s: int) -> IdentifiabilityVerdict:
+def codimension_criterion(spec: varieties.SegreVeroneseSpec, s: int) -> IdentifiabilityVerdict:
     """If the codimension r - n exceeds s, then (s-1, s)-identifiability holds."""
-    if n < 0 or r < n or s < 1:
-        raise ValueError(f"need 0 <= n <= r and s >= 1, got n={n}, r={r}, s={s}")
+    secant._check_order(spec, s - 1, s)
+    n, r = spec.dim, spec.ambient_dim
     ok = r - n > s
     step = CriterionStep(
         name="excess-codimension-criterion",
@@ -163,7 +150,7 @@ def codimension_criterion(n: int, r: int, s: int) -> IdentifiabilityVerdict:
         ),
         provenance="computed",
     )
-    return _verdict_from_chain(f"X(n={n}, r={r})", s - 1, s, [step])
+    return _verdict_from_chain(str(spec), s - 1, s, [step])
 
 
 def recheck_step(step: CriterionStep) -> str:
@@ -313,41 +300,37 @@ def format_to_spec(format_dims) -> varieties.SegreVeroneseSpec:
     return varieties.SegreVeroneseSpec(tuple((d - 1, 1) for d in format_dims))
 
 
-def _check_k_s(spec: varieties.SegreVeroneseSpec, k: int, s: int | None) -> None:
-    """Reject k < 0, s < 1 and s - 1 > r (s = None means no s was given)."""
-    if k < 0 or (s is not None and s < 1):
-        raise ValueError(f"need k >= 0 and s >= 1, got k={k}, s={s}")
-    if s is not None:
-        secant._check_order(spec, s)
+def _tensor_format(spec: varieties.SegreVeroneseSpec) -> tuple[int, ...] | None:
+    """Side lengths n_i + 1 when X is a Segre product of two or more P^{n_i}, else None."""
+    if len(spec.factors) >= 2 and all(d == 1 for _, d in spec.factors):
+        return tuple(n + 1 for n, _ in spec.factors)
+    return None
 
 
 def identifiability_report(
+    spec: varieties.SegreVeroneseSpec,
     k: int,
     s: int,
-    format_dims: tuple[int, ...] | None = None,
-    spec: varieties.SegreVeroneseSpec | None = None,
     trials: int = secant.DEFAULT_TRIALS,
     seed: int = 0,
     primes: tuple[int, ...] = field.DEFAULT_PRIMES,
 ) -> IdentifiabilityVerdict:
-    """Full verdict chain for (k, s)-identifiability of a format or a spec."""
-    if (format_dims is None) == (spec is None):
-        raise ValueError("pass exactly one of format_dims or spec")
-    if format_dims is not None:
-        spec = format_to_spec(format_dims)
-    _check_k_s(spec, k, s)
-    chain = recorded_facts(tuple(format_dims), k, s) if format_dims is not None else []
-    n, r = spec.dim, spec.ambient_dim
+    """Full verdict chain for (k, s)-identifiability of X.
+
+    A Segre product of two or more projective spaces is the variety of
+    decomposable tensors of the format (n_i + 1): its chain starts with the
+    recorded facts for that format and its subject is the format, e.g.
+    ``2x2x2x2``.  Any other X has the spec string as subject.  The computed
+    criteria follow.
+    """
+    secant._check_order(spec, k, s)
+    fmt = _tensor_format(spec)
+    chain = recorded_facts(fmt, k, s) if fmt else []
     if 0 < k <= s - 1:
-        computed = theorem_tre(
-            n, r, s, k, spec=spec, trials=trials, seed=seed, primes=primes
-        )
-        chain.extend(computed.chain)
+        chain.extend(theorem_tre(spec, s, k, trials=trials, seed=seed, primes=primes).chain)
     if k == s - 1:
-        chain.extend(codimension_criterion(n, r, s).chain)
-    subject = (
-        "x".join(str(d) for d in format_dims) if format_dims is not None else str(spec)
-    )
+        chain.extend(codimension_criterion(spec, s).chain)
+    subject = "x".join(str(d) for d in fmt) if fmt else str(spec)
     return _verdict_from_chain(subject, k, s, chain)
 
 
@@ -367,7 +350,10 @@ def linear_system_report(
     """
     format_dims = tuple(int(d) for d in format_dims)
     spec = format_to_spec(format_dims)
-    _check_k_s(spec, k, s)
+    # the verdict comes first: it checks (k, s) before any secant is computed
+    verdict = None if s is None else identifiability_report(
+        spec, k, s, trials=trials, seed=seed, primes=primes
+    )
     prepended = varieties.prepend_projective_factor(spec, k)
     rank = secant.generic_rank(prepended, trials=trials, seed=seed, primes=primes)
     report = {
@@ -380,9 +366,6 @@ def linear_system_report(
         ),
         "recorded_facts": [st.to_dict() for st in recorded_facts(format_dims, k, s or rank)],
     }
-    if s is not None:
-        verdict = identifiability_report(
-            k, s, format_dims=format_dims, trials=trials, seed=seed, primes=primes
-        )
+    if verdict is not None:
         report["identifiability"] = verdict.to_dict()
     return report

@@ -78,9 +78,7 @@ def _plane_dim(spec: varieties.SegreVeroneseSpec, k: int, s: int) -> int:
 
     The slice span of a general point of sigma_s(Seg(P^k x X)) is a w-plane.
     """
-    r = spec.ambient_dim
-    if k < 0 or s < 1 or s - 1 > r:
-        raise ValueError(f"need k >= 0, s >= 1 and s - 1 <= r, got k={k}, s={s}, r={r}")
+    secant._check_order(spec, k, s)
     return min(k, s - 1)
 
 

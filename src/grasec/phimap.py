@@ -114,16 +114,14 @@ def random_secant_point(
     rng: random.Random | None = None,
 ) -> SecantWitness:
     """Uniform witness: s coefficient points of P^k and s points on X."""
-    if k < 0 or s < 1:
-        raise ValueError("need k >= 0 and s >= 1")
+    secant._check_order(spec, k, s)
     if rng is None:
         rng = random.Random(secant.subseed(seed, 0, p))
-    r = spec.ambient_dim
     for _ in range(_MAX_RESAMPLES):
         points = [varieties.random_parameter_point(spec, rng, p) for _ in range(s)]
         embedded = [varieties.embed(spec, u, p) for u in points]
         # s <= r+1 generic points must be independent; otherwise resample
-        if s <= r + 1 and field.matrix_rank(embedded, p) < s:
+        if field.matrix_rank(embedded, p) < s:
             continue
         lambdas = []
         for _ in range(s):

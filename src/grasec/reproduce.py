@@ -206,10 +206,7 @@ def _soundness_check(seed: int, primes: tuple[int, ...], trials: int) -> dict:
         spec = varieties.SegreVeroneseSpec.parse(rng.choice(specs))
         s = rng.randrange(2, 5)
         k = rng.randrange(1, s)
-        verdict = criteria.theorem_tre(
-            spec.dim, spec.ambient_dim, s, k, spec=spec,
-            trials=trials, seed=seed, primes=primes,
-        )
+        verdict = criteria.theorem_tre(spec, s, k, trials=trials, seed=seed, primes=primes)
         if verdict.verdict != criteria.HOLDS:
             continue
         holds_seen += 1

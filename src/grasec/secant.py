@@ -78,11 +78,14 @@ def subseed(seed: int, trial: int, prime: int) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _check_order(spec: varieties.SegreVeroneseSpec, s: int) -> None:
-    """Reject s < 1, and s - 1 > r: sigma_{r+1} already fills P^r."""
+def _check_order(spec: varieties.SegreVeroneseSpec, k: int, s: int) -> None:
+    """The one (k, s) rule: k >= 0, s >= 1 and s - 1 <= r, since sigma_{r+1} fills P^r.
+
+    k is the dimension of the P^k prepended to X; sigma_s(X) itself is k = 0.
+    """
     r = spec.ambient_dim
-    if s < 1 or s - 1 > r:
-        raise ValueError(f"need s >= 1 and s - 1 <= r, got s={s}, r={r}")
+    if k < 0 or s < 1 or s - 1 > r:
+        raise ValueError(f"need k >= 0, s >= 1 and s - 1 <= r, got k={k}, s={s}, r={r}")
 
 
 def terracini_rank(
@@ -141,7 +144,7 @@ def secant_dim(
     The maximum is sound because the rank at any special point only
     under-estimates the generic rank.
     """
-    _check_order(spec, s)
+    _check_order(spec, 0, s)
     expected = expected_secant_dim(spec, s)
     dim, ran = _max_rank(
         lambda rng, p: terracini_rank(spec, s, rng, p), expected, trials, seed, primes
@@ -205,7 +208,7 @@ def classify_secant_range(
     space, all larger ones fill; once some secant variety attains the
     unconstrained maximum s*(n+1) - 1, all smaller ones do too.
     """
-    _check_order(spec, s_max)
+    _check_order(spec, 0, s_max)
     n, r = spec.dim, spec.ambient_dim
     reports: dict[int, SecantReport] = {}
 

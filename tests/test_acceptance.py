@@ -165,9 +165,7 @@ def test_09_criterion_soundness_sweep():
         spec = SegreVeroneseSpec.parse(rng.choice(specs))
         s = rng.randrange(2, 5)
         k = rng.randrange(1, s)
-        verdict = criteria.theorem_tre(
-            spec.dim, spec.ambient_dim, s, k, spec=spec, trials=1
-        )
+        verdict = criteria.theorem_tre(spec, s, k, trials=1)
         for step in verdict.chain:
             ok = ok and criteria.recheck_step(step) == step.outcome
         if verdict.verdict != criteria.HOLDS:

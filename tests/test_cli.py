@@ -7,6 +7,7 @@ import json
 import pytest
 
 from grasec import cli
+from grasec.errors import BudgetExceededError, InconsistencyError, SamplingError
 
 
 def run(capsys, *argv):
@@ -86,6 +87,19 @@ class TestIdentifiabilityCommand:
         )
         assert payload["results"][0]["verdict"] == "holds"
 
+    @pytest.mark.parametrize("spec,fmt,k,s", [
+        ("1,1,1,1", "2,2,2,2", 1, 5),
+        ("3,3", "4,4", 3, 5),
+        ("3,3", "4,4", 3, 6),
+    ])
+    def test_segre_spec_gets_the_format_verdict(self, capsys, spec, fmt, k, s):
+        # a Segre product named as a spec is the same variety as its tensor format
+        by_spec = run_json(capsys, "identifiability", "--spec", spec,
+                           "--k", str(k), "--s", str(s))["results"][0]
+        by_format = run_json(capsys, "identifiability", "--format", fmt,
+                             "--k", str(k), "--s", str(s))["results"][0]
+        assert by_spec == by_format["identifiability"]
+
     def test_format_and_spec_mutually_exclusive(self, capsys):
         code, _, err = run(
             capsys, "identifiability", "--format", "4,4", "--spec", "2:2",
@@ -121,6 +135,18 @@ class TestExitCodes:
         code, out, err = run(capsys, "secant", "--spec", "1,1", "--s", "1", "--prime", "4")
         assert code == 1 and out == ""
         assert "modulus 4 is not prime" in err
+
+    @pytest.mark.parametrize("error,label", [
+        (InconsistencyError, "inconsistency"),
+        (SamplingError, "sampling failed"),
+        (BudgetExceededError, "budget exceeded"),
+    ])
+    def test_caught_error_is_named_and_two(self, capsys, monkeypatch, error, label):
+        def fail(args):
+            raise error("boom")
+        monkeypatch.setattr(cli, "_cmd_secant", fail)
+        code, out, err = run(capsys, "secant", "--spec", "1,1", "--s", "2")
+        assert code == 2 and out == "" and err == f"{label}: boom\n"
 
     @pytest.mark.parametrize("argv", [
         ("identifiability", "--spec", "2:4", "--k", "-2", "--s", "0"),

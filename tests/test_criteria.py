@@ -2,7 +2,7 @@
 
 import pytest
 
-from grasec import criteria, grassec, reproduce, secant
+from grasec import criteria, grassec, phimap, reproduce, secant
 from grasec.criteria import FAILS, HOLDS, NOT_DECIDED
 from grasec.errors import InconsistencyError
 from grasec.varieties import SegreVeroneseSpec, prepend_projective_factor
@@ -21,54 +21,53 @@ def _classify_to_generic_rank(spec, k, **budget):
     return reports
 
 
+KS_RULE = "need k >= 0, s >= 1 and s - 1 <= r"
+CURVE_10 = SegreVeroneseSpec.parse("1:10")  # rational normal curve: n = 1, r = 10
+CURVE_4 = SegreVeroneseSpec.parse("1:4")    # n = 1, r = 4
+
+
 class TestTheoremTre:
     def test_inequalities_hold(self):
-        verdict = criteria.theorem_tre(n=1, r=10, s=3, k=1, s_defective=False)
+        verdict = criteria.theorem_tre(CURVE_10, s=3, k=1)
         assert verdict.verdict == HOLDS
 
     def test_ambient_too_small(self):
-        verdict = criteria.theorem_tre(n=1, r=4, s=3, k=2, s_defective=False)
+        verdict = criteria.theorem_tre(CURVE_4, s=3, k=2)
         assert verdict.verdict == NOT_DECIDED
 
     def test_defectivity_certified_by_computation(self):
         spec = SegreVeroneseSpec.parse("2:4")  # n=2, r=14
-        verdict = criteria.theorem_tre(2, 14, s=4, k=1, spec=spec)
+        verdict = criteria.theorem_tre(spec, s=4, k=1)
         assert verdict.verdict == HOLDS
         assert verdict.chain[0].inputs["defectivity_source"] == "computed"
-
-    def test_flag_or_spec_required(self):
-        with pytest.raises(ValueError):
-            criteria.theorem_tre(1, 10, 3, 1)
-
-    def test_spec_must_match_n_and_r(self):
-        # (n, r) = (1, 100) would pass r > s*n + s - 1; the Veronese surface has (2, 5)
-        with pytest.raises(ValueError, match="does not describe 2:2"):
-            criteria.theorem_tre(1, 100, 3, 1, spec=SegreVeroneseSpec.parse("2:2"))
 
 
 class TestCodimensionCriterion:
     def test_holds(self):
-        assert criteria.codimension_criterion(1, 10, 3).verdict == HOLDS
+        assert criteria.codimension_criterion(CURVE_10, 3).verdict == HOLDS
 
     def test_fails_inequality(self):
-        assert criteria.codimension_criterion(2, 5, 4).verdict == NOT_DECIDED
+        # Veronese surface: n = 2, r = 5
+        assert criteria.codimension_criterion(SegreVeroneseSpec.parse("2:2"), 4).verdict \
+            == NOT_DECIDED
 
     def test_boundary(self):
         # twisted cubic, s = 2: codimension 2 is not > 2
-        assert criteria.codimension_criterion(1, 3, 2).verdict == NOT_DECIDED
+        assert criteria.codimension_criterion(SegreVeroneseSpec.parse("1:3"), 2).verdict \
+            == NOT_DECIDED
 
-    @pytest.mark.parametrize("n,r,s", [(1, 10, 0), (-5, 0, 1), (3, 2, 1)])
-    def test_impossible_input_rejected(self, n, r, s):
-        with pytest.raises(ValueError, match="need 0 <= n <= r and s >= 1"):
-            criteria.codimension_criterion(n, r, s)
+    @pytest.mark.parametrize("n,d,s", [(1, 10, 0)])
+    def test_impossible_input_rejected(self, n, d, s):
+        with pytest.raises(ValueError, match=KS_RULE):
+            criteria.codimension_criterion(SegreVeroneseSpec(((n, d),)), s)
 
 
 class TestRecheck:
     def test_chain_is_replayable(self):
         for verdict in (
-            criteria.theorem_tre(1, 10, 3, 1, s_defective=False),
-            criteria.theorem_tre(1, 4, 3, 2, s_defective=False),
-            criteria.codimension_criterion(1, 10, 3),
+            criteria.theorem_tre(CURVE_10, 3, 1),
+            criteria.theorem_tre(CURVE_4, 3, 2),
+            criteria.codimension_criterion(CURVE_10, 3),
         ):
             for step in verdict.chain:
                 assert criteria.recheck_step(step) == step.outcome
@@ -205,23 +204,21 @@ class TestCatalog:
 
 class TestReports:
     def test_identifiability_fails_for_recorded_nonidentifiable(self):
-        verdict = criteria.identifiability_report(1, 5, format_dims=(2, 2, 2, 2))
+        verdict = criteria.identifiability_report(criteria.format_to_spec((2, 2, 2, 2)), 1, 5)
         assert verdict.verdict == FAILS
         assert "recorded-from-literature" in verdict.provenance
 
     def test_identifiability_holds_for_4x4_rank5(self):
-        verdict = criteria.identifiability_report(3, 5, format_dims=(4, 4))
+        verdict = criteria.identifiability_report(criteria.format_to_spec((4, 4)), 3, 5)
         assert verdict.verdict == HOLDS
 
     def test_computed_and_recorded_both_in_chain(self):
-        verdict = criteria.identifiability_report(3, 5, format_dims=(4, 4))
+        verdict = criteria.identifiability_report(SegreVeroneseSpec.parse("3,3"), 3, 5)
         provenances = {step.provenance for step in verdict.chain}
         assert "computed" in provenances and "recorded-from-literature" in provenances
 
     def test_spec_route(self):
-        verdict = criteria.identifiability_report(
-            1, 4, spec=SegreVeroneseSpec.parse("2:4")
-        )
+        verdict = criteria.identifiability_report(SegreVeroneseSpec.parse("2:4"), 1, 4)
         assert verdict.verdict == HOLDS
 
     def test_linear_system_generic_ranks(self):
@@ -231,35 +228,43 @@ class TestReports:
         assert report["generic_rank"] == 7
 
     def test_exactly_one_subject_kind(self):
-        with pytest.raises(ValueError):
-            criteria.identifiability_report(1, 2)
-        with pytest.raises(ValueError):
-            criteria.identifiability_report(
-                1, 2, format_dims=(2, 2), spec=SegreVeroneseSpec.parse("1,1")
-            )
+        # a Segre product of two or more factors is named by its tensor format
+        for text, subject in (("1,1", "2x2"), ("1,2,3", "2x3x4"), ("1:3", "1:3"),
+                              ("3", "3"), ("1,1:2", "1,1:2")):
+            verdict = criteria.identifiability_report(SegreVeroneseSpec.parse(text), 1, 2)
+            assert verdict.subject == subject
 
     @pytest.mark.parametrize("call", [
-        lambda: criteria.identifiability_report(-2, 0, spec=SegreVeroneseSpec.parse("2:4")),
-        lambda: criteria.identifiability_report(1, 0, format_dims=(4, 4)),
+        lambda: criteria.identifiability_report(SegreVeroneseSpec.parse("2:4"), -2, 0),
+        lambda: criteria.identifiability_report(criteria.format_to_spec((4, 4)), 1, 0),
         lambda: criteria.linear_system_report((4, 4), 1, s=0),
         lambda: criteria.linear_system_report((4, 4), -1, s=3),
-    ], ids=["spec-k-2-s0", "format-s0", "system-s0", "system-k-1"])
+        lambda: criteria.theorem_tre(CURVE_10, 0, 1),
+        lambda: criteria.theorem_tre(CURVE_10, 3, -1),
+        lambda: criteria.codimension_criterion(CURVE_10, 0),
+        lambda: phimap.random_secant_point(CURVE_10, -1, 2),
+        lambda: phimap.random_secant_point(CURVE_10, 1, 0),
+    ], ids=["spec-k-2-s0", "format-s0", "system-s0", "system-k-1", "tre-s0", "tre-k-1",
+            "codim-s0", "witness-k-1", "witness-s0"])
     def test_invalid_k_s_rejected_before_any_secant(self, call, monkeypatch):
         def no_secant(*args, **kwargs):
             raise AssertionError("a secant was computed")
         monkeypatch.setattr(secant, "secant_dim", no_secant)
-        with pytest.raises(ValueError, match="need k >= 0 and s >= 1"):
+        with pytest.raises(ValueError, match=KS_RULE):
             call()
 
     @pytest.mark.parametrize("call", [
-        lambda: criteria.identifiability_report(0, 6, spec=SegreVeroneseSpec.parse("1:3")),
-        lambda: criteria.identifiability_report(1, 6, spec=SegreVeroneseSpec.parse("1:3")),
+        lambda: criteria.identifiability_report(SegreVeroneseSpec.parse("1:3"), 0, 6),
+        lambda: criteria.identifiability_report(SegreVeroneseSpec.parse("1:3"), 1, 6),
         lambda: criteria.linear_system_report((2, 2), 1, s=5),
-    ], ids=["spec-k0", "spec-k1", "system"])
+        lambda: criteria.theorem_tre(SegreVeroneseSpec.parse("1:3"), 6, 1),
+        lambda: criteria.codimension_criterion(SegreVeroneseSpec.parse("1:3"), 6),
+        lambda: phimap.random_secant_point(SegreVeroneseSpec.parse("1:3"), 1, 6),
+    ], ids=["spec-k0", "spec-k1", "system", "tre", "codim", "witness"])
     def test_order_above_r_plus_one_rejected_before_any_secant(self, call, monkeypatch):
         # the twisted cubic and 2x2 matrices both have r = 3
         monkeypatch.setattr(secant, "terracini_rank", None)
-        with pytest.raises(ValueError, match="s - 1 <= r"):
+        with pytest.raises(ValueError, match=KS_RULE):
             call()
 
     def test_format_validation(self):
@@ -273,9 +278,7 @@ def test_soundness_guard_on_positive_verdicts():
     # a "holds" verdict must never coincide with a filling secant variety
     for text, k, s in (("2:4", 1, 4), ("2:3", 1, 2), ("1:4", 1, 2)):
         spec = SegreVeroneseSpec.parse(text)
-        verdict = criteria.theorem_tre(
-            spec.dim, spec.ambient_dim, s, k, spec=spec, trials=1
-        )
+        verdict = criteria.theorem_tre(spec, s, k, trials=1)
         if verdict.verdict != HOLDS:
             continue
         seg = prepend_projective_factor(spec, k)

@@ -63,7 +63,7 @@ class TestSecantDim:
         matrices = SegreVeroneseSpec.parse("1,1")
         assert route(matrices, 4)
         monkeypatch.setattr(secant, "terracini_rank", None)
-        with pytest.raises(ValueError, match="s - 1 <= r, got s=5, r=3"):
+        with pytest.raises(ValueError, match="need k >= 0, s >= 1 and s - 1 <= r, got k=0, s=5, r=3"):
             route(matrices, 5)
 
     def test_repeated_prime_rejected(self):
