@@ -194,22 +194,18 @@ def dimsegre_classify(n: int, r: int, k: int, s: int) -> DimsegreCase:
 
 def never_defective_check(
     spec: varieties.SegreVeroneseSpec,
-    k: int,
     trials: int = secant.DEFAULT_TRIALS,
     seed: int = 0,
     primes: tuple[int, ...] = field.DEFAULT_PRIMES,
 ) -> list[secant.SecantReport]:
-    """For k = r - n, verify that no secant variety of Seg(P^k x X) is defective.
+    """Verify that no secant variety of Seg(P^k x X) is defective, for k = r - n.
 
-    Runs the full classification up to the order ceil((N+1)/(m+1)) of
-    Seg(P^k x X) in P^N, m = k + n, and raises on any nonzero defect.  A
-    non-defective secant variety of that order fills P^N, so it is the
-    filling order whenever the check passes.
+    k is the codimension of X, so X fixes it.  Runs the full classification
+    up to the order ceil((N+1)/(m+1)) of Seg(P^k x X) in P^N, m = k + n, and
+    raises on any nonzero defect.  A non-defective secant variety of that
+    order fills P^N, so it is the filling order whenever the check passes.
     """
-    n, r = spec.dim, spec.ambient_dim
-    if k != r - n:
-        raise ValueError(f"this check applies only to k = r - n = {r - n}, got k = {k}")
-    seg = varieties.prepend_projective_factor(spec, k)
+    seg = varieties.prepend_projective_factor(spec, spec.ambient_dim - spec.dim)
     fill = math.ceil((seg.ambient_dim + 1) / (seg.dim + 1))
     reports = secant.classify_secant_range(seg, fill, trials=trials, seed=seed, primes=primes)
     for rep in reports:
@@ -337,35 +333,32 @@ def identifiability_report(
 def linear_system_report(
     format_dims,
     k: int,
-    s: int | None = None,
+    s: int,
     trials: int = secant.DEFAULT_TRIALS,
     seed: int = 0,
     primes: tuple[int, ...] = field.DEFAULT_PRIMES,
 ) -> dict:
-    """Generic rank of dimension-k systems of the given tensor format.
+    """Generic rank and (k, s)-identifiability of dimension-k systems of a tensor format.
 
     The rank is the filling order of the secant varieties of the Segre
-    product with P^k prepended.  Identifiability verdicts (computed and
-    recorded) are attached when ``s`` is given.
+    product with P^k prepended.  ``recorded_facts`` are the
+    recorded-from-literature steps of the identifiability chain.
     """
     format_dims = tuple(int(d) for d in format_dims)
     spec = format_to_spec(format_dims)
     # the verdict comes first: it checks (k, s) before any secant is computed
-    verdict = None if s is None else identifiability_report(
-        spec, k, s, trials=trials, seed=seed, primes=primes
-    )
+    verdict = identifiability_report(spec, k, s, trials=trials, seed=seed, primes=primes)
     prepended = varieties.prepend_projective_factor(spec, k)
-    rank = secant.generic_rank(prepended, trials=trials, seed=seed, primes=primes)
-    report = {
+    return {
         "format": list(format_dims),
         "k": k,
-        "generic_rank": rank,
+        "generic_rank": secant.generic_rank(prepended, trials=trials, seed=seed, primes=primes),
         "rank_rule": (
             "minimal s whose s-th secant variety of the Segre product with "
             "a prepended P^k fills the ambient space"
         ),
-        "recorded_facts": [st.to_dict() for st in recorded_facts(format_dims, k, s or rank)],
+        "recorded_facts": [
+            st.to_dict() for st in verdict.chain if st.provenance == "recorded-from-literature"
+        ],
+        "identifiability": verdict.to_dict(),
     }
-    if verdict is not None:
-        report["identifiability"] = verdict.to_dict()
-    return report

@@ -88,20 +88,14 @@ def phi(tensor: SlicedTensor) -> PluckerPoint:
     )
 
 
-def assemble_tensor(
-    spec: varieties.SegreVeroneseSpec,
-    lambdas,
-    embedded_points,
-    p: int,
-) -> SlicedTensor:
-    """Slice j of the assembled point is sum_i lambda_{i,j} * P_i, exactly."""
-    k = len(lambdas[0]) - 1
-    r = spec.ambient_dim
+def assemble_tensor(lambdas, embedded_points, p: int) -> SlicedTensor:
+    """Slice j is sum_i lambda_{i,j} * P_i, computed exactly; k and r are read off the widths."""
     P = field.as_matrix(embedded_points, p)
     lam = field.as_matrix(lambdas, p)            # s x (k+1)
     slices = field.matmul_mod(lam.T, P, p)       # (k+1) x (r+1)
     return SlicedTensor(
-        k=k, r=r, p=p, slices=tuple(tuple(int(v) for v in row) for row in slices)
+        k=lam.shape[1] - 1, r=P.shape[1] - 1, p=p,
+        slices=tuple(tuple(int(v) for v in row) for row in slices),
     )
 
 
@@ -109,14 +103,14 @@ def random_secant_point(
     spec: varieties.SegreVeroneseSpec,
     k: int,
     s: int,
-    seed: int = 0,
-    p: int = field.DEFAULT_PRIME,
-    rng: random.Random | None = None,
+    rng: random.Random,
+    p: int,
 ) -> SecantWitness:
-    """Uniform witness: s coefficient points of P^k and s points on X."""
+    """Uniform witness over F_p: s coefficient points of P^k and s points on X.
+
+    All draws come from ``rng``, as in :func:`varieties.random_parameter_point`.
+    """
     secant._check_order(spec, k, s)
-    if rng is None:
-        rng = random.Random(secant.subseed(seed, 0, p))
     for _ in range(_MAX_RESAMPLES):
         points = [varieties.random_parameter_point(spec, rng, p) for _ in range(s)]
         embedded = [varieties.embed(spec, u, p) for u in points]
@@ -130,7 +124,7 @@ def random_secant_point(
                 if any(lam):
                     break
             lambdas.append(lam)
-        tensor = assemble_tensor(spec, lambdas, embedded, p)
+        tensor = assemble_tensor(lambdas, embedded, p)
         return SecantWitness(
             lambdas=tuple(lambdas),
             embedded_points=tuple(tuple(v for v in row) for row in embedded),
@@ -153,22 +147,20 @@ def enumerate_variety_points(spec: varieties.SegreVeroneseSpec, q: int) -> np.nd
 
 def count_decompositions(
     spec: varieties.SegreVeroneseSpec,
-    q: int,
     s: int,
     target: SlicedTensor | PluckerPoint,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> int:
-    """Number of s-subsets of X(F_q) whose span contains the target.
+    """Number of s-subsets of X(F_q) whose span contains the target, q = target.p.
 
     For a subspace target this is direct containment.  For a tensor target
     it is the reduced decomposition count: once the X-points are fixed,
     suitable coefficient points of P^k exist exactly when every slice lies
     in the span of the chosen points, a linear solvability test.
     """
+    q = target.p
     if q not in (2, 3, 5, 7):
         raise ValueError(f"exhaustive enumeration needs a prime q <= 7, got q={q}")
-    if target.p != q:
-        raise ValueError(f"the target lives over F_{target.p}, not over F_{q}")
     # #X(F_q) = prod #P^{n_i}(F_q): the embedding is injective on F_q-points
     npoints = math.prod((q ** (n + 1) - 1) // (q - 1) for n, _ in spec.factors)
     total = math.comb(npoints, s)

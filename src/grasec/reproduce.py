@@ -17,7 +17,7 @@ PHI_GRID_SPECS = ("2:2", "1:3", "1,2", "2,2")
 PHI_GRID_K = (1, 2, 3)
 PHI_GRID_S = (2, 3, 4)
 
-NEVER_DEFECTIVE_CASES = (("2:2", 3), ("3:2", 6), ("1:3", 2))
+NEVER_DEFECTIVE_CASES = ("2:2", "3:2", "1:3")
 
 
 def _check(name: str, anchor: str, computed, expected) -> dict:
@@ -115,17 +115,15 @@ def _grid_checks(seed: int, primes: tuple[int, ...]) -> list[dict]:
 
 def _never_defective_checks(seed: int, primes: tuple[int, ...], trials: int) -> list[dict]:
     checks = []
-    for text, k in NEVER_DEFECTIVE_CASES:
+    for text in NEVER_DEFECTIVE_CASES:
         spec = varieties.SegreVeroneseSpec.parse(text)
         try:
-            reports = criteria.never_defective_check(
-                spec, k, trials=trials, seed=seed, primes=primes
-            )
+            reports = criteria.never_defective_check(spec, trials=trials, seed=seed, primes=primes)
             computed = {"defects": sorted({rep.defect for rep in reports})}
         except InconsistencyError as exc:
             computed = {"error": str(exc)}
         checks.append(_check(
-            f"never-defective-{text}-k{k}",
+            f"never-defective-{text}-k{spec.ambient_dim - spec.dim}",
             "for k = r - n no secant variety of Seg(P^k x X) is defective",
             computed, {"defects": [0]},
         ))
@@ -157,7 +155,7 @@ def _slice_map_checks(seed: int, primes: tuple[int, ...]) -> dict:
             rng = random.Random(secant.subseed(seed, 1000 + 10 * i + j, p))
             s = 2 + (j % 3)
             k = 1 + (j % 2)
-            witness = phimap.random_secant_point(spec, k, s, p=p, rng=rng)
+            witness = phimap.random_secant_point(spec, k, s, rng, p)
             plucker = phimap.phi(witness.tensor)
             total += 1
             contained = field.subspace_contains(
@@ -184,9 +182,10 @@ def _cardinality_check(seed: int) -> dict:
     pairs = 5
     equal = 0
     for i in range(pairs):
-        witness = phimap.random_secant_point(spec, k=1, s=2, seed=seed + i, p=q)
-        n_b = phimap.count_decompositions(spec, q, 2, witness.tensor)
-        n_pi = phimap.count_decompositions(spec, q, 2, phimap.phi(witness.tensor))
+        rng = random.Random(secant.subseed(seed + i, 0, q))
+        witness = phimap.random_secant_point(spec, 1, 2, rng, q)
+        n_b = phimap.count_decompositions(spec, 2, witness.tensor)
+        n_pi = phimap.count_decompositions(spec, 2, phimap.phi(witness.tensor))
         if n_b == n_pi:
             equal += 1
     return _check(
@@ -196,7 +195,7 @@ def _cardinality_check(seed: int) -> dict:
     )
 
 
-def _soundness_check(seed: int, primes: tuple[int, ...], trials: int) -> dict:
+def _soundness_check(seed: int, primes: tuple[int, ...]) -> dict:
     # parameter choices must not depend on the prime list, only on the seed
     rng = random.Random(secant.subseed(seed, 424242, 0))
     specs = ["1,1", "2:2", "1:4", "2:3", "1,2"]
@@ -206,14 +205,14 @@ def _soundness_check(seed: int, primes: tuple[int, ...], trials: int) -> dict:
         spec = varieties.SegreVeroneseSpec.parse(rng.choice(specs))
         s = rng.randrange(2, 5)
         k = rng.randrange(1, s)
-        verdict = criteria.theorem_tre(spec, s, k, trials=trials, seed=seed, primes=primes)
+        verdict = criteria.theorem_tre(spec, s, k, trials=1, seed=seed, primes=primes)
         if verdict.verdict != criteria.HOLDS:
             continue
         holds_seen += 1
         if criteria.recheck_step(verdict.chain[0]) != criteria.HOLDS:
             violations += 1
         seg = varieties.prepend_projective_factor(spec, k)
-        if secant.secant_dim(seg, s, trials=trials, seed=seed, primes=primes).fills_ambient:
+        if secant.secant_dim(seg, s, trials=1, seed=seed, primes=primes).fills_ambient:
             violations += 1
     return _check(
         "identifiability-criterion-soundness",
@@ -236,5 +235,5 @@ def run_catalog(
     checks.append(_dimsegre_check(seed, primes, trials))
     checks.append(_slice_map_checks(seed, primes))
     checks.append(_cardinality_check(seed))
-    checks.append(_soundness_check(seed, primes, trials=1))
+    checks.append(_soundness_check(seed, primes))
     return checks

@@ -67,8 +67,7 @@ class SecantReport:
 
 def expected_secant_dim(spec: varieties.SegreVeroneseSpec, s: int) -> int:
     """min(s*(n+1) - 1, r): the parameter-count prediction."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
+    _check_order(spec, 0, s)
     return min(s * (spec.dim + 1) - 1, spec.ambient_dim)
 
 

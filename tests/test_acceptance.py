@@ -96,10 +96,8 @@ def test_04_defect_transfer_on_grid(grid_reports):
 def test_05_never_defective_for_k_equal_codimension():
     start = time.monotonic()
     ok = True
-    for text, k in (("2:2", 3), ("3:2", 6), ("1:3", 2)):
-        reports = criteria.never_defective_check(
-            SegreVeroneseSpec.parse(text), k, trials=1
-        )
+    for text in ("2:2", "3:2", "1:3"):
+        reports = criteria.never_defective_check(SegreVeroneseSpec.parse(text), trials=1)
         ok = ok and all(rep.defect == 0 for rep in reports)
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 120.0
@@ -147,9 +145,10 @@ def test_08_cardinality_pairs_over_f5():
     spec = SegreVeroneseSpec.parse("1,1")
     ok = True
     for i in range(20):
-        witness = phimap.random_secant_point(spec, k=1, s=2, seed=i, p=5)
-        n_b = phimap.count_decompositions(spec, 5, 2, witness.tensor)
-        n_pi = phimap.count_decompositions(spec, 5, 2, phimap.phi(witness.tensor))
+        rng = random.Random(secant.subseed(i, 0, 5))
+        witness = phimap.random_secant_point(spec, 1, 2, rng, 5)
+        n_b = phimap.count_decompositions(spec, 2, witness.tensor)
+        n_pi = phimap.count_decompositions(spec, 2, phimap.phi(witness.tensor))
         ok = ok and n_b == n_pi
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 60.0

@@ -1,16 +1,18 @@
 """Identifiability criteria, case classification and the literature catalog."""
 
+import random
+
 import pytest
 
-from grasec import criteria, grassec, phimap, reproduce, secant
+from grasec import criteria, field, grassec, phimap, reproduce, secant
 from grasec.criteria import FAILS, HOLDS, NOT_DECIDED
 from grasec.errors import InconsistencyError
 from grasec.varieties import SegreVeroneseSpec, prepend_projective_factor
 
 
-def _classify_to_generic_rank(spec, k, **budget):
-    """The filling order by generic_rank search, then the range classification."""
-    seg = prepend_projective_factor(spec, k)
+def _classify_to_generic_rank(spec, **budget):
+    """The filling order by generic_rank search, then the range classification, for k = r - n."""
+    seg = prepend_projective_factor(spec, spec.ambient_dim - spec.dim)
     fill = secant.generic_rank(seg, **budget)
     reports = secant.classify_secant_range(seg, fill, **budget)
     for rep in reports:
@@ -21,9 +23,17 @@ def _classify_to_generic_rank(spec, k, **budget):
     return reports
 
 
+def _case_id(text):
+    """A never-defective case named by its spec and k = r - n, e.g. ``2:2-3``."""
+    spec = SegreVeroneseSpec.parse(text)
+    return f"{text}-{spec.ambient_dim - spec.dim}"
+
+
 KS_RULE = "need k >= 0, s >= 1 and s - 1 <= r"
+P = field.DEFAULT_PRIME
 CURVE_10 = SegreVeroneseSpec.parse("1:10")  # rational normal curve: n = 1, r = 10
 CURVE_4 = SegreVeroneseSpec.parse("1:4")    # n = 1, r = 4
+CUBIC = SegreVeroneseSpec.parse("1:3")      # twisted cubic: n = 1, r = 3
 
 
 class TestTheoremTre:
@@ -133,35 +143,29 @@ class TestDimsegreClassify:
 
 class TestNeverDefective:
     def test_veronese_surface(self):
-        reports = criteria.never_defective_check(
-            SegreVeroneseSpec.parse("2:2"), 3, trials=1
-        )
+        reports = criteria.never_defective_check(SegreVeroneseSpec.parse("2:2"), trials=1)
         assert all(rep.defect == 0 for rep in reports)
         assert reports[-1].fills_ambient
 
     def test_projective_space_k_zero(self):
         # X = P^3 has r = n, so k = r - n = 0 and Seg(P^0 x X) is X itself
-        reports = criteria.never_defective_check(SegreVeroneseSpec.parse("3"), 0)
+        reports = criteria.never_defective_check(SegreVeroneseSpec.parse("3"))
         assert len(reports) == 1
         assert reports[0].defect == 0 and reports[0].fills_ambient
 
-    def test_wrong_k_rejected(self):
-        with pytest.raises(ValueError):
-            criteria.never_defective_check(SegreVeroneseSpec.parse("2:2"), 2)
-
-    @pytest.mark.parametrize("text,k", reproduce.NEVER_DEFECTIVE_CASES)
-    def test_matches_generic_rank_search(self, text, k):
+    @pytest.mark.parametrize("text", reproduce.NEVER_DEFECTIVE_CASES, ids=_case_id)
+    def test_matches_generic_rank_search(self, text):
         spec = SegreVeroneseSpec.parse(text)
-        assert criteria.never_defective_check(spec, k, seed=5) == \
-            _classify_to_generic_rank(spec, k, seed=5)
+        assert criteria.never_defective_check(spec, seed=5) == \
+            _classify_to_generic_rank(spec, seed=5)
 
     def test_defect_message_matches_generic_rank_search(self):
         # over F_3 the random frames of Seg(P^1 x P^1 x P^1) lose rank at s = 2
         spec, budget = SegreVeroneseSpec.parse("1,1"), {"trials": 1, "primes": (3,)}
         with pytest.raises(InconsistencyError) as old:
-            _classify_to_generic_rank(spec, 1, **budget)
+            _classify_to_generic_rank(spec, **budget)
         with pytest.raises(InconsistencyError, match="defect") as new:
-            criteria.never_defective_check(spec, 1, **budget)
+            criteria.never_defective_check(spec, **budget)
         assert str(new.value) == str(old.value)
 
 
@@ -222,10 +226,26 @@ class TestReports:
         assert verdict.verdict == HOLDS
 
     def test_linear_system_generic_ranks(self):
-        report = criteria.linear_system_report((2, 2, 2, 2), 1)
+        report = criteria.linear_system_report((2, 2, 2, 2), 1, 5)
         assert report["generic_rank"] == 6
-        report = criteria.linear_system_report((4, 4), 3)
+        report = criteria.linear_system_report((4, 4), 3, 5)
         assert report["generic_rank"] == 7
+
+    @pytest.mark.parametrize("fmt,k,s", [
+        ((2, 2, 2, 2), 1, 4), ((2, 2, 2, 2), 1, 5), ((4, 4), 3, 5), ((4, 4), 3, 6),
+    ])
+    def test_linear_system_recorded_facts_come_from_the_verdict(self, fmt, k, s, monkeypatch):
+        calls, real = [], criteria.recorded_facts
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(criteria, "recorded_facts", counted)
+        report = criteria.linear_system_report(fmt, k, s, trials=1)
+        assert calls == [(fmt, k, s)]
+        expected = [st.to_dict() for st in criteria.recorded_facts(fmt, k, s)]
+        assert report["recorded_facts"] == expected
 
     def test_exactly_one_subject_kind(self):
         # a Segre product of two or more factors is named by its tensor format
@@ -242,10 +262,11 @@ class TestReports:
         lambda: criteria.theorem_tre(CURVE_10, 0, 1),
         lambda: criteria.theorem_tre(CURVE_10, 3, -1),
         lambda: criteria.codimension_criterion(CURVE_10, 0),
-        lambda: phimap.random_secant_point(CURVE_10, -1, 2),
-        lambda: phimap.random_secant_point(CURVE_10, 1, 0),
+        lambda: phimap.random_secant_point(CURVE_10, -1, 2, random.Random(0), P),
+        lambda: phimap.random_secant_point(CURVE_10, 1, 0, random.Random(0), P),
+        lambda: secant.expected_secant_dim(CURVE_10, 0),
     ], ids=["spec-k-2-s0", "format-s0", "system-s0", "system-k-1", "tre-s0", "tre-k-1",
-            "codim-s0", "witness-k-1", "witness-s0"])
+            "codim-s0", "witness-k-1", "witness-s0", "expected-s0"])
     def test_invalid_k_s_rejected_before_any_secant(self, call, monkeypatch):
         def no_secant(*args, **kwargs):
             raise AssertionError("a secant was computed")
@@ -259,8 +280,9 @@ class TestReports:
         lambda: criteria.linear_system_report((2, 2), 1, s=5),
         lambda: criteria.theorem_tre(SegreVeroneseSpec.parse("1:3"), 6, 1),
         lambda: criteria.codimension_criterion(SegreVeroneseSpec.parse("1:3"), 6),
-        lambda: phimap.random_secant_point(SegreVeroneseSpec.parse("1:3"), 1, 6),
-    ], ids=["spec-k0", "spec-k1", "system", "tre", "codim", "witness"])
+        lambda: phimap.random_secant_point(CUBIC, 1, 6, random.Random(0), P),
+        lambda: secant.expected_secant_dim(CUBIC, 5),
+    ], ids=["spec-k0", "spec-k1", "system", "tre", "codim", "witness", "expected"])
     def test_order_above_r_plus_one_rejected_before_any_secant(self, call, monkeypatch):
         # the twisted cubic and 2x2 matrices both have r = 3
         monkeypatch.setattr(secant, "terracini_rank", None)

@@ -5,11 +5,16 @@ import random
 import numpy as np
 import pytest
 
-from grasec import field, phimap, varieties
+from grasec import field, phimap, secant, varieties
 from grasec.phimap import SlicedTensor
 from grasec.varieties import SegreVeroneseSpec
 
 P = field.DEFAULT_PRIME
+
+
+def _rng(seed, p):
+    """The stream ``random_secant_point`` used to draw from for ``seed`` over F_p."""
+    return random.Random(secant.subseed(seed, 0, p))
 
 
 class TestSlicedTensor:
@@ -34,7 +39,7 @@ class TestPhi:
         spec = SegreVeroneseSpec.parse("1,1")  # r = 3
         lambdas = ((1, 2), (3, 4), (5, 6))
         embedded = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
-        tensor = phimap.assemble_tensor(spec, lambdas, embedded, P)
+        tensor = phimap.assemble_tensor(lambdas, embedded, P)
         assert tensor.slices == ((1, 3, 5, 0), (2, 4, 6, 0))
         # the row space is spanned by the first s coordinates only
         for row in phimap.phi(tensor).basis:
@@ -86,7 +91,7 @@ class TestWitnesses:
 
     def test_rank_one_witness(self):
         witness = phimap.random_secant_point(
-            SegreVeroneseSpec.parse("1,1"), 1, 1, seed=2, p=P
+            SegreVeroneseSpec.parse("1,1"), 1, 1, _rng(2, P), P
         )
         # all slices proportional to the single point: w = 0
         assert phimap.phi(witness.tensor).w == 0
@@ -103,34 +108,26 @@ class TestCounting:
 
     def test_generic_rank_two_tensor_unique(self):
         spec = SegreVeroneseSpec.parse("1,1,1")
-        witness = phimap.random_secant_point(spec, 0, 2, seed=1, p=5)
-        assert phimap.count_decompositions(spec, 5, 2, witness.tensor) == 1
+        witness = phimap.random_secant_point(spec, 0, 2, _rng(1, 5), 5)
+        assert phimap.count_decompositions(spec, 2, witness.tensor) == 1
 
     def test_matrices_never_two_identifiable(self):
         spec = SegreVeroneseSpec.parse("1,1")
-        witness = phimap.random_secant_point(spec, 0, 2, seed=1, p=5)
-        assert phimap.count_decompositions(spec, 5, 2, witness.tensor) > 1
+        witness = phimap.random_secant_point(spec, 0, 2, _rng(1, 5), 5)
+        assert phimap.count_decompositions(spec, 2, witness.tensor) > 1
 
     def test_paired_counts_agree(self):
         spec = SegreVeroneseSpec.parse("1,1")
-        witness = phimap.random_secant_point(spec, 1, 2, seed=3, p=5)
-        n_b = phimap.count_decompositions(spec, 5, 2, witness.tensor)
-        n_pi = phimap.count_decompositions(spec, 5, 2, phimap.phi(witness.tensor))
+        witness = phimap.random_secant_point(spec, 1, 2, _rng(3, 5), 5)
+        n_b = phimap.count_decompositions(spec, 2, witness.tensor)
+        n_pi = phimap.count_decompositions(spec, 2, phimap.phi(witness.tensor))
         assert n_b == n_pi
-
-    def test_target_over_another_field_rejected(self):
-        # reducing a target built over F_P mod 5 would count another tensor
-        spec = SegreVeroneseSpec.parse("1,1")
-        witness = phimap.random_secant_point(spec, 1, 2, seed=3, p=P)
-        for target in (witness.tensor, phimap.phi(witness.tensor)):
-            with pytest.raises(ValueError, match="F_5"):
-                phimap.count_decompositions(spec, 5, 2, target)
 
     def test_budget_enforced(self):
         spec = SegreVeroneseSpec.parse("1,1")
-        witness = phimap.random_secant_point(spec, 0, 2, seed=1, p=5)
+        witness = phimap.random_secant_point(spec, 0, 2, _rng(1, 5), 5)
         with pytest.raises(phimap.BudgetExceededError):
-            phimap.count_decompositions(spec, 5, 2, witness.tensor, budget=10)
+            phimap.count_decompositions(spec, 2, witness.tensor, budget=10)
 
     def test_budget_checked_before_enumeration(self, monkeypatch):
         # #X(F_7) = 57**3 points would take seconds to enumerate
@@ -139,20 +136,22 @@ class TestCounting:
 
         monkeypatch.setattr(phimap, "enumerate_variety_points", unreachable)
         spec = SegreVeroneseSpec.parse("2,2,2")
-        witness = phimap.random_secant_point(spec, 0, 2, seed=1, p=7)
+        witness = phimap.random_secant_point(spec, 0, 2, _rng(1, 7), 7)
         with pytest.raises(phimap.BudgetExceededError,
                            match="^17148131028 span tests exceed the budget of 10$"):
-            phimap.count_decompositions(spec, 7, 2, witness.tensor, budget=10)
+            phimap.count_decompositions(spec, 2, witness.tensor, budget=10)
 
     def test_large_field_rejected(self):
+        # q is the target's field: one built over F_11 or F_P cannot be enumerated
         spec = SegreVeroneseSpec.parse("1,1")
-        witness = phimap.random_secant_point(spec, 0, 2, seed=1, p=5)
-        with pytest.raises(ValueError):
-            phimap.count_decompositions(spec, 11, 2, witness.tensor)
+        for p in (11, P):
+            witness = phimap.random_secant_point(spec, 1, 2, _rng(3, p), p)
+            for target in (witness.tensor, phimap.phi(witness.tensor)):
+                with pytest.raises(ValueError, match=f"needs a prime q <= 7, got q={p}$"):
+                    phimap.count_decompositions(spec, 2, target)
 
     def test_prime_power_field_rejected(self):
-        # Z/4 is not the field F_4, so q = 4 must not enumerate
-        spec = SegreVeroneseSpec.parse("1,1")
-        witness = phimap.random_secant_point(spec, 0, 2, seed=1, p=5)
-        with pytest.raises(ValueError, match="enumeration"):
-            phimap.count_decompositions(spec, 4, 2, witness.tensor)
+        # Z/4 is not the field F_4, so a target over it must not enumerate
+        target = SlicedTensor(1, 3, 4, ((1, 0, 0, 1), (0, 1, 1, 0)))
+        with pytest.raises(ValueError, match="needs a prime q <= 7, got q=4$"):
+            phimap.count_decompositions(SegreVeroneseSpec.parse("1,1"), 2, target)

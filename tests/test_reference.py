@@ -80,8 +80,9 @@ def _catalog_specs() -> list[str]:
     for text in reproduce.PHI_GRID_SPECS + ("1:4", "2:3", "1,2"):
         for k in (1, 2, 3):
             texts.add(f"{k},{text}")
-    for text, k in reproduce.NEVER_DEFECTIVE_CASES:
-        texts.update((text, f"{k},{text}"))
+    for text in reproduce.NEVER_DEFECTIVE_CASES:
+        spec = SegreVeroneseSpec.parse(text)
+        texts.update((text, f"{spec.ambient_dim - spec.dim},{text}"))
     return sorted(texts) + ["1,1,1,1,1,1,1,1,1", "4,4,4,4"]
 
 
