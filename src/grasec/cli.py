@@ -111,8 +111,8 @@ def _cmd_secant(args) -> tuple[dict, int]:
                                      seed=args.seed, primes=args.primes)]
     else:
         reports = secant.classify_secant_range(
-            spec, hi, trials=args.trials, seed=args.seed, primes=args.primes
-        )[lo - 1:]
+            spec, range(lo, hi + 1), trials=args.trials, seed=args.seed, primes=args.primes
+        )
     payload = {
         "results": [rep.to_dict() for rep in reports],
         "checks": [],

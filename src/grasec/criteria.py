@@ -207,7 +207,7 @@ def never_defective_check(
     """
     seg = varieties.prepend_projective_factor(spec, spec.ambient_dim - spec.dim)
     fill = math.ceil((seg.ambient_dim + 1) / (seg.dim + 1))
-    reports = secant.classify_secant_range(seg, fill, trials=trials, seed=seed, primes=primes)
+    reports = secant.classify_secant_range(seg, range(1, fill + 1), trials=trials, seed=seed, primes=primes)
     for rep in reports:
         if rep.defect != 0:
             raise InconsistencyError(

@@ -12,8 +12,12 @@ Matrices are numpy int64 arrays.  With p < 2**31 every product of two
 reduced entries, and every difference of two such products, stays inside
 the int64 range, so the arithmetic is exact -- there is no tolerance
 anywhere in this package.  Sums of several such products can overflow, so
-matrix products go through :func:`matmul_mod`, which uses exact Python
-integers.
+matrix products (:func:`matmul_mod`) split the left factor into 16-bit
+limbs and multiply in float64, 64 inner terms at a time: such a sum stays
+below 64 * 2**16 * 2**31 = 2**53, where float64 is exact.  Beyond 128
+columns :func:`_echelon` is blocked the same way (the delayed reduction of
+FFLAS-FFPACK): 64-column panels go through the per-column loop, and one
+limb product per panel clears its pivot columns from all other rows.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ CONFIRMATION_PRIME = 2_147_483_629  # second large prime for confirmation runs
 DEFAULT_PRIMES = (DEFAULT_PRIME, CONFIRMATION_PRIME)
 
 _MAX_MODULUS = 2**31
+_PANEL = 64            # 64 * (2**16 - 1) * (2**31 - 2) < 2**53: exact limb products
+_BLOCKED_ABOVE = 128   # columns; below the measured crossover one panel is faster
 
 
 def _is_prime(n: int) -> bool:
@@ -76,30 +82,37 @@ def as_matrix(rows, p: int) -> np.ndarray:
     return m % p
 
 
-def matmul_mod(a, b, p: int) -> np.ndarray:
-    """Exact matrix product mod p.
+def _limb_product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for int64 matrices with entries in [0, p), exactly.
 
-    A plain int64 ``a @ b`` overflows once three or more products of
-    entries near p are summed, so the product is taken over Python's
-    arbitrary-precision integers and reduced afterwards.
+    With a = hi * 2**16 + lo, a float64 product of a limb with b over _PANEL
+    inner terms sums at most 64 * (2**16 - 1) * (p - 1) < 2**53, so it is exact.
     """
-    left = as_matrix(a, p).astype(object)
-    right = as_matrix(b, p).astype(object)
-    return ((left @ right) % p).astype(np.int64)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for j in range(0, a.shape[1], _PANEL):
+        left, right = a[:, j:j + _PANEL], b[j:j + _PANEL].astype(np.float64)
+        hi = ((left >> 16).astype(np.float64) @ right).astype(np.int64) % p
+        out += (hi << 16) + ((left & 0xFFFF).astype(np.float64) @ right).astype(np.int64)
+        out %= p
+    return out
 
 
-def _echelon(rows, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon basis of the row space over F_p, and its pivot columns.
+def matmul_mod(a, b, p: int) -> np.ndarray:
+    """Exact matrix product mod p, as float64 products of 16-bit limbs."""
+    return _limb_product(as_matrix(a, p), as_matrix(b, p), p)
 
-    The basis has one row per pivot, each pivot scaled to 1 and alone in
-    its column, so equal row spaces give byte-identical bases.  The RREF
+
+def _gauss_jordan(m: np.ndarray, p: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """Reduce ``m`` (entries in [0, p)) in place to RREF, one column at a time.
+
+    Returns the pivot columns and the row swaps made, in order.  The RREF
     is unique, so the pivot row may be any row with a nonzero entry.  At
     pivot column c the pivot row is zero left of c, so each update touches
     columns ``c:`` only.
     """
-    m = as_matrix(rows, p)
     nrows, ncols = m.shape
     pivots: list[int] = []
+    swaps: list[tuple[int, int]] = []
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
@@ -109,6 +122,7 @@ def _echelon(rows, p: int) -> tuple[np.ndarray, list[int]]:
             if not m[i, c]:
                 continue
             m[[r, i]] = m[[i, r]]
+            swaps.append((r, i))
         right = m[:, c:]
         inv = pow(int(right[r, 0]), -1, p)
         # Subtracting factors[i] * (row r) clears column c in every other
@@ -118,6 +132,45 @@ def _echelon(rows, p: int) -> tuple[np.ndarray, list[int]]:
         right -= factors[:, None] * right[r]
         right %= p
         pivots.append(c)
+    return pivots, swaps
+
+
+def _echelon(rows, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row-echelon basis of the row space over F_p, and its pivot columns.
+
+    The basis has one row per pivot, each pivot scaled to 1 and alone in
+    its column, so equal row spaces give byte-identical bases.  Beyond
+    _BLOCKED_ABOVE columns, each _PANEL-column panel of the rows without a
+    pivot yet picks pivot rows and columns C; those rows move up, are
+    scaled by inv(their C columns), and one limb product clears C elsewhere.
+    """
+    m = as_matrix(rows, p)
+    nrows, ncols = m.shape
+    if ncols <= _BLOCKED_ABOVE:
+        pivots = _gauss_jordan(m, p)[0]
+        return m[:len(pivots)], pivots
+    pivots = []
+    for c0 in range(0, ncols, _PANEL):
+        r = len(pivots)
+        if r == nrows:
+            break
+        cols, swaps = _gauss_jordan(m[r:, c0:c0 + _PANEL].copy(), p)
+        if not cols:
+            continue
+        for a, b in swaps:
+            m[[r + a, r + b]] = m[[r + b, r + a]]
+        k = len(cols)
+        top = m[r:r + k, c0:]
+        inverse = np.hstack([top[:, cols], np.eye(k, dtype=np.int64)])
+        _gauss_jordan(inverse, p)
+        top[:] = _limb_product(inverse[:, k:], top, p)
+        # in place, in row chunks, so the update's temporaries stay small
+        for start, stop in ((0, r), (r + k, nrows)):
+            for i in range(start, stop, _PANEL):
+                block = m[i:min(i + _PANEL, stop), c0:]
+                block -= _limb_product(block[:, cols], top, p)
+                block %= p
+        pivots.extend(c0 + c for c in cols)
     return m[:len(pivots)], pivots
 
 

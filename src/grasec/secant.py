@@ -196,18 +196,21 @@ def _propagated(spec: varieties.SegreVeroneseSpec, s: int, dim: int, seed: int) 
 
 def classify_secant_range(
     spec: varieties.SegreVeroneseSpec,
-    s_max: int,
+    orders: range,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     primes: tuple[int, ...] = field.DEFAULT_PRIMES,
 ) -> list[SecantReport]:
-    """Reports for s = 1..s_max, computing only what monotonicity cannot fill in.
+    """Reports for each s in ``orders``, computing only what monotonicity cannot fill in.
 
     Two propagation rules: once some secant variety fills the ambient
     space, all larger ones fill; once some secant variety attains the
-    unconstrained maximum s*(n+1) - 1, all smaller ones do too.
+    unconstrained maximum s*(n+1) - 1, all smaller ones do too.  The walk
+    from s = min(max(orders), ceil((r+1)/(n+1))) stops at min(orders).
     """
-    _check_order(spec, 0, s_max)
+    lo, hi = min(orders), max(orders)
+    _check_order(spec, 0, lo)
+    _check_order(spec, 0, hi)
     n, r = spec.dim, spec.ambient_dim
     reports: dict[int, SecantReport] = {}
 
@@ -216,21 +219,21 @@ def classify_secant_range(
         reports[s] = rep
         return rep
 
-    s_pivot = min(s_max, math.ceil((r + 1) / (n + 1)))
+    s_pivot = min(hi, math.ceil((r + 1) / (n + 1)))
     pivot = compute(s_pivot)
 
     propagate_down = pivot.dim == s_pivot * (n + 1) - 1
-    for t in range(s_pivot - 1, 0, -1):
+    for t in range(s_pivot - 1, lo - 1, -1):
         if propagate_down:
             reports[t] = _propagated(spec, t, t * (n + 1) - 1, seed)
         else:
             propagate_down = compute(t).dim == t * (n + 1) - 1
 
     fills = pivot.fills_ambient
-    for t in range(s_pivot + 1, s_max + 1):
+    for t in range(s_pivot + 1, hi + 1):
         if fills:
             reports[t] = _propagated(spec, t, r, seed)
         else:
             fills = compute(t).fills_ambient
 
-    return [reports[s] for s in range(1, s_max + 1)]
+    return [reports[s] for s in orders]

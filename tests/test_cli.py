@@ -3,10 +3,11 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
-from grasec import cli
+from grasec import cli, secant
 from grasec.errors import BudgetExceededError, InconsistencyError, SamplingError
 
 
@@ -41,6 +42,22 @@ class TestSecantCommand:
         payload = run_json(capsys, "secant", "--spec", "2,2", "--s", "1..3")
         dims = [rep["dim"] for rep in payload["results"]]
         assert dims == [4, 7, 8]
+
+    def test_s_range_computes_no_order_below_it(self, capsys, monkeypatch):
+        # the walk starts at s = 2 on 2,2 (r = 8, n = 4); s = 3 fills, so
+        # s = 4, 5 are propagated and s = 1 is never needed
+        full = run_json(capsys, "secant", "--spec", "2,2", "--s", "1..5")["results"]
+        calls = []
+        real = secant.secant_dim
+
+        def counting(spec, s, **kwargs):
+            calls.append(s)
+            return real(spec, s, **kwargs)
+
+        monkeypatch.setattr(secant, "secant_dim", counting)
+        payload = run_json(capsys, "secant", "--spec", "2,2", "--s", "4..5")
+        assert calls == [2, 3]
+        assert payload["results"] == full[3:]
 
     def test_schema_fields(self, capsys):
         payload = run_json(capsys, "secant", "--spec", "1,1", "--s", "2")
@@ -115,6 +132,23 @@ class TestReproduceCommand:
         lines = [line for line in out.splitlines() if line]
         assert len(lines) >= 10
         assert all(line.startswith("PASS") for line in lines)
+
+    def test_failed_draw_fails_only_its_rows(self, capsys):
+        # over F_2 every GS coefficient matrix on 2:2 and every witness draw
+        # on 1:3 comes out degenerate; the rest of the catalog still runs
+        code, out, err = run(capsys, "reproduce", "--seed", "0", "--prime", "2")
+        assert code == 2 and err == ""
+        checks = {check["name"]: check for check in json.loads(out)["checks"]}
+        golden = json.loads((Path(__file__).parent / "golden" / "reproduce_seed0.txt").read_text())
+        assert list(checks) == [check["name"] for check in golden["checks"]]
+        for name in ("slice-map-dimension-identity-grid", "defect-transfer-grid"):
+            assert checks[name]["status"] == "FAIL"
+            assert checks[name]["computed"] == {
+                "error": "degenerate coefficient matrix for GS on 2:2"
+            }
+        assert checks["slice-map-containment-and-scaling"]["computed"] == {
+            "error": "could not sample an independent secant witness on 1:3"
+        }
 
 
 class TestExitCodes:

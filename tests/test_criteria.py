@@ -14,7 +14,7 @@ def _classify_to_generic_rank(spec, **budget):
     """The filling order by generic_rank search, then the range classification, for k = r - n."""
     seg = prepend_projective_factor(spec, spec.ambient_dim - spec.dim)
     fill = secant.generic_rank(seg, **budget)
-    reports = secant.classify_secant_range(seg, fill, **budget)
+    reports = secant.classify_secant_range(seg, range(1, fill + 1), **budget)
     for rep in reports:
         if rep.defect != 0:
             raise InconsistencyError(

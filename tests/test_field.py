@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grasec import field
+import reference
+from grasec import field, secant, varieties
 
 P = field.DEFAULT_PRIME
 
@@ -118,6 +119,112 @@ class TestMatmulMod:
         b = [[P - 1], [P - 2], [P - 3]]
         expected = ((P - 1) ** 2 + (P - 2) ** 2 + (P - 3) ** 2) % P
         assert field.matmul_mod(a, b, P).tolist() == [[expected]]
+
+
+_PRIMES = pytest.mark.parametrize("q", [2, 3, 5, 7, P])
+
+
+class TestLimbProduct:
+    """matmul_mod sums float64 limb products _PANEL inner terms at a time."""
+
+    @pytest.mark.parametrize("depth", [64, 65, 128, 200])
+    def test_all_entries_p_minus_one(self, depth):
+        a, b = [[P - 1] * depth] * 3, [[P - 1] * 2] * depth
+        expected = depth * (P - 1) ** 2 % P
+        assert field.matmul_mod(a, b, P).tolist() == [[expected] * 2] * 3
+
+    @pytest.mark.parametrize("depth", [64, 127])
+    def test_largest_odd_limb_products(self, depth):
+        # low limb 2**16 - 1 times an odd entry: 127 such terms sum to an odd
+        # number above 2**53, which no float64 holds, so a panel wider than
+        # 64 could not be exact
+        a, b = [[0x7FFEFFFF] * depth], [[P - 2]] * depth
+        assert 127 * 0xFFFF * (P - 2) > 2**53
+        assert field.matmul_mod(a, b, P).tolist() == [[depth * 0x7FFEFFFF * (P - 2) % P]]
+
+    @_PRIMES
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 200), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_matches_python_integers_at_any_depth(self, q, rows, depth, cols, seed):
+        rng = np.random.default_rng(seed)
+        # entries from the top of the range stress the 2**53 bound
+        a = q - 1 - rng.integers(0, min(q, 2**16), (rows, depth))
+        b = q - 1 - rng.integers(0, min(q, 2**16), (depth, cols))
+        expected = (a.astype(object) @ b.astype(object)) % q
+        assert field.matmul_mod(a, b, q).tolist() == expected.tolist()
+
+
+def _one_panel(rows, q):
+    """The per-column loop over the whole matrix, which the blocked route must match."""
+    m = field.as_matrix(rows, q)
+    pivots = field._gauss_jordan(m, q)[0]
+    return m[:len(pivots)], pivots
+
+
+@st.composite
+def _blocked_matrices(draw, q, max_rows, max_cols):
+    """Matrices over F_q wider than the blocking cutoff: X @ Y mod q of any rank, tall or
+    wide, optionally with an all-zero panel and with duplicated rows."""
+    nrows = draw(st.integers(1, max_rows))
+    ncols = draw(st.integers(field._BLOCKED_ABOVE + 1, max_cols))
+    rank = draw(st.integers(0, min(nrows, ncols)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = field.matmul_mod(rng.integers(0, q, (nrows, rank)), rng.integers(0, q, (rank, ncols)), q)
+    if draw(st.booleans()):
+        start = draw(st.sampled_from(range(0, ncols, field._PANEL)))
+        m[:, start:start + field._PANEL] = 0
+    if draw(st.booleans()):
+        m = m[rng.integers(0, nrows, nrows)]
+    return m
+
+
+class TestBlockedEchelon:
+    @_PRIMES
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_matches_one_panel_loop(self, q, data):
+        m = data.draw(_blocked_matrices(q, max_rows=300, max_cols=400))
+        basis, pivots = field._echelon(m, q)
+        expected_basis, expected_pivots = _one_panel(m, q)
+        assert pivots == expected_pivots
+        assert basis.dtype.name == "int64"
+        assert np.array_equal(basis, expected_basis)
+
+    @_PRIMES
+    @settings(max_examples=4, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference(self, q, data):
+        m = data.draw(_blocked_matrices(q, max_rows=60, max_cols=260))
+        expected, pivots = reference.rref(m.tolist(), q)
+        assert field.rref(m, q).tolist() == expected
+        assert field.matrix_rank(m, q) == len(pivots)
+
+    def test_full_and_empty_panels(self):
+        # panel 0 finds 64 pivots, panel 1 none, panels 2 and 3 the other 86
+        rng = np.random.default_rng(3)
+        m = rng.integers(0, P, (150, 300))
+        m[:, 64:128] = 0
+        basis, pivots = field._echelon(m, P)
+        assert pivots == list(range(64)) + list(range(128, 214))
+        expected_basis, _ = _one_panel(m, P)
+        assert np.array_equal(basis, expected_basis)
+
+    @pytest.mark.parametrize("text,s,rank", [
+        ("4,4,4", 10, 125),
+        ("2,2,2,2,2", 22, 242),
+        ("1,1,1,1,1,1,1,1,1", 52, 512),
+        ("4,4,4,4", 36, 612),
+    ])
+    def test_secant_scale_frame_stacks(self, text, s, rank):
+        spec = varieties.SegreVeroneseSpec.parse(text)
+        rng = random.Random(secant.subseed(0, 0, P))
+        points = [varieties.random_parameter_point(spec, rng, P) for _ in range(s)]
+        rows = np.vstack([varieties.tangent_frame(spec, u, P) for u in points])
+        basis, pivots = field._echelon(rows, P)
+        assert len(pivots) == rank
+        expected_basis, expected_pivots = _one_panel(rows, P)
+        assert pivots == expected_pivots
+        assert np.array_equal(basis, expected_basis)
 
 
 def test_dual_evaluate_matches_scalar_monomials():

@@ -57,7 +57,11 @@ class TestSecantDim:
         with pytest.raises(ValueError):
             secant.secant_dim(PENCILS, 3, **budget)
 
-    @pytest.mark.parametrize("route", [secant.secant_dim, secant.classify_secant_range])
+    @pytest.mark.parametrize("route", [
+        secant.secant_dim,
+        pytest.param(lambda spec, s: secant.classify_secant_range(spec, range(1, s + 1)),
+                     id="classify_secant_range"),
+    ])
     def test_order_above_r_plus_one_rejected_before_sampling(self, route, monkeypatch):
         # 2x2 matrices have r = 3: sigma_4 fills P^3 and s = 5 says nothing new
         matrices = SegreVeroneseSpec.parse("1,1")
@@ -114,27 +118,27 @@ class TestGenericRank:
 
 class TestClassifyRange:
     def test_fill_propagates_upward(self):
-        reports = secant.classify_secant_range(PENCILS, 8)
+        reports = secant.classify_secant_range(PENCILS, range(1, 9))
         assert [rep.s for rep in reports] == list(range(1, 9))
         assert reports[6].propagated and reports[7].propagated
         assert reports[6].dim == reports[7].dim == 31
         assert reports[6].trials_used == 0 and reports[6].primes_used == ()
 
     def test_nondefective_propagates_downward(self):
-        reports = secant.classify_secant_range(PENCILS, 8)
+        reports = secant.classify_secant_range(PENCILS, range(1, 9))
         for rep in reports[:5]:
             assert rep.defect == 0
         # s <= 4 are filled in by monotonicity from the computed s = 5
         assert all(rep.propagated for rep in reports[:4])
 
     def test_defective_entry_forces_computation(self):
-        reports = secant.classify_secant_range(SegreVeroneseSpec.parse("2,2"), 3)
+        reports = secant.classify_secant_range(SegreVeroneseSpec.parse("2,2"), range(1, 4))
         assert [rep.defect for rep in reports] == [0, 1, 0]
         assert not any(rep.propagated for rep in reports)
 
     def test_propagated_dims_match_direct_computation(self):
         spec = SegreVeroneseSpec.parse("1,1,1")
-        for rep in secant.classify_secant_range(spec, 4):
+        for rep in secant.classify_secant_range(spec, range(1, 5)):
             direct = secant.secant_dim(spec, rep.s)
             assert rep.dim == direct.dim
 
