@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from . import __version__, criteria, field, grassec, reproduce, secant, varieties
@@ -47,18 +46,13 @@ def _parse_s_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("GRASEC_SEED", "0"))
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--prime", type=int, action="append", default=None,
         help="field modulus; may be repeated (default: both built-in primes)",
     )
     parser.add_argument("--trials", type=int, default=secant.DEFAULT_TRIALS)
-    parser.add_argument("--seed", type=int, default=None,
-                        help="random seed (default: $GRASEC_SEED or 0)")
+    parser.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
     parser.add_argument("--output", choices=("json", "csv", "text"), default="json")
 
 
@@ -192,8 +186,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.seed is None:
-            args.seed = _default_seed()
         args.primes = tuple(args.prime) if args.prime else field.DEFAULT_PRIMES
 
         handlers = {

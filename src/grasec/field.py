@@ -4,7 +4,8 @@ Everything downstream reduces to matrix ranks over F_p, so this module is
 deliberately small: dense integer matrices reduced mod p, one reduced
 row-echelon kernel (:func:`_echelon`) behind every rank, echelon form,
 row-space basis and containment test, evaluation of monomial tables at a
-point (the value and first partials of a Veronese vector in one call), and
+stack of points (the values and first partials of a Veronese vector at
+every point in one call), and
 maximal minors of small matrices (Pluecker coordinates).  Every modulus
 is checked to be a prime below 2**31.
 
@@ -213,23 +214,25 @@ def subspace_contains(span_rows, candidate_rows, p: int) -> bool:
 
 
 def dual_evaluate(x, exponents: np.ndarray, coeffs: np.ndarray, p: int) -> np.ndarray:
-    """Entrywise ``coeffs * x**exponents`` mod p, for a table of monomials.
+    """Entrywise ``coeffs * x**exponents`` mod p, for a table of monomials at a stack of points.
 
-    ``exponents`` has shape ``coeffs.shape + (len(x),)``.  Given the power-rule
-    table of a Veronese vector (entry 0 the vector, entry 1 + j its partials
-    a_j * x^(a - e_j)), this is the evaluation at x + eps*e_j for every j at
-    once: entry 0 is the value part, entry 1 + j the eps part.  Entries are
-    reduced after every product, which keeps the int64 arithmetic exact.
+    ``x`` holds one point per row, ``exponents`` has shape ``coeffs.shape +
+    (x.shape[1],)``, and the result has shape ``(len(x),) + coeffs.shape``.
+    Given the power-rule table of a Veronese vector (entry 0 the vector,
+    entry 1 + j its partials a_j * x^(a - e_j)), this is the evaluation at
+    x + eps*e_j for every j at once: entry 0 is the value part, entry 1 + j
+    the eps part.  Entries are reduced after every product, which keeps the
+    int64 arithmetic exact.
     """
     _check_modulus(p)
     x = np.asarray(x, dtype=np.int64) % p
     top = int(exponents.max(initial=0))
-    powers = np.ones((len(x), top + 1), dtype=np.int64)
+    powers = np.ones(x.shape + (top + 1,), dtype=np.int64)
     for e in range(1, top + 1):
-        powers[:, e] = powers[:, e - 1] * x % p
+        powers[..., e] = powers[..., e - 1] * x % p
     out = np.asarray(coeffs, dtype=np.int64) % p
-    for j in range(len(x)):
-        out = out * powers[j, exponents[..., j]] % p
+    for j in range(x.shape[-1]):
+        out = out * powers[..., j, exponents[..., j]] % p
     return out
 
 

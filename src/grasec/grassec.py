@@ -91,7 +91,7 @@ def _direct_rank(
 ) -> int:
     for _ in range(_MAX_RESAMPLES):
         points = [varieties.random_parameter_point(spec, rng, p) for _ in range(s)]
-        frames = np.stack([varieties.tangent_frame(spec, u, p) for u in points])
+        frames = varieties.tangent_frame(spec, points, p)
         lam = field.as_matrix(
             [[rng.randrange(p) for _ in range(s)] for _ in range(w + 1)], p
         )

@@ -113,7 +113,7 @@ def random_secant_point(
     secant._check_order(spec, k, s)
     for _ in range(_MAX_RESAMPLES):
         points = [varieties.random_parameter_point(spec, rng, p) for _ in range(s)]
-        embedded = [varieties.embed(spec, u, p) for u in points]
+        embedded = varieties.tangent_frame(spec, points, p)[:, 0].tolist()
         # s <= r+1 generic points must be independent; otherwise resample
         if field.matrix_rank(embedded, p) < s:
             continue
@@ -127,7 +127,7 @@ def random_secant_point(
         tensor = assemble_tensor(lambdas, embedded, p)
         return SecantWitness(
             lambdas=tuple(lambdas),
-            embedded_points=tuple(tuple(v for v in row) for row in embedded),
+            embedded_points=tuple(map(tuple, embedded)),
             tensor=tensor,
         )
     raise SamplingError(f"could not sample an independent secant witness on {spec}")
@@ -136,13 +136,20 @@ def random_secant_point(
 def enumerate_variety_points(spec: varieties.SegreVeroneseSpec, q: int) -> np.ndarray:
     """All F_q-points of the embedded variety, one row each, in sorted order.
 
-    The embedding of a normalized parameter point is already normalized
-    (first nonzero coordinate 1) and determines the point, so the rows are
-    canonical and pairwise distinct; see the frame invariant in
+    Each factor contributes every point of P^{n_i}(F_q) once, scaled to
+    first nonzero coordinate 1; row 0 of one :func:`varieties.tangent_frame`
+    call over all their products embeds them.  The embedding of a normalized
+    parameter point is already normalized and determines the point, so the
+    rows are canonical and pairwise distinct; see the frame invariant in
     :mod:`grasec.varieties`.
     """
-    points = varieties.enumerate_parameter_points(spec, q)
-    return field.as_matrix(sorted(varieties.embed(spec, u, q) for u in points), q)
+    def factor_points(n: int) -> list[tuple[int, ...]]:
+        return [(0,) * pivot + (1,) + tail
+                for pivot in range(n + 1)
+                for tail in itertools.product(range(q), repeat=n - pivot)]
+
+    points = list(itertools.product(*(factor_points(n) for n, _ in spec.factors)))
+    return field.as_matrix(sorted(varieties.tangent_frame(spec, points, q)[:, 0].tolist()), q)
 
 
 def count_decompositions(

@@ -17,8 +17,6 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import field, varieties
 from .errors import InconsistencyError
 
@@ -92,7 +90,7 @@ def terracini_rank(
 ) -> int:
     """Rank of the s stacked tangent frames at random points, minus one."""
     points = [varieties.random_parameter_point(spec, rng, p) for _ in range(s)]
-    rows = np.vstack([varieties.tangent_frame(spec, u, p) for u in points])
+    rows = varieties.tangent_frame(spec, points, p).reshape(-1, spec.ambient_dim + 1)
     return field.matrix_rank(rows, p) - 1
 
 

@@ -11,10 +11,12 @@ ambient vector into k+1 consecutive slices of length r+1.
 Parameter points are plain nested tuples: one coordinate tuple of length
 n_i + 1 per factor, each nonzero mod p.
 
-Embeddings and tangent frames come from one builder, :func:`tangent_frame`:
-the ambient vector is the Kronecker product of the per-factor Veronese
+Embeddings and tangent frames come from one builder, :func:`tangent_frame`,
+which takes a list of points and returns their frames as one stack: the
+ambient vector is the Kronecker product of the per-factor Veronese
 vectors, and a tangent direction of factor i swaps in that factor's
 partial derivative, whose entries follow the power rule a_j * x^(a - e_j).
+Each factor's values and partials are evaluated at all points at once.
 
 Frame invariant: every tangent frame has rank n + 1 over every prime.  With
 x_p the pivot (first nonzero coordinate) of each factor, the columns where
@@ -28,11 +30,9 @@ that determines the point.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -141,35 +141,40 @@ def _power_rule(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return exponents, coeffs
 
 
-def tangent_frame(spec: SegreVeroneseSpec, point: ParameterPoint, p: int) -> np.ndarray:
-    """Embedding of ``point`` (row 0) and its n affine-chart partials, reduced mod p.
+def tangent_frame(spec: SegreVeroneseSpec, points: list[ParameterPoint], p: int) -> np.ndarray:
+    """Frames of ``points``, an int64 stack of shape (len(points), n + 1, r + 1), mod p.
 
-    Per factor the partials run over the coordinates other than the pivot
-    (first nonzero) one, which gives rank n + 1 over every prime: the
-    module's frame invariant.  Every row is the Kronecker product over
-    factors of the factor's Veronese vector, except that the factor owning
-    the row's direction contributes its partial instead; entries are reduced
-    after every product, which keeps the int64 arithmetic exact for p < 2**31.
+    Row 0 of each frame is the embedded point and rows 1..n its affine-chart
+    partials: per factor they run over the coordinates other than that
+    point's pivot (first nonzero) one, which gives rank n + 1 over every
+    prime, the module's frame invariant.  Every row is the Kronecker product
+    over factors of the factor's Veronese vector, except that the factor
+    owning the row's direction contributes its partial instead; entries are
+    reduced after every product, which keeps the int64 arithmetic exact for
+    p < 2**31.
     """
-    flat = _flatten(spec, point, p)
-    x = field.as_matrix(flat, p)[0]
+    flat = np.array([_flatten(spec, u, p) for u in points], dtype=np.int64)
     nrows = spec.dim + 1
-    frame = np.ones((nrows, 1), dtype=np.int64)
+    frames = np.ones((len(points), nrows, 1), dtype=np.int64)
     row = 1
     for (n, d), off in zip(spec.factors, spec.factor_offsets()):
-        block = field.dual_evaluate(x[off:off + n + 1], *_power_rule(n, d), p)
-        pivot = next(j for j in range(n + 1) if flat[off + j])
-        # row 0 and the rows of the other factors take the Veronese vector
-        pick = np.zeros(nrows, dtype=np.int64)
-        pick[row:row + n] = [1 + j for j in range(n + 1) if j != pivot]
+        x = flat[:, off:off + n + 1]
+        block = field.dual_evaluate(x, *_power_rule(n, d), p)
+        # partial 1 + j + (j >= pivot) is the j-th non-pivot one; row 0 and
+        # the rows of the other factors take the Veronese vector (entry 0)
+        pick = np.zeros((len(points), nrows, 1), dtype=np.int64)
+        j = np.arange(n)
+        pick[:, row:row + n, 0] = 1 + j + (j >= (x != 0).argmax(axis=1)[:, None])
         row += n
-        frame = (frame[:, :, None] * block[pick][:, None, :] % p).reshape(nrows, -1)
-    return frame
+        frames = frames[..., None] * np.take_along_axis(block, pick, axis=1)[:, :, None, :]
+        frames %= p  # in place: the product is the largest array built here
+        frames = frames.reshape(len(points), nrows, -1)
+    return frames
 
 
 def embed(spec: SegreVeroneseSpec, point: ParameterPoint, p: int) -> list[int]:
     """Ambient coordinates of the embedded point, length r + 1."""
-    return tangent_frame(spec, point, p)[0].tolist()
+    return tangent_frame(spec, [point], p)[0, 0].tolist()
 
 
 def random_parameter_point(
@@ -184,20 +189,3 @@ def random_parameter_point(
                 break
         point.append(coords)
     return tuple(point)
-
-
-def enumerate_parameter_points(spec: SegreVeroneseSpec, q: int) -> Iterator[ParameterPoint]:
-    """All F_q-rational parameter points, one canonical representative each.
-
-    Projective normalization: first nonzero coordinate equal to 1.
-    """
-    def factor_points(n: int) -> list[tuple[int, ...]]:
-        pts = []
-        for pivot in range(n + 1):
-            free = n - pivot
-            for tail in itertools.product(range(q), repeat=free):
-                pts.append((0,) * pivot + (1,) + tail)
-        return pts
-
-    per_factor = [factor_points(n) for n, _ in spec.factors]
-    yield from itertools.product(*per_factor)

@@ -43,9 +43,10 @@ class TestSecantCommand:
         dims = [rep["dim"] for rep in payload["results"]]
         assert dims == [4, 7, 8]
 
-    def test_s_range_computes_no_order_below_it(self, capsys, monkeypatch):
-        # the walk starts at s = 2 on 2,2 (r = 8, n = 4); s = 3 fills, so
-        # s = 4, 5 are propagated and s = 1 is never needed
+    def test_s_range_walks_up_from_an_order_below_it(self, capsys, monkeypatch):
+        # the walk starts at s = 2 on 2,2 (r = 8, n = 4), below the range
+        # 4..5; s = 3 fills, so s = 4, 5 are propagated, s = 1 is never
+        # needed, and the rows are those of the full range
         full = run_json(capsys, "secant", "--spec", "2,2", "--s", "1..5")["results"]
         calls = []
         real = secant.secant_dim
@@ -204,16 +205,6 @@ class TestDeterminism:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
-
-    def test_seed_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("GRASEC_SEED", "99")
-        payload = run_json(capsys, "secant", "--spec", "1,1", "--s", "2")
-        assert payload["config"]["seed"] == 99
-
-    def test_explicit_seed_wins(self, capsys, monkeypatch):
-        monkeypatch.setenv("GRASEC_SEED", "99")
-        payload = run_json(capsys, "secant", "--spec", "1,1", "--s", "2", "--seed", "3")
-        assert payload["config"]["seed"] == 3
 
 
 class TestOutputFormats:

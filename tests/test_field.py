@@ -219,7 +219,7 @@ class TestBlockedEchelon:
         spec = varieties.SegreVeroneseSpec.parse(text)
         rng = random.Random(secant.subseed(0, 0, P))
         points = [varieties.random_parameter_point(spec, rng, P) for _ in range(s)]
-        rows = np.vstack([varieties.tangent_frame(spec, u, P) for u in points])
+        rows = varieties.tangent_frame(spec, points, P).reshape(-1, spec.ambient_dim + 1)
         basis, pivots = field._echelon(rows, P)
         assert len(pivots) == rank
         expected_basis, expected_pivots = _one_panel(rows, P)
@@ -230,14 +230,15 @@ class TestBlockedEchelon:
 def test_dual_evaluate_matches_scalar_monomials():
     rng = random.Random(5)
     for p in (P, 5, 7):
-        x = [rng.randrange(p) for _ in range(3)]
+        points = [[rng.randrange(p) for _ in range(3)] for _ in range(4)]
         exponents = np.array([[rng.randrange(4) for _ in range(3)] for _ in range(6)])
         coeffs = np.array([rng.randrange(-p, p) for _ in range(6)])
         expected = [
-            int(c) * pow(x[0], int(a), p) * pow(x[1], int(b), p) * pow(x[2], int(e), p) % p
-            for c, (a, b, e) in zip(coeffs, exponents)
+            [int(c) * pow(x[0], int(a), p) * pow(x[1], int(b), p) * pow(x[2], int(e), p) % p
+             for c, (a, b, e) in zip(coeffs, exponents)]
+            for x in points
         ]
-        assert field.dual_evaluate(x, exponents, coeffs, p).tolist() == expected
+        assert field.dual_evaluate(points, exponents, coeffs, p).tolist() == expected
 
 
 class TestMaximalMinors:

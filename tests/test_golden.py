@@ -25,7 +25,6 @@ CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_stdout_matches_golden(name, capsys, monkeypatch):
-    monkeypatch.delenv("GRASEC_SEED", raising=False)
+def test_stdout_matches_golden(name, capsys):
     cli.main(CASES[name])
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
