@@ -2,12 +2,12 @@
 
 Everything downstream reduces to matrix ranks over F_p, so this module is
 deliberately small: dense integer matrices reduced mod p, one reduced
-row-echelon kernel (:func:`_echelon`) behind every rank, echelon form,
-row-space basis and containment test, evaluation of monomial tables at a
-stack of points (the values and first partials of a Veronese vector at
-every point in one call), and
-maximal minors of small matrices (Pluecker coordinates).  Every modulus
-is checked to be a prime below 2**31.
+row-echelon kernel (:func:`_echelon`) behind every rank, echelon form and
+row-space basis, a stacked elimination (:func:`_stacked_pivots`) behind
+the containment test, evaluation of monomial tables at a stack of points
+(the values and first partials of a Veronese vector at every point in one
+call), and maximal minors of small matrices (Pluecker coordinates).  Every
+modulus is checked to be a prime below 2**31.
 
 Matrices are numpy int64 arrays.  With p < 2**31 every product of two
 reduced entries, and every difference of two such products, stays inside
@@ -19,12 +19,22 @@ below 64 * 2**16 * 2**31 = 2**53, where float64 is exact.  Beyond 128
 columns :func:`_echelon` is blocked the same way (the delayed reduction of
 FFLAS-FFPACK): 64-column panels go through the per-column loop, and one
 limb product per panel clears its pivot columns from all other rows.
+
+:func:`subspace_contains` takes a whole stack of spans, e.g. every
+s-subset of X(F_q) at once, and eliminates all of them in one per-column
+loop vectorized over the stack (:func:`_stacked_pivots`).  That loop is
+kept apart from :func:`_gauss_jordan` on purpose: run on a stack of one
+it takes about 2.3 times as long (15 x 15: 322 vs 138 us; 60 x 35: 1595
+vs 730 us; a 612 x 64 panel of a blocked rank: 24.2 vs 12.1 ms, at
+p = 2**31 - 1 on a 2-vCPU Xeon), and the 2-D loop is most of the time of
+every rank computation.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -198,19 +208,61 @@ def row_space_basis(rows, p: int) -> np.ndarray:
     return _echelon(rows, p)[0]
 
 
-def subspace_contains(span_rows, candidate_rows, p: int) -> bool:
+def _stacked_pivots(m: np.ndarray, p: int) -> np.ndarray:
+    """Pivot rows of a stack of matrices (B, rows, cols) over F_p, as a (B, rows) mask.
+
+    Reduces ``m`` (entries in [0, p)) in place, one column at a time for the
+    whole stack.  At column c each matrix takes its first non-pivot row with
+    a nonzero entry as pivot row (a masked ``argmax``), then scales its other
+    non-pivot rows by that entry and subtracts multiples of the pivot row:
+    two products of residues per entry, exact in int64, and no inverse.  A
+    matrix with no such row is left unchanged.  The loop stops once every
+    non-pivot row is zero.
+
+    The pivot rows number the rank.  Because a pivot row is always the
+    first eligible one, a later pivot row finds the first t non-pivot rows
+    zero in its column and only rescales them by a unit, so the pivot rows
+    among the first t rows number their rank, for every t.
+    """
+    nmat, nrows, ncols = m.shape
+    batch = np.arange(nmat)
+    pivot = np.zeros((nmat, nrows), dtype=bool)
+    for c in range(ncols):
+        free = ~pivot & (m[:, :, c] != 0)
+        i = free.argmax(axis=1)
+        found = free[batch, i]
+        pivot[batch, i] |= found
+        top = m[batch, i, c:]
+        factors = np.where(pivot, 0, m[:, :, c])
+        right = m[:, :, c:]
+        right *= np.where(found, top[:, 0], 1)[:, None, None]
+        right -= factors[:, :, None] * top[:, None]
+        right %= p
+        if not right[~pivot].any():
+            break
+    return pivot
+
+
+def subspace_contains(span_rows, candidate_rows, p: int) -> bool | np.ndarray:
     """True iff every row of ``candidate_rows`` lies in the row space of ``span_rows``.
 
-    The candidates are reduced by the RREF basis of the span, pivot by
-    pivot; they lie in the span iff nothing is left.
+    ``span_rows`` may be a stack of spans, shape ``(..., s, c)``, tested
+    against the same candidates; the result is then a bool array of shape
+    ``(...)``, and a plain bool for a single (2-D) span.  A span contains
+    the candidates iff rank(span ; candidates) == rank(span), that is iff
+    no candidate row becomes a pivot row of the stacked (span ; candidates)
+    matrix, see :func:`_stacked_pivots`.
     """
-    basis, pivots = _echelon(span_rows, p)
     cand = as_matrix(candidate_rows, p)
-    if cand.shape[1] != basis.shape[1]:
+    span = np.asarray(span_rows, dtype=np.int64)
+    *stack, s, width = span.shape
+    if width != cand.shape[1]:
         raise ValueError("span and candidate rows have different lengths")
-    for row, c in zip(basis, pivots):
-        cand = (cand - cand[:, c, None] * row) % p
-    return not cand.any()
+    m = np.empty((math.prod(stack), s + len(cand), width), dtype=np.int64)
+    m[:, :s] = span.reshape(-1, s, width) % p
+    m[:, s:] = cand
+    contained = ~_stacked_pivots(m, p)[:, s:].any(axis=1)
+    return bool(contained[0]) if not stack else contained.reshape(stack)
 
 
 def dual_evaluate(x, exponents: np.ndarray, coeffs: np.ndarray, p: int) -> np.ndarray:

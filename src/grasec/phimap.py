@@ -27,6 +27,8 @@ from .errors import BudgetExceededError, SamplingError
 
 DEFAULT_ENUMERATION_BUDGET = 10**8
 _MAX_RESAMPLES = 5
+# int64 entries of one chunk's stack of (subset ; target) matrices
+_CHUNK_ENTRIES = 2**19
 
 
 @dataclass(frozen=True)
@@ -136,20 +138,25 @@ def random_secant_point(
 def enumerate_variety_points(spec: varieties.SegreVeroneseSpec, q: int) -> np.ndarray:
     """All F_q-points of the embedded variety, one row each, in sorted order.
 
-    Each factor contributes every point of P^{n_i}(F_q) once, scaled to
-    first nonzero coordinate 1; row 0 of one :func:`varieties.tangent_frame`
-    call over all their products embeds them.  The embedding of a normalized
-    parameter point is already normalized and determines the point, so the
-    rows are canonical and pairwise distinct; see the frame invariant in
-    :mod:`grasec.varieties`.
+    Each factor evaluates its Veronese vector (entry 0 of the power-rule
+    table) at every point of P^{n_i}(F_q), scaled to first nonzero
+    coordinate 1; the row-wise Kronecker product of these tables, first
+    factor major as in :mod:`grasec.varieties`, embeds every product point.
+    The embedding of a normalized parameter point is already normalized and
+    determines the point, so the rows are canonical and pairwise distinct;
+    see the frame invariant in :mod:`grasec.varieties`.
     """
-    def factor_points(n: int) -> list[tuple[int, ...]]:
-        return [(0,) * pivot + (1,) + tail
-                for pivot in range(n + 1)
-                for tail in itertools.product(range(q), repeat=n - pivot)]
-
-    points = list(itertools.product(*(factor_points(n) for n, _ in spec.factors)))
-    return field.as_matrix(sorted(varieties.tangent_frame(spec, points, q)[:, 0].tolist()), q)
+    rows = np.ones((1, 1), dtype=np.int64)
+    for n, d in spec.factors:
+        x = [(0,) * pivot + (1,) + tail
+             for pivot in range(n + 1)
+             for tail in itertools.product(range(q), repeat=n - pivot)]
+        exponents, coeffs = varieties._power_rule(n, d)
+        values = field.dual_evaluate(x, exponents[0], coeffs[0], q)
+        rows = rows[:, None, :, None] * values[None, :, None, :]
+        rows %= q
+        rows = rows.reshape(rows.shape[0] * rows.shape[1], -1)
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def count_decompositions(
@@ -163,7 +170,9 @@ def count_decompositions(
     For a subspace target this is direct containment.  For a tensor target
     it is the reduced decomposition count: once the X-points are fixed,
     suitable coefficient points of P^k exist exactly when every slice lies
-    in the span of the chosen points, a linear solvability test.
+    in the span of the chosen points, a linear solvability test.  After the
+    budget check the s-subsets are tested in chunks, one stacked
+    :func:`field.subspace_contains` call per chunk.
     """
     q = target.p
     if q not in (2, 3, 5, 7):
@@ -175,7 +184,12 @@ def count_decompositions(
         raise BudgetExceededError(f"{total} span tests exceed the budget of {budget}")
     points = enumerate_variety_points(spec, q)
     rows = field.as_matrix(target.basis if isinstance(target, PluckerPoint) else target.slices, q)
-    return sum(
-        field.subspace_contains(points[list(idx)], rows, q)
-        for idx in itertools.combinations(range(npoints), s)
-    )
+    chunk = max(1, _CHUNK_ENTRIES // ((s + len(rows)) * points.shape[1]))
+    subsets = itertools.combinations(range(npoints), s)
+    count = 0
+    for start in range(0, total, chunk):
+        size = min(chunk, total - start)
+        flat = itertools.chain.from_iterable(itertools.islice(subsets, size))
+        idx = np.fromiter(flat, dtype=np.int64, count=size * s).reshape(size, s)
+        count += int(field.subspace_contains(points[idx], rows, q).sum())
+    return count

@@ -13,6 +13,9 @@
 * :func:`variety_points` lists X(F_q) by embedding every nonzero
   parameter vector, scaling each row to first nonzero coordinate 1 and
   removing duplicates.
+* :func:`count_decompositions` tests every s-subset of those points on
+  its own: its span contains the target rows iff adding them keeps the
+  rank.
 """
 
 from __future__ import annotations
@@ -108,6 +111,15 @@ def variety_points(spec: varieties.SegreVeroneseSpec, q: int) -> list[list[int]]
         inv = pow(next(v for v in vec if v), -1, q)
         seen.add(tuple(v * inv % q for v in vec))
     return [list(v) for v in sorted(seen)]
+
+
+def count_decompositions(spec: varieties.SegreVeroneseSpec, s: int, rows, q: int) -> int:
+    """Number of s-subsets of X(F_q) whose span contains every row of ``rows``."""
+    rows = [list(row) for row in rows]
+    return sum(
+        rank(subset, q) == rank(list(subset) + rows, q)
+        for subset in itertools.combinations(variety_points(spec, q), s)
+    )
 
 
 def _minors_derivative(m: list[list[int]], dm: list[list[int]], p: int) -> list[int]:

@@ -16,17 +16,19 @@ P = field.DEFAULT_PRIME
 
 
 @st.composite
-def _matrices(draw, q: int, max_side: int = 8):
-    """Random, zero, duplicate-row or low-rank matrices over F_q, any shape up to max_side."""
-    nrows, ncols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+def _matrices(draw, q: int, max_side: int = 8, shape: tuple[int, int] | None = None):
+    """Random, zero, duplicate-row or low-rank matrices over F_q, of ``shape`` or any up to max_side."""
+    if shape is None:
+        shape = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    nrows, ncols = shape
     entry = st.integers(-q, 2 * q)
     kind = draw(st.sampled_from(["random", "zero", "duplicate", "low_rank"]))
     if kind == "zero":
         return [[0] * ncols for _ in range(nrows)]
-    base = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
-                         min_size=1, max_size=nrows if kind == "random" else 3))
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
     if kind == "random":
-        return base
+        return draw(st.lists(row, min_size=nrows, max_size=nrows))
+    base = draw(st.lists(row, min_size=1, max_size=3))
     if kind == "duplicate":
         picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=nrows, max_size=nrows))
         return [list(base[i]) for i in picks]
@@ -55,9 +57,12 @@ def test_elimination_matches_reference(data):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_containment_matches_reference(data):
+    # a stack of 1-6 spans of one shape against shared candidates: some
+    # rows inside span 0, some anywhere
     q = data.draw(_ELIMINATION_PRIMES)
-    span = data.draw(_matrices(q))
-    ncols = len(span[0])
+    shape = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    spans = data.draw(st.lists(_matrices(q, shape=shape), min_size=1, max_size=6))
+    span, ncols = spans[0], shape[1]
     inside = [[sum(c * row[j] for c, row in zip(cs, span)) % q for j in range(ncols)]
               for cs in data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=len(span),
                                                     max_size=len(span)), max_size=3))]
@@ -66,10 +71,15 @@ def test_containment_matches_reference(data):
     candidates = inside + anywhere
     if not candidates:
         candidates = [[0] * ncols]
-    expected = reference.rank(span, q) == reference.rank(span + candidates, q)
-    assert field.subspace_contains(span, candidates, q) == expected
+    expected = [reference.rank(m, q) == reference.rank(m + candidates, q) for m in spans]
+    stacked = field.subspace_contains(spans, candidates, q)
+    assert stacked.shape == (len(spans),)
+    assert stacked.tolist() == expected
+    single = field.subspace_contains(span, candidates, q)
+    assert type(single) is bool
+    assert single == expected[0]
     if not anywhere:
-        assert expected
+        assert expected[0]
 
 
 def _catalog_specs() -> list[str]:
@@ -122,13 +132,61 @@ def test_every_frame_has_full_rank(text, q):
     _assert_frames_match(spec, list(reference.nonzero_points(spec, q)), q)
 
 
-@pytest.mark.parametrize("text", ["2", "1:2", "2:2", "1:4", "1,1", "1:2,1"])
+@pytest.mark.parametrize("text", ["2", "1:2", "2:2", "1:4", "1,1", "1:2,1", "2:3", "1,1,1"])
 @pytest.mark.parametrize("q", [3, 5])
 def test_enumeration_matches_normalize_and_dedup(text, q):
     spec = SegreVeroneseSpec.parse(text)
     points = phimap.enumerate_variety_points(spec, q).tolist()
     assert points == reference.variety_points(spec, q)
     assert len(points) == math.prod((q ** (n + 1) - 1) // (q - 1) for n, _ in spec.factors)
+
+
+def _spy_stacks(monkeypatch) -> list[int]:
+    """Record the stack length of every containment call ``count_decompositions`` makes."""
+    stacks = []
+
+    def spy(spans, candidates, p):
+        stacks.append(len(spans))
+        return contains(spans, candidates, p)
+
+    contains = field.subspace_contains
+    monkeypatch.setattr(field, "subspace_contains", spy)
+    return stacks
+
+
+def _count_target(spec: SegreVeroneseSpec, s: int, kind: str, rng: random.Random, q: int):
+    """A k = 1 secant point over F_q, as a tensor or as its slice span, and its rows."""
+    witness = phimap.random_secant_point(spec, 1, s, rng, q)
+    if kind == "tensor":
+        return witness.tensor, witness.tensor.slices
+    target = phimap.phi(witness.tensor)
+    return target, target.basis
+
+
+@pytest.mark.parametrize("text,q,s", [("1,1", 5, 2), ("1,1,1", 3, 2), ("2:2", 5, 3), ("1,2", 3, 3)])
+@pytest.mark.parametrize("kind", ["tensor", "subspace"])
+def test_count_matches_per_subset_reference(text, q, s, kind, monkeypatch):
+    spec = SegreVeroneseSpec.parse(text)
+    target, rows = _count_target(spec, s, kind, random.Random(f"{text}:{s}"), q)
+    stacks = _spy_stacks(monkeypatch)
+    count = phimap.count_decompositions(spec, s, target)
+    assert count == reference.count_decompositions(spec, s, rows, q)
+    assert count >= 1  # the witness's own points
+    assert sum(stacks) == math.comb(len(reference.variety_points(spec, q)), s)
+    if text == "1,2":
+        assert len(stacks) > 1  # 22,100 subsets cross a chunk boundary
+
+
+@pytest.mark.parametrize("kind", ["tensor", "subspace"])
+def test_count_over_many_chunks_matches_reference(kind, monkeypatch):
+    # 630 subsets in chunks of 12 (or 16 for a one-row target): the last is ragged
+    monkeypatch.setattr(phimap, "_CHUNK_ENTRIES", 200)
+    spec = SegreVeroneseSpec.parse("1,1")
+    target, rows = _count_target(spec, 2, kind, random.Random(4), 5)
+    stacks = _spy_stacks(monkeypatch)
+    assert phimap.count_decompositions(spec, 2, target) == reference.count_decompositions(spec, 2, rows, 5)
+    assert sum(stacks) == 630
+    assert len(stacks) > 30 and 0 < stacks[-1] < stacks[0]
 
 
 _factor = st.tuples(st.integers(1, 2), st.integers(1, 3))
