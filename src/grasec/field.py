@@ -17,8 +17,10 @@ matrix products (:func:`matmul_mod`) split the left factor into 16-bit
 limbs and multiply in float64, 64 inner terms at a time: such a sum stays
 below 64 * 2**16 * 2**31 = 2**53, where float64 is exact.  Beyond 128
 columns :func:`_echelon` is blocked the same way (the delayed reduction of
-FFLAS-FFPACK): 64-column panels go through the per-column loop, and one
-limb product per panel clears its pivot columns from all other rows.
+FFLAS-FFPACK).  Each 64-column panel finds its pivots with the per-column
+loop on a 128-row head, rerun on the whole panel only when the head misses
+a column; then one limb product, reduced once per entry, clears them from
+all other rows.
 
 :func:`subspace_contains` takes a whole stack of spans, e.g. every
 s-subset of X(F_q) at once, and eliminates all of them in one per-column
@@ -93,19 +95,31 @@ def as_matrix(rows, p: int) -> np.ndarray:
     return m % p
 
 
-def _limb_product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for int64 matrices with entries in [0, p), exactly.
+def _limb_sum(left: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:
+    """acc = (hi @ right mod p) * 2**16 + lo @ right, congruent to left @ right mod p.
 
-    With a = hi * 2**16 + lo, a float64 product of a limb with b over _PANEL
-    inner terms sums at most 64 * (2**16 - 1) * (p - 1) < 2**53, so it is exact.
+    With left = hi * 2**16 + lo (int64, at most _PANEL columns) and float64
+    ``right``, all entries in [0, p), each limb product is below
+    64 * (2**16 - 1) * (p - 1) < 2**53, so exact, and acc < 2**53 + 2**47:
+    block - acc lies in (-2**54, 2**31) for block in [0, p), inside int64.
     """
+    hi = ((left >> 16).astype(np.float64) @ right).astype(np.int64) % p
+    return (hi << 16) + ((left & 0xFFFF).astype(np.float64) @ right).astype(np.int64)
+
+
+def _limb_product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for int64 matrices with entries in [0, p), _PANEL inner terms at a time."""
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     for j in range(0, a.shape[1], _PANEL):
-        left, right = a[:, j:j + _PANEL], b[j:j + _PANEL].astype(np.float64)
-        hi = ((left >> 16).astype(np.float64) @ right).astype(np.int64) % p
-        out += (hi << 16) + ((left & 0xFFFF).astype(np.float64) @ right).astype(np.int64)
+        out += _limb_sum(a[:, j:j + _PANEL], b[j:j + _PANEL].astype(np.float64), p)
         out %= p
     return out
+
+
+def _subtract_product(block: np.ndarray, left: np.ndarray, right: np.ndarray, p: int) -> None:
+    """block <- (block - left @ right) mod p in place, for float64 ``right``; see _limb_sum."""
+    block -= _limb_sum(left, right, p)
+    block %= p
 
 
 def matmul_mod(a, b, p: int) -> np.ndarray:
@@ -152,8 +166,10 @@ def _echelon(rows, p: int) -> tuple[np.ndarray, list[int]]:
     The basis has one row per pivot, each pivot scaled to 1 and alone in
     its column, so equal row spaces give byte-identical bases.  Beyond
     _BLOCKED_ABOVE columns, each _PANEL-column panel of the rows without a
-    pivot yet picks pivot rows and columns C; those rows move up, are
-    scaled by inv(their C columns), and one limb product clears C elsewhere.
+    pivot yet picks pivot rows and columns C, first among 2 * _PANEL of those
+    rows: a pivot in every panel column there leaves none for other rows, or
+    else the search reruns on all.  Those rows move up, are scaled by
+    inv(their C columns), and :func:`_subtract_product` clears C elsewhere.
     """
     m = as_matrix(rows, p)
     nrows, ncols = m.shape
@@ -165,7 +181,9 @@ def _echelon(rows, p: int) -> tuple[np.ndarray, list[int]]:
         r = len(pivots)
         if r == nrows:
             break
-        cols, swaps = _gauss_jordan(m[r:, c0:c0 + _PANEL].copy(), p)
+        cols, swaps = _gauss_jordan(m[r:r + 2 * _PANEL, c0:c0 + _PANEL].copy(), p)
+        if len(cols) < min(_PANEL, ncols - c0) and nrows - r > 2 * _PANEL:
+            cols, swaps = _gauss_jordan(m[r:, c0:c0 + _PANEL].copy(), p)
         if not cols:
             continue
         for a, b in swaps:
@@ -175,12 +193,12 @@ def _echelon(rows, p: int) -> tuple[np.ndarray, list[int]]:
         inverse = np.hstack([top[:, cols], np.eye(k, dtype=np.int64)])
         _gauss_jordan(inverse, p)
         top[:] = _limb_product(inverse[:, k:], top, p)
+        right = top.astype(np.float64)
         # in place, in row chunks, so the update's temporaries stay small
         for start, stop in ((0, r), (r + k, nrows)):
             for i in range(start, stop, _PANEL):
                 block = m[i:min(i + _PANEL, stop), c0:]
-                block -= _limb_product(block[:, cols], top, p)
-                block %= p
+                _subtract_product(block, block[:, cols], right, p)
         pivots.extend(c0 + c for c in cols)
     return m[:len(pivots)], pivots
 

@@ -21,6 +21,7 @@ from . import field, varieties
 from .errors import InconsistencyError
 
 DEFAULT_TRIALS = 3
+MAX_EVALUATIONS = 64  # cap on trials x primes rank evaluations per result
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,9 @@ def _max_rank(
 
     Returns the value and the prime of every rank evaluation that ran, in
     order.  Trial t on prime p draws from ``Random(subseed(seed, t, p))``,
-    so a repeated prime would only rerun the same evaluations and is rejected.
-    A value above ``bound`` contradicts the parameter count and raises.
+    so a repeated prime would only rerun the same evaluations and is rejected,
+    and so is a budget of more than MAX_EVALUATIONS evaluations.  A value
+    above ``bound`` contradicts the parameter count and raises.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -114,6 +116,9 @@ def _max_rank(
         raise ValueError("at least one prime is needed")
     if len(set(primes)) < len(primes):
         raise ValueError(f"each prime may be given once, got {list(primes)}")
+    if trials * len(primes) > MAX_EVALUATIONS:
+        raise ValueError(f"trials x primes = {trials * len(primes)} rank evaluations, "
+                         f"above the cap of {MAX_EVALUATIONS}")
     best, ran = -1, []
     for p in primes:
         for t in range(trials):

@@ -193,6 +193,8 @@ class TestExitCodes:
         ("secant", "--spec", "1,1", "--s", "1..5"),
         ("identifiability", "--spec", "1:3", "--k", "0", "--s", "6"),
         ("identifiability", "--spec", "1:3", "--k", "1", "--s", "6"),
+        ("secant", "--spec", "2,2", "--s", "2", "--trials", "300"),
+        ("grassmann", "--spec", "2:4", "--k", "3", "--s", "5", "--trials", "33"),
     ])
     def test_invalid_k_s_or_repeated_prime_is_one(self, capsys, argv):
         code, out, err = run(capsys, *argv)

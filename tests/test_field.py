@@ -154,6 +154,20 @@ class TestLimbProduct:
         assert field.matmul_mod(a, b, q).tolist() == expected.tolist()
 
 
+class TestSubtractProduct:
+    """The trailing update reduces block - left @ right once, from (-2**54, 2**31)."""
+
+    @pytest.mark.parametrize("low", [0, P - 1])
+    @pytest.mark.parametrize("entry,factor", [(P - 1, P - 1), (0x7FFEFFFF, P - 2)])
+    def test_extreme_entries_at_depth_64(self, low, entry, factor):
+        block = np.array([[low, P - 1 - low], [0, P - 1]], dtype=np.int64)
+        left = np.full((2, 64), entry, dtype=np.int64)
+        right = np.full((64, 2), factor, dtype=np.float64)
+        expected = [[(int(v) - 64 * entry * factor) % P for v in row] for row in block.tolist()]
+        field._subtract_product(block, left, right, P)
+        assert block.tolist() == expected
+
+
 def _one_panel(rows, q):
     """The per-column loop over the whole matrix, which the blocked route must match."""
     m = field.as_matrix(rows, q)
@@ -164,17 +178,19 @@ def _one_panel(rows, q):
 @st.composite
 def _blocked_matrices(draw, q, max_rows, max_cols):
     """Matrices over F_q wider than the blocking cutoff: X @ Y mod q of any rank, tall or
-    wide, optionally with an all-zero panel and with duplicated rows."""
+    wide, optionally with duplicated rows and with one panel's columns zero in all rows
+    or in the first 2 * _PANEL rows only, so that its pivots lie below the head."""
     nrows = draw(st.integers(1, max_rows))
     ncols = draw(st.integers(field._BLOCKED_ABOVE + 1, max_cols))
     rank = draw(st.integers(0, min(nrows, ncols)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = field.matmul_mod(rng.integers(0, q, (nrows, rank)), rng.integers(0, q, (rank, ncols)), q)
     if draw(st.booleans()):
-        start = draw(st.sampled_from(range(0, ncols, field._PANEL)))
-        m[:, start:start + field._PANEL] = 0
-    if draw(st.booleans()):
         m = m[rng.integers(0, nrows, nrows)]
+    if draw(st.booleans()):
+        start = draw(st.sampled_from(range(0, ncols, field._PANEL)))
+        zero_rows = draw(st.sampled_from([nrows, 2 * field._PANEL]))
+        m[:zero_rows, start:start + field._PANEL] = 0
     return m
 
 
@@ -208,6 +224,19 @@ class TestBlockedEchelon:
         assert pivots == list(range(64)) + list(range(128, 214))
         expected_basis, _ = _one_panel(m, P)
         assert np.array_equal(basis, expected_basis)
+
+    @pytest.mark.parametrize("zero", [slice(0, 64), slice(63, 64)])
+    def test_panel_pivots_below_the_head(self, zero):
+        # rows 0-199 are zero in all of panel 0 or in its last column, so its
+        # 2 * _PANEL-row head finds no pivot or 63 of them, and the search
+        # falls back to the whole panel
+        m = np.random.default_rng(4).integers(0, P, (300, 200))
+        m[:200, zero] = 0
+        basis, pivots = field._echelon(m, P)
+        assert pivots == list(range(200))
+        expected_basis, _ = _one_panel(m, P)
+        assert np.array_equal(basis, expected_basis)
+        assert basis.tolist() == reference.rref(m.tolist(), P)[0][:200]
 
     @pytest.mark.parametrize("text,s,rank", [
         ("4,4,4", 10, 125),

@@ -100,6 +100,18 @@ class TestTrialLedger:
                     for p in (7, 11) for t in range(2)]
         assert calls == expected
 
+    def test_evaluation_cap(self):
+        calls = []
+
+        def rank_at(rng, p):
+            calls.append(p)
+            return 3
+
+        with pytest.raises(ValueError, match="65 rank evaluations, above the cap of 64"):
+            secant._max_rank(rank_at, 3, 13, 0, (7, 11, 13, 17, 19))
+        assert calls == []
+        assert secant._max_rank(rank_at, 3, 32, 0, (7, 11)) == (3, (7,))
+
     def test_rank_above_bound_raises(self):
         with pytest.raises(InconsistencyError, match="exceeds the expected dimension 3"):
             secant._max_rank(lambda rng, p: 4, 3, 1, 0, (7,))
