@@ -170,6 +170,7 @@ def _echelon(rows, p: int) -> tuple[np.ndarray, list[int]]:
     rows: a pivot in every panel column there leaves none for other rows, or
     else the search reruns on all.  Those rows move up, are scaled by
     inv(their C columns), and :func:`_subtract_product` clears C elsewhere.
+    A panel short of pivots stops the loop once the rows without one are zero.
     """
     m = as_matrix(rows, p)
     nrows, ncols = m.shape
@@ -178,28 +179,28 @@ def _echelon(rows, p: int) -> tuple[np.ndarray, list[int]]:
         return m[:len(pivots)], pivots
     pivots = []
     for c0 in range(0, ncols, _PANEL):
-        r = len(pivots)
-        if r == nrows:
-            break
+        r, width = len(pivots), min(_PANEL, ncols - c0)
         cols, swaps = _gauss_jordan(m[r:r + 2 * _PANEL, c0:c0 + _PANEL].copy(), p)
-        if len(cols) < min(_PANEL, ncols - c0) and nrows - r > 2 * _PANEL:
+        if len(cols) < width and nrows - r > 2 * _PANEL:
             cols, swaps = _gauss_jordan(m[r:, c0:c0 + _PANEL].copy(), p)
-        if not cols:
-            continue
-        for a, b in swaps:
-            m[[r + a, r + b]] = m[[r + b, r + a]]
         k = len(cols)
-        top = m[r:r + k, c0:]
-        inverse = np.hstack([top[:, cols], np.eye(k, dtype=np.int64)])
-        _gauss_jordan(inverse, p)
-        top[:] = _limb_product(inverse[:, k:], top, p)
-        right = top.astype(np.float64)
-        # in place, in row chunks, so the update's temporaries stay small
-        for start, stop in ((0, r), (r + k, nrows)):
-            for i in range(start, stop, _PANEL):
-                block = m[i:min(i + _PANEL, stop), c0:]
-                _subtract_product(block, block[:, cols], right, p)
-        pivots.extend(c0 + c for c in cols)
+        if k:
+            for a, b in swaps:
+                m[[r + a, r + b]] = m[[r + b, r + a]]
+            top = m[r:r + k, c0:]
+            inverse = np.hstack([top[:, cols], np.eye(k, dtype=np.int64)])
+            _gauss_jordan(inverse, p)
+            top[:] = _limb_product(inverse[:, k:], top, p)
+            right = top.astype(np.float64)
+            # in place, in row chunks, so the update's temporaries stay small
+            for start, stop in ((0, r), (r + k, nrows)):
+                for i in range(start, stop, _PANEL):
+                    block = m[i:min(i + _PANEL, stop), c0:]
+                    _subtract_product(block, block[:, cols], right, p)
+            pivots.extend(c0 + c for c in cols)
+        # short of pivots, the panel left the other rows zero up to its last column
+        if k < width and not m[r + k:, c0 + _PANEL:].any():
+            break
     return m[:len(pivots)], pivots
 
 

@@ -26,8 +26,6 @@ import numpy as np
 from . import field, secant, varieties
 from .errors import SamplingError
 
-_MAX_RESAMPLES = 5
-
 
 @dataclass(frozen=True)
 class GrassmannSecantReport:
@@ -89,9 +87,8 @@ def _direct_rank(
     rng: random.Random,
     p: int,
 ) -> int:
-    for _ in range(_MAX_RESAMPLES):
-        points = [varieties.random_parameter_point(spec, rng, p) for _ in range(s)]
-        frames = varieties.tangent_frame(spec, points, p)
+    for _ in range(varieties.MAX_RESAMPLES):
+        frames = varieties.random_frames(spec, s, rng, p)
         lam = field.as_matrix(
             [[rng.randrange(p) for _ in range(s)] for _ in range(w + 1)], p
         )

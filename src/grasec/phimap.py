@@ -26,7 +26,6 @@ from . import field, secant, varieties
 from .errors import BudgetExceededError, SamplingError
 
 DEFAULT_ENUMERATION_BUDGET = 10**8
-_MAX_RESAMPLES = 5
 # int64 entries of one chunk's stack of (subset ; target) matrices
 _CHUNK_ENTRIES = 2**19
 
@@ -110,27 +109,20 @@ def random_secant_point(
 ) -> SecantWitness:
     """Uniform witness over F_p: s coefficient points of P^k and s points on X.
 
-    All draws come from ``rng``, as in :func:`varieties.random_parameter_point`.
+    All draws come from ``rng``: the points by :func:`varieties.random_frames`,
+    then each lambda_i by the nonzero-vector draw that gives a point's factors.
     """
     secant._check_order(spec, k, s)
-    for _ in range(_MAX_RESAMPLES):
-        points = [varieties.random_parameter_point(spec, rng, p) for _ in range(s)]
-        embedded = varieties.tangent_frame(spec, points, p)[:, 0].tolist()
+    for _ in range(varieties.MAX_RESAMPLES):
+        embedded = varieties.random_frames(spec, s, rng, p)[:, 0].tolist()
         # s <= r+1 generic points must be independent; otherwise resample
         if field.matrix_rank(embedded, p) < s:
             continue
-        lambdas = []
-        for _ in range(s):
-            while True:
-                lam = tuple(rng.randrange(p) for _ in range(k + 1))
-                if any(lam):
-                    break
-            lambdas.append(lam)
-        tensor = assemble_tensor(lambdas, embedded, p)
+        lambdas = tuple(varieties._nonzero_vector(k + 1, rng, p) for _ in range(s))
         return SecantWitness(
-            lambdas=tuple(lambdas),
+            lambdas=lambdas,
             embedded_points=tuple(map(tuple, embedded)),
-            tensor=tensor,
+            tensor=assemble_tensor(lambdas, embedded, p),
         )
     raise SamplingError(f"could not sample an independent secant witness on {spec}")
 

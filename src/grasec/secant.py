@@ -90,8 +90,7 @@ def terracini_rank(
     spec: varieties.SegreVeroneseSpec, s: int, rng: random.Random, p: int
 ) -> int:
     """Rank of the s stacked tangent frames at random points, minus one."""
-    points = [varieties.random_parameter_point(spec, rng, p) for _ in range(s)]
-    rows = varieties.tangent_frame(spec, points, p).reshape(-1, spec.ambient_dim + 1)
+    rows = varieties.random_frames(spec, s, rng, p).reshape(-1, spec.ambient_dim + 1)
     return field.matrix_rank(rows, p) - 1
 
 

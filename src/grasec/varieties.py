@@ -8,15 +8,20 @@ ordering inside each factor (largest exponent on the first variable
 first).  With this ordering, prepending a degree-one factor P^k turns the
 ambient vector into k+1 consecutive slices of length r+1.
 
-Parameter points are plain nested tuples: one coordinate tuple of length
-n_i + 1 per factor, each nonzero mod p.
+Parameter points are plain nested tuples: one tuple of length n_i + 1 per
+factor, of integers in the int64 range, each nonzero mod p.
 
 Embeddings and tangent frames come from one builder, :func:`tangent_frame`,
 which takes a list of points and returns their frames as one stack: the
 ambient vector is the Kronecker product of the per-factor Veronese
 vectors, and a tangent direction of factor i swaps in that factor's
 partial derivative, whose entries follow the power rule a_j * x^(a - e_j).
-Each factor's values and partials are evaluated at all points at once.
+Each factor's coordinates are checked and evaluated at all points at once.
+
+Random points take one path to frames, :func:`random_frames`: s points drawn
+in turn from one generator, each factor a uniform nonzero vector.  At a
+fixed seed that order fixes every computed dimension.  A caller rejecting a
+degenerate draw redraws at most MAX_RESAMPLES times.
 
 Frame invariant: every tangent frame has rank n + 1 over every prime.  With
 x_p the pivot (first nonzero coordinate) of each factor, the columns where
@@ -39,6 +44,8 @@ import numpy as np
 from . import field
 
 ParameterPoint = tuple[tuple[int, ...], ...]
+
+MAX_RESAMPLES = 5  # draws of a degenerate random point set before SamplingError
 
 
 @dataclass(frozen=True)
@@ -66,13 +73,6 @@ class SegreVeroneseSpec:
         for n, d in self.factors:
             count *= math.comb(n + d, n)
         return count - 1
-
-    def factor_offsets(self) -> list[int]:
-        """Start index of each factor inside the concatenated parameter vector."""
-        offsets = [0]
-        for n, _ in self.factors[:-1]:
-            offsets.append(offsets[-1] + n + 1)
-        return offsets
 
     @classmethod
     def parse(cls, text: str) -> "SegreVeroneseSpec":
@@ -110,20 +110,6 @@ def _degree_monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _flatten(spec: SegreVeroneseSpec, point: ParameterPoint, p: int) -> list[int]:
-    if len(point) != len(spec.factors):
-        raise ValueError("parameter point has the wrong number of factors")
-    flat: list[int] = []
-    for (n, _), coords in zip(spec.factors, point):
-        if len(coords) != n + 1:
-            raise ValueError("factor coordinate vector has the wrong length")
-        reduced = [int(c) % p for c in coords]
-        if not any(reduced):
-            raise ValueError("factor coordinate vector is zero")
-        flat.extend(reduced)
-    return flat
-
-
 @functools.lru_cache(maxsize=None)
 def _power_rule(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Exponents and power-rule coefficients of a Veronese vector and its partials.
@@ -153,12 +139,17 @@ def tangent_frame(spec: SegreVeroneseSpec, points: list[ParameterPoint], p: int)
     reduced after every product, which keeps the int64 arithmetic exact for
     p < 2**31.
     """
-    flat = np.array([_flatten(spec, u, p) for u in points], dtype=np.int64)
+    if any(len(u) != len(spec.factors) for u in points):
+        raise ValueError("parameter point has the wrong number of factors")
     nrows = spec.dim + 1
     frames = np.ones((len(points), nrows, 1), dtype=np.int64)
     row = 1
-    for (n, d), off in zip(spec.factors, spec.factor_offsets()):
-        x = flat[:, off:off + n + 1]
+    for i, (n, d) in enumerate(spec.factors):
+        if any(len(u[i]) != n + 1 for u in points):
+            raise ValueError("factor coordinate vector has the wrong length")
+        x = np.array([u[i] for u in points], dtype=np.int64).reshape(-1, n + 1) % p
+        if not x.any(axis=1).all():
+            raise ValueError("factor coordinate vector is zero")
         block = field.dual_evaluate(x, *_power_rule(n, d), p)
         # partial 1 + j + (j >= pivot) is the j-th non-pivot one; row 0 and
         # the rows of the other factors take the Veronese vector (entry 0)
@@ -177,15 +168,19 @@ def embed(spec: SegreVeroneseSpec, point: ParameterPoint, p: int) -> list[int]:
     return tangent_frame(spec, [point], p)[0, 0].tolist()
 
 
-def random_parameter_point(
-    spec: SegreVeroneseSpec, rng: random.Random, p: int
-) -> ParameterPoint:
+def _nonzero_vector(length: int, rng: random.Random, p: int) -> tuple[int, ...]:
+    """Uniform nonzero vector of F_p^length: uniform vectors drawn until one is nonzero."""
+    while True:
+        coords = tuple(rng.randrange(p) for _ in range(length))
+        if any(coords):
+            return coords
+
+
+def random_parameter_point(spec: SegreVeroneseSpec, rng: random.Random, p: int) -> ParameterPoint:
     """Uniform parameter point with every factor vector nonzero."""
-    point = []
-    for n, _ in spec.factors:
-        while True:
-            coords = tuple(rng.randrange(p) for _ in range(n + 1))
-            if any(coords):
-                break
-        point.append(coords)
-    return tuple(point)
+    return tuple(_nonzero_vector(n + 1, rng, p) for n, _ in spec.factors)
+
+
+def random_frames(spec: SegreVeroneseSpec, s: int, rng: random.Random, p: int) -> np.ndarray:
+    """Frames of s points drawn from ``rng`` in turn, shape (s, n + 1, r + 1), mod p."""
+    return tangent_frame(spec, [random_parameter_point(spec, rng, p) for _ in range(s)], p)

@@ -87,11 +87,13 @@ def frame(spec: varieties.SegreVeroneseSpec, point, p: int) -> list[list[int]]:
     x = [c % p for coords in point for c in coords]
     monos = monomials(spec)
     rows = [[_monomial(exps, x, p) for exps in monos]]
-    for (n, _), coords, off in zip(spec.factors, point, spec.factor_offsets()):
+    off = 0  # start of the factor's coordinates in x
+    for (n, _), coords in zip(spec.factors, point):
         pivot = next(j for j, c in enumerate(coords) if c)
         for j in range(n + 1):
             if j != pivot:
                 rows.append([_partial(exps, x, off + j, p) for exps in monos])
+        off += n + 1
     return rows
 
 
@@ -141,7 +143,7 @@ def plucker_direct_rank(
     """
     w = min(k, s - 1)
     r = spec.ambient_dim
-    for _ in range(5):
+    for _ in range(varieties.MAX_RESAMPLES):
         points = [varieties.random_parameter_point(spec, rng, p) for _ in range(s)]
         frames = [frame(spec, u, p) for u in points]
         lam = [[rng.randrange(p) for _ in range(s)] for _ in range(w + 1)]

@@ -238,6 +238,25 @@ class TestBlockedEchelon:
         assert np.array_equal(basis, expected_basis)
         assert basis.tolist() == reference.rref(m.tolist(), P)[0][:200]
 
+    def test_stops_once_the_rows_without_a_pivot_are_zero(self, monkeypatch):
+        # rank 100: panel 0 takes 64 pivots (head and inverse), panel 1 the
+        # other 36 (head, whole-panel rerun and inverse); panels 2-6 run nothing
+        rng = np.random.default_rng(6)
+        m = field.matmul_mod(rng.integers(0, P, (300, 100)), rng.integers(0, P, (100, 400)), P)
+        calls, gauss_jordan = [], field._gauss_jordan
+
+        def counted(panel, p):
+            calls.append(panel.shape)
+            return gauss_jordan(panel, p)
+
+        monkeypatch.setattr(field, "_gauss_jordan", counted)
+        basis, pivots = field._echelon(m, P)
+        assert calls == [(128, 64), (64, 128), (128, 64), (236, 64), (36, 72)]
+        expected_basis, expected_pivots = _one_panel(m, P)
+        assert pivots == expected_pivots == list(range(100))
+        assert np.array_equal(basis, expected_basis)
+        assert basis.tolist() == reference.rref(m.tolist(), P)[0][:100]
+
     @pytest.mark.parametrize("text,s,rank", [
         ("4,4,4", 10, 125),
         ("2,2,2,2,2", 22, 242),
@@ -246,9 +265,8 @@ class TestBlockedEchelon:
     ])
     def test_secant_scale_frame_stacks(self, text, s, rank):
         spec = varieties.SegreVeroneseSpec.parse(text)
-        rng = random.Random(secant.subseed(0, 0, P))
-        points = [varieties.random_parameter_point(spec, rng, P) for _ in range(s)]
-        rows = varieties.tangent_frame(spec, points, P).reshape(-1, spec.ambient_dim + 1)
+        frames = varieties.random_frames(spec, s, random.Random(secant.subseed(0, 0, P)), P)
+        rows = frames.reshape(-1, spec.ambient_dim + 1)
         basis, pivots = field._echelon(rows, P)
         assert len(pivots) == rank
         expected_basis, expected_pivots = _one_panel(rows, P)

@@ -1,5 +1,6 @@
 """Secant dimensions, defects, generic ranks and range classification."""
 
+import math
 import random
 
 import pytest
@@ -153,6 +154,36 @@ class TestClassifyRange:
         for rep in secant.classify_secant_range(spec, range(1, 5)):
             direct = secant.secant_dim(spec, rep.s)
             assert rep.dim == direct.dim
+
+
+def _veronese_specs(max_r: int) -> list[str]:
+    """Every n:d with n <= 5 and 2 <= d <= 5 whose ambient dimension is at most max_r."""
+    return [f"{n}:{d}" for n in range(1, 6) for d in range(2, 6)
+            if math.comb(n + d, n) - 1 <= max_r]
+
+
+def _alexander_hirschowitz_defective(n: int, d: int, s: int) -> bool:
+    """Alexander-Hirschowitz (1995): when sigma_s(v_d(P^n)) is defective."""
+    return (d == 2 and 2 <= s <= n) or (n, d, s) in {(2, 4, 5), (3, 4, 9), (4, 4, 14), (4, 3, 7)}
+
+
+class TestDefectivityOracle:
+    """The engine against classical classifications, not against its own slow path."""
+
+    @pytest.mark.parametrize("text", _veronese_specs(130))
+    def test_veronese_matches_alexander_hirschowitz(self, text):
+        spec = SegreVeroneseSpec.parse(text)
+        (n, d), = spec.factors
+        top = math.ceil((spec.ambient_dim + 1) / (n + 1))
+        reports = secant.classify_secant_range(spec, range(1, top + 1))
+        assert [rep.defect > 0 for rep in reports] == [
+            _alexander_hirschowitz_defective(n, d, s) for s in range(1, top + 1)
+        ]
+
+    @pytest.mark.parametrize("text,s", [("1,1,1,1", 3), ("2,2,2", 4), ("1,1,3", 3), ("2,3,3", 5)])
+    def test_known_defective_segre_products(self, text, s):
+        # Abo, Ottaviani & Peterson, Trans. AMS 2009
+        assert secant.secant_dim(SegreVeroneseSpec.parse(text), s).defect == 1
 
 
 class TestInvariants:

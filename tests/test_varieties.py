@@ -1,11 +1,12 @@
 """Segre-Veronese specs, embeddings and tangent frames."""
 
+import hashlib
 import random
 
 import pytest
 
 import reference
-from grasec import field, varieties
+from grasec import field, phimap, secant, varieties
 from grasec.varieties import SegreVeroneseSpec, prepend_projective_factor
 
 P = field.DEFAULT_PRIME
@@ -20,7 +21,6 @@ class TestSpec:
     def test_dim_and_arity(self):
         spec = SegreVeroneseSpec.parse("2:2,1")
         assert spec.dim == 3
-        assert spec.factor_offsets() == [0, 3]
 
     def test_parse_str_roundtrip(self):
         for text in ("1,1,1,1", "2:2", "3:1,3:1", "6:1,2:2"):
@@ -64,6 +64,16 @@ class TestEmbed:
         spec = SegreVeroneseSpec.parse("1,1")
         with pytest.raises(ValueError, match="zero"):
             varieties.tangent_frame(spec, [((7, 14), (1, 1))], 7)
+
+    @pytest.mark.parametrize("bad,message", [
+        (((1, 1),), "wrong number of factors"),
+        (((1, 1), (1, 1, 1)), "wrong length"),
+        (((1, 1), (5, 0)), "is zero"),
+    ])
+    def test_invalid_point_anywhere_in_the_list_rejected(self, bad, message):
+        spec = SegreVeroneseSpec.parse("1,1")
+        with pytest.raises(ValueError, match=message):
+            varieties.tangent_frame(spec, [((1, 2), (3, 4)), bad], 5)
 
     def test_multihomogeneity(self):
         # scaling factor i by c scales the embedding by c**d_i
@@ -134,3 +144,35 @@ class TestPrepend:
         with pytest.raises(ValueError, match="k must be >= 0"):
             prepend_projective_factor(SegreVeroneseSpec.parse("1,1"), -1)
 
+
+
+class TestDrawStream:
+    """Digests of the points drawn at fixed seeds, recorded before the draws
+    moved into :func:`varieties.random_frames`; the golden files pin the
+    dimensions computed at these points, not the points themselves."""
+
+    # every spec the catalog draws on at seed 0, drawn at s = 3
+    CATALOG = ("1,1", "1,1,1", "1,1,1,1,1", "1,1,2", "1,1:3", "1,2", "1,2,2", "1,2:2", "1,2:3",
+               "1:3", "1:4", "2,1,2", "2,1:3", "2,2", "2,2,2", "2,2:2", "2,2:3", "2:2", "2:3",
+               "3,1,2", "3,1:3", "3,2,2", "3,2:2", "3,3,3", "6,2:2", "6,3:2")
+    # the secant_scale benchmark rows
+    SCALE = (("4,4,4", 10), ("2,2,2,2,2", 22), ("1,1,1,1,1,1,1,1,1", 52), ("4,4,4,4", 36))
+
+    def test_frames(self):
+        digest = hashlib.blake2b(digest_size=16)
+        for text, s in [(text, 3) for text in self.CATALOG] + list(self.SCALE):
+            spec = SegreVeroneseSpec.parse(text)
+            for t in (0, 1):
+                rng = random.Random(secant.subseed(0, t, P))
+                digest.update(varieties.random_frames(spec, s, rng, P).astype("<i8").tobytes())
+        assert digest.hexdigest() == "12e1f1aa730670dacf27bf8ff8b3d819"
+
+    def test_cardinality_witnesses(self):
+        # the five 1,1 / F_5 witnesses of the catalog's decomposition-count row at seed 0
+        spec = SegreVeroneseSpec.parse("1,1")
+        digest = hashlib.blake2b(digest_size=16)
+        for i in range(5):
+            rng = random.Random(secant.subseed(i, 0, 5))
+            witness = phimap.random_secant_point(spec, 1, 2, rng, 5)
+            digest.update(repr((witness.lambdas, witness.embedded_points)).encode())
+        assert digest.hexdigest() == "095f037694daf8361d67ac4e2e7afbfc"
