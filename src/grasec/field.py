@@ -1,13 +1,12 @@
 """Exact linear algebra over prime fields.
 
 Everything downstream reduces to matrix ranks over F_p, so this module is
-deliberately small: dense integer matrices reduced mod p, one reduced
-row-echelon kernel (:func:`_echelon`) behind every rank, echelon form and
-row-space basis, a stacked elimination (:func:`_stacked_pivots`) behind
-the containment test, evaluation of monomial tables at a stack of points
-(the values and first partials of a Veronese vector at every point in one
-call), and maximal minors of small matrices (Pluecker coordinates).  Every
-modulus is checked to be a prime below 2**31.
+deliberately small: dense integer matrices reduced mod p, one elimination
+kernel (:func:`_echelon`) behind every rank, echelon form and row-space
+basis, a stacked elimination (:func:`_stacked_pivots`) behind the
+containment test, evaluation of monomial tables at a stack of points, and
+maximal minors of small matrices (Pluecker coordinates).  Every modulus is
+checked to be a prime below 2**31.
 
 Matrices are numpy int64 arrays.  With p < 2**31 every product of two
 reduced entries, and every difference of two such products, stays inside
@@ -17,19 +16,19 @@ matrix products (:func:`matmul_mod`) split the left factor into 16-bit
 limbs and multiply in float64, 64 inner terms at a time: such a sum stays
 below 64 * 2**16 * 2**31 = 2**53, where float64 is exact.  Beyond 128
 columns :func:`_echelon` is blocked the same way (the delayed reduction of
-FFLAS-FFPACK).  Each 64-column panel finds its pivots with the per-column
-loop on a 128-row head, rerun on the whole panel only when the head misses
-a column; then one limb product, reduced once per entry, clears them from
-all other rows.
+FFLAS-FFPACK): each 64-column panel finds its pivots with the per-column
+loop on a 128-row head, inverts its pivot block by halving through the
+Schur complement (:func:`_inverse`), and clears the pivot columns with one
+limb product.  A rank (:func:`matrix_rank`) only clears the rows below
+each pivot; bases get the full reduced echelon form.
 
 :func:`subspace_contains` takes a whole stack of spans, e.g. every
 s-subset of X(F_q) at once, and eliminates all of them in one per-column
-loop vectorized over the stack (:func:`_stacked_pivots`).  That loop is
-kept apart from :func:`_gauss_jordan` on purpose: run on a stack of one
-it takes about 2.3 times as long (15 x 15: 322 vs 138 us; 60 x 35: 1595
-vs 730 us; a 612 x 64 panel of a blocked rank: 24.2 vs 12.1 ms, at
-p = 2**31 - 1 on a 2-vCPU Xeon), and the 2-D loop is most of the time of
-every rank computation.
+loop vectorized over the stack.  That loop is kept apart from
+:func:`_gauss_jordan` on purpose: on a stack of one it takes about twice
+as long as the forward-only loop (15 x 15: 359 vs 141 us; 60 x 35: 1303
+vs 542 us; a 612 x 64 panel: 19.2 vs 10.2 ms; min of 7 repeats at
+p = 2**31 - 1 on a 2-vCPU Xeon), and that loop is most of every rank.
 """
 
 from __future__ import annotations
@@ -127,13 +126,15 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
     return _limb_product(as_matrix(a, p), as_matrix(b, p), p)
 
 
-def _gauss_jordan(m: np.ndarray, p: int) -> tuple[list[int], list[tuple[int, int]]]:
-    """Reduce ``m`` (entries in [0, p)) in place to RREF, one column at a time.
+def _gauss_jordan(m: np.ndarray, p: int, jordan: bool = True) -> tuple[list[int], list[tuple[int, int]]]:
+    """Reduce ``m`` (entries in [0, p)) in place, one column at a time.
 
     Returns the pivot columns and the row swaps made, in order.  The RREF
     is unique, so the pivot row may be any row with a nonzero entry.  At
     pivot column c the pivot row is zero left of c, so each update touches
-    columns ``c:`` only.
+    columns ``c:`` only.  With ``jordan`` false only rows from the pivot
+    down are updated: a Jordan step changes only rows that hold a pivot
+    already, so the pivots and swaps are the same.
     """
     nrows, ncols = m.shape
     pivots: list[int] = []
@@ -148,52 +149,79 @@ def _gauss_jordan(m: np.ndarray, p: int) -> tuple[list[int], list[tuple[int, int
                 continue
             m[[r, i]] = m[[i, r]]
             swaps.append((r, i))
-        right = m[:, c:]
-        inv = pow(int(right[r, 0]), -1, p)
-        # Subtracting factors[i] * (row r) clears column c in every other
-        # row and leaves inv * (row r) in row r.
+        first = 0 if jordan else r
+        right = m[first:, c:]
+        inv = pow(int(m[r, c]), -1, p)
+        # Subtracting factors[i] * (row r) clears column c in the other
+        # updated rows and leaves inv * (row r) in row r.
         factors = right[:, 0] * inv % p
-        factors[r] = 1 - inv
-        right -= factors[:, None] * right[r]
+        factors[r - first] = 1 - inv
+        right -= factors[:, None] * m[r, c:]
         right %= p
         pivots.append(c)
     return pivots, swaps
 
 
-def _echelon(rows, p: int) -> tuple[np.ndarray, list[int]]:
+def _inverse(t: np.ndarray, p: int) -> np.ndarray:
+    """inv(t) mod p for a square ``t`` whose leading principal minors are all nonzero.
+
+    Halving: with t = [[a, b], [c, d]], z = c inv(a) and S = d - z b (the
+    Schur complement), inv(t) = [inv(a) ([I | 0] - b L) ; L] with
+    L = [-inv(S) z | inv(S)].  a and S keep nonzero leading minors, so no
+    pivoting is needed; blocks of at most 16 rows reduce [t | I] instead.
+    """
+    k = len(t)
+    if k <= 16:
+        m = np.hstack([t, np.eye(k, dtype=np.int64)])
+        _gauss_jordan(m, p)
+        return m[:, k:]
+    h = k // 2
+    a_inv = _inverse(t[:h, :h], p)
+    z = _limb_product(t[h:, :h], a_inv, p)
+    s_inv = _inverse((t[h:, h:] - _limb_product(z, t[:h, h:], p)) % p, p)
+    lower = np.hstack([-_limb_product(s_inv, z, p) % p, s_inv])
+    upper = (np.eye(h, k, dtype=np.int64) - _limb_product(t[:h, h:], lower, p)) % p
+    return np.vstack([_limb_product(a_inv, upper, p), lower])
+
+
+def _echelon(rows, p: int, jordan: bool = True) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon basis of the row space over F_p, and its pivot columns.
 
-    The basis has one row per pivot, each pivot scaled to 1 and alone in
-    its column, so equal row spaces give byte-identical bases.  Beyond
-    _BLOCKED_ABOVE columns, each _PANEL-column panel of the rows without a
-    pivot yet picks pivot rows and columns C, first among 2 * _PANEL of those
-    rows: a pivot in every panel column there leaves none for other rows, or
-    else the search reruns on all.  Those rows move up, are scaled by
-    inv(their C columns), and :func:`_subtract_product` clears C elsewhere.
-    A panel short of pivots stops the loop once the rows without one are zero.
+    Each pivot is scaled to 1 and alone in its column, so equal row spaces
+    give byte-identical bases.  With ``jordan`` false (the rank path) only
+    rows below a pivot are cleared: the same pivots, on an echelon basis.
+    Beyond _BLOCKED_ABOVE columns, each _PANEL-column panel of the rows
+    without a pivot yet finds pivot rows and columns C forward only on a
+    copy, first among 2 * _PANEL of those rows (a pivot in every column
+    there leaves none for other rows), else among all.  Those rows move
+    up, are scaled by inv(T), T their C columns, and
+    :func:`_subtract_product` clears C below them (and above, for the
+    RREF).  T's rows are in pivot order and C is increasing, and each pivot
+    was found after eliminating only the earlier ones, so T = L U with L
+    unit lower triangular and the pivots on U's diagonal: every leading
+    principal minor of T is nonzero, as :func:`_inverse` needs.  A panel
+    short of pivots stops the loop once the rows without one are zero.
     """
     m = as_matrix(rows, p)
     nrows, ncols = m.shape
     if ncols <= _BLOCKED_ABOVE:
-        pivots = _gauss_jordan(m, p)[0]
+        pivots = _gauss_jordan(m, p, jordan)[0]
         return m[:len(pivots)], pivots
     pivots = []
     for c0 in range(0, ncols, _PANEL):
         r, width = len(pivots), min(_PANEL, ncols - c0)
-        cols, swaps = _gauss_jordan(m[r:r + 2 * _PANEL, c0:c0 + _PANEL].copy(), p)
+        cols, swaps = _gauss_jordan(m[r:r + 2 * _PANEL, c0:c0 + _PANEL].copy(), p, False)
         if len(cols) < width and nrows - r > 2 * _PANEL:
-            cols, swaps = _gauss_jordan(m[r:, c0:c0 + _PANEL].copy(), p)
+            cols, swaps = _gauss_jordan(m[r:, c0:c0 + _PANEL].copy(), p, False)
         k = len(cols)
         if k:
             for a, b in swaps:
                 m[[r + a, r + b]] = m[[r + b, r + a]]
             top = m[r:r + k, c0:]
-            inverse = np.hstack([top[:, cols], np.eye(k, dtype=np.int64)])
-            _gauss_jordan(inverse, p)
-            top[:] = _limb_product(inverse[:, k:], top, p)
+            top[:] = _limb_product(_inverse(top[:, cols], p), top, p)
             right = top.astype(np.float64)
             # in place, in row chunks, so the update's temporaries stay small
-            for start, stop in ((0, r), (r + k, nrows)):
+            for start, stop in ((0, r if jordan else 0), (r + k, nrows)):
                 for i in range(start, stop, _PANEL):
                     block = m[i:min(i + _PANEL, stop), c0:]
                     _subtract_product(block, block[:, cols], right, p)
@@ -205,8 +233,8 @@ def _echelon(rows, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def matrix_rank(rows, p: int) -> int:
-    """Rank of a matrix over F_p."""
-    return len(_echelon(rows, p)[1])
+    """Rank of a matrix over F_p, by forward elimination only (see :func:`_echelon`)."""
+    return len(_echelon(rows, p, jordan=False)[1])
 
 
 def rref(rows, p: int) -> np.ndarray:

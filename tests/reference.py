@@ -3,6 +3,9 @@
 * :func:`monomials` lists the ambient coordinates in the ordering the
   :mod:`grasec.varieties` docstring fixes, and :func:`frame` builds a
   tangent frame monomial by monomial with the power rule in that order.
+* :func:`maximal_minors` expands every maximal minor along its rows on
+  Python integers (Laplace); the Pluecker oracle below uses this copy, so
+  it shares no code with :mod:`grasec.field`.
 * :func:`plucker_direct_rank` is the Grassmann-secant Jacobian of the
   Pluecker parameterization: the derivative of every maximal minor of the
   spanning matrix, by row replacement
@@ -23,7 +26,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from grasec import field, varieties
+from grasec import varieties
 from grasec.errors import SamplingError
 
 
@@ -124,11 +127,31 @@ def count_decompositions(spec: varieties.SegreVeroneseSpec, s: int, rows, q: int
     )
 
 
+def maximal_minors(rows, p: int) -> list[int]:
+    """All t x t minors of a t x c matrix, t = number of rows, column subsets in lexicographic order.
+
+    Laplace expansion row by row, sharing sub-minors across column subsets.
+    """
+    m = [[int(v) % p for v in row] for row in rows]
+    t, c = len(m), len(m[0])
+    prev: dict[tuple[int, ...], int] = {(): 1}
+    for i in range(t):
+        cur: dict[tuple[int, ...], int] = {}
+        for cols in itertools.combinations(range(c), i + 1):
+            acc = 0
+            for idx, j in enumerate(cols):
+                term = m[i][j] * prev[cols[:idx] + cols[idx + 1:]]
+                acc += term if (i + idx) % 2 == 0 else -term
+            cur[cols] = acc % p
+        prev = cur
+    return [prev[cols] for cols in itertools.combinations(range(c), t)]
+
+
 def _minors_derivative(m: list[list[int]], dm: list[list[int]], p: int) -> list[int]:
-    total = [0] * len(field.maximal_minors(m, p))
+    total = [0] * len(maximal_minors(m, p))
     for a in range(len(m)):
         replaced = m[:a] + [dm[a]] + m[a + 1:]
-        total = [(t + v) % p for t, v in zip(total, field.maximal_minors(replaced, p))]
+        total = [(t + v) % p for t, v in zip(total, maximal_minors(replaced, p))]
     return total
 
 

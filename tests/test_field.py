@@ -205,6 +205,7 @@ class TestBlockedEchelon:
         assert pivots == expected_pivots
         assert basis.dtype.name == "int64"
         assert np.array_equal(basis, expected_basis)
+        assert field.matrix_rank(m, q) == len(expected_pivots)
 
     @_PRIMES
     @settings(max_examples=4, deadline=None)
@@ -213,6 +214,7 @@ class TestBlockedEchelon:
         m = data.draw(_blocked_matrices(q, max_rows=60, max_cols=260))
         expected, pivots = reference.rref(m.tolist(), q)
         assert field.rref(m, q).tolist() == expected
+        assert field.row_space_basis(m, q).tolist() == expected[:len(pivots)]
         assert field.matrix_rank(m, q) == len(pivots)
 
     def test_full_and_empty_panels(self):
@@ -224,6 +226,7 @@ class TestBlockedEchelon:
         assert pivots == list(range(64)) + list(range(128, 214))
         expected_basis, _ = _one_panel(m, P)
         assert np.array_equal(basis, expected_basis)
+        assert field.matrix_rank(m, P) == 150
 
     @pytest.mark.parametrize("zero", [slice(0, 64), slice(63, 64)])
     def test_panel_pivots_below_the_head(self, zero):
@@ -237,21 +240,32 @@ class TestBlockedEchelon:
         expected_basis, _ = _one_panel(m, P)
         assert np.array_equal(basis, expected_basis)
         assert basis.tolist() == reference.rref(m.tolist(), P)[0][:200]
+        assert field.matrix_rank(m, P) == 200
 
     def test_stops_once_the_rows_without_a_pivot_are_zero(self, monkeypatch):
-        # rank 100: panel 0 takes 64 pivots (head and inverse), panel 1 the
-        # other 36 (head, whole-panel rerun and inverse); panels 2-6 run nothing
+        # rank 100: panel 0 takes 64 pivots (forward-only head search, then
+        # the 64 x 64 inverse halved down to four [16 x 16 | I] loops), panel
+        # 1 the other 36 (head, whole-panel rerun, four [9 x 9 | I] loops);
+        # panels 2-6 run nothing, on the basis and on the rank path alike
         rng = np.random.default_rng(6)
         m = field.matmul_mod(rng.integers(0, P, (300, 100)), rng.integers(0, P, (100, 400)), P)
         calls, gauss_jordan = [], field._gauss_jordan
 
-        def counted(panel, p):
-            calls.append(panel.shape)
-            return gauss_jordan(panel, p)
+        def counted(panel, p, jordan=True):
+            calls.append((panel.shape, jordan))
+            return gauss_jordan(panel, p, jordan)
 
         monkeypatch.setattr(field, "_gauss_jordan", counted)
+        expected_calls = [
+            ((128, 64), False), *[((16, 32), True)] * 4,
+            ((128, 64), False), ((236, 64), False), *[((9, 18), True)] * 4,
+        ]
         basis, pivots = field._echelon(m, P)
-        assert calls == [(128, 64), (64, 128), (128, 64), (236, 64), (36, 72)]
+        assert calls == expected_calls
+        calls.clear()
+        assert field.matrix_rank(m, P) == 100
+        assert calls == expected_calls
+        monkeypatch.undo()
         expected_basis, expected_pivots = _one_panel(m, P)
         assert pivots == expected_pivots == list(range(100))
         assert np.array_equal(basis, expected_basis)
@@ -265,13 +279,32 @@ class TestBlockedEchelon:
     ])
     def test_secant_scale_frame_stacks(self, text, s, rank):
         spec = varieties.SegreVeroneseSpec.parse(text)
-        frames = varieties.random_frames(spec, s, random.Random(secant.subseed(0, 0, P)), P)
-        rows = frames.reshape(-1, spec.ambient_dim + 1)
-        basis, pivots = field._echelon(rows, P)
-        assert len(pivots) == rank
-        expected_basis, expected_pivots = _one_panel(rows, P)
-        assert pivots == expected_pivots
-        assert np.array_equal(basis, expected_basis)
+        for q in (P, 2, 3, 5, 7):
+            frames = varieties.random_frames(spec, s, random.Random(secant.subseed(0, 0, q)), q)
+            rows = frames.reshape(-1, spec.ambient_dim + 1)
+            basis, pivots = field._echelon(rows, q)
+            if q == P:
+                assert len(pivots) == rank
+            expected_basis, expected_pivots = _one_panel(rows, q)
+            assert pivots == expected_pivots
+            assert np.array_equal(basis, expected_basis)
+            assert field.matrix_rank(rows, q) == len(expected_pivots)
+
+
+class TestInverse:
+    @_PRIMES
+    @pytest.mark.parametrize("k", [1, 2, 15, 16, 17, 33, 36, 63, 64])
+    def test_matches_reference(self, k, q):
+        # unit lower times upper with a nonzero diagonal: every leading
+        # principal minor is nonzero, as for a panel's pivot block
+        rng = np.random.default_rng(k)
+        lower = np.tril(rng.integers(0, q, (k, k)), -1) + np.eye(k, dtype=np.int64)
+        upper = np.triu(rng.integers(0, q, (k, k)), 1) + np.diag(rng.integers(1, q, k))
+        t = field.matmul_mod(lower, upper, q)
+        inverse = field._inverse(t, q)
+        augmented = np.hstack([t, np.eye(k, dtype=np.int64)]).tolist()
+        assert inverse.tolist() == [row[k:] for row in reference.rref(augmented, q)[0]]
+        assert field.matmul_mod(inverse, t, q).tolist() == np.eye(k, dtype=np.int64).tolist()
 
 
 def test_dual_evaluate_matches_scalar_monomials():
@@ -289,6 +322,8 @@ def test_dual_evaluate_matches_scalar_monomials():
 
 
 class TestMaximalMinors:
+    """field.maximal_minors and the oracle's own copy, both against the permutation sum."""
+
     @staticmethod
     def _brute_det(sub, p):
         size = len(sub)
@@ -311,13 +346,13 @@ class TestMaximalMinors:
             t = rng.randrange(1, 4)
             c = rng.randrange(t, t + 4)
             m = [[rng.randrange(P) for _ in range(c)] for _ in range(t)]
-            mine = field.maximal_minors(m, P)
             combos = list(itertools.combinations(range(c), t))
             brute = [
                 self._brute_det([[m[i][j] for j in cols] for i in range(t)], P)
                 for cols in combos
             ]
-            assert mine == brute
+            assert field.maximal_minors(m, P) == brute
+            assert reference.maximal_minors(m, P) == brute
 
 
 def test_modulus_range_is_enforced():

@@ -18,6 +18,8 @@ CASES = {
     "reproduce_seed0.txt": ["reproduce", "--seed", "0"],
     "grassmann_2-4_k3_s5.txt": ["grassmann", "--spec", "2:4", "--k", "3", "--s", "5"],
     "secant_2-2_s1-4.txt": ["secant", "--spec", "2,2", "--s", "1..4"],
+    # r = 511: the only case whose ranks take the blocked route (more than 128 columns)
+    "secant_1x9_s50-53.txt": ["secant", "--spec", "1,1,1,1,1,1,1,1,1", "--s", "50..53"],
     "identifiability_format_4-4_k1_s3.txt": [
         "identifiability", "--format", "4,4", "--k", "1", "--s", "3",
     ],
