@@ -123,7 +123,7 @@ def _cmd_grassmann(args) -> tuple[dict, int]:
         "results": [report.to_dict()],
         "checks": [],
         "formulas": {
-            "expected_dim": "min(s*n + (k+1)*(s-1-k), (k+1)*(r-k))",
+            "expected_dim": "min(s*n + (w+1)*(s-1-w), (w+1)*(r-w)) with w = min(k, s-1)",
             "slice_map_identity": "seg_dim = gs_dim + (w+1)*(k+1) - 1",
         },
     }

@@ -206,8 +206,8 @@ def never_defective_check(
     order fills P^N, so it is the filling order whenever the check passes.
     """
     seg = varieties.prepend_projective_factor(spec, spec.ambient_dim - spec.dim)
-    fill = math.ceil((seg.ambient_dim + 1) / (seg.dim + 1))
-    reports = secant.classify_secant_range(seg, range(1, fill + 1), trials=trials, seed=seed, primes=primes)
+    orders = range(1, secant._fill_floor(seg) + 1)
+    reports = secant.classify_secant_range(seg, orders, trials=trials, seed=seed, primes=primes)
     for rep in reports:
         if rep.defect != 0:
             raise InconsistencyError(

@@ -4,9 +4,11 @@ Everything downstream reduces to matrix ranks over F_p, so this module is
 deliberately small: dense integer matrices reduced mod p, one elimination
 kernel (:func:`_echelon`) behind every rank, echelon form and row-space
 basis, a stacked elimination (:func:`_stacked_pivots`) behind the
-containment test, evaluation of monomial tables at a stack of points, and
-maximal minors of small matrices (Pluecker coordinates).  Every modulus is
-checked to be a prime below 2**31.
+containment test, and evaluation of monomial tables at a stack of points.
+Every modulus is checked to be a prime below 2**31.  :func:`rref` and
+:func:`maximal_minors`, like ``varieties.embed``, have no caller in the
+package; they stay only because the benchmark's per-layer metrics name
+them.
 
 Matrices are numpy int64 arrays.  With p < 2**31 every product of two
 reduced entries, and every difference of two such products, stays inside

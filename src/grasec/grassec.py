@@ -36,7 +36,6 @@ class GrassmannSecantReport:
     dim_phi: int
     dim_direct: int
     expected_dim: int
-    cross_check: bool
     seg_dim: int
     seg_expected_dim: int
     defect_transfer: bool | None
@@ -45,6 +44,10 @@ class GrassmannSecantReport:
     @property
     def defect(self) -> int:
         return self.expected_dim - self.dim_direct
+
+    @property
+    def cross_check(self) -> bool:  # the slice-map and direct routes agree
+        return self.dim_phi == self.dim_direct
 
     def to_dict(self) -> dict:
         return {
@@ -64,11 +67,10 @@ class GrassmannSecantReport:
         }
 
 
-def expected_gs_dim(n: int, k: int, s: int, r: int) -> int:
-    """min(s*n + (k+1)(s-1-k), (k+1)(r-k)): the parameter-count prediction."""
-    if not 0 <= k <= s - 1 <= r:
-        raise ValueError(f"need 0 <= k <= s-1 <= r, got k={k}, s={s}, r={r}")
-    return min(s * n + (k + 1) * (s - 1 - k), (k + 1) * (r - k))
+def expected_gs_dim(spec: varieties.SegreVeroneseSpec, k: int, s: int) -> int:
+    """min(s*n + (w+1)(s-1-w), (w+1)(r-w)) with w = min(k, s-1): the parameter-count prediction."""
+    w = _plane_dim(spec, k, s)
+    return min(s * spec.dim + (w + 1) * (s - 1 - w), (w + 1) * (spec.ambient_dim - w))
 
 
 def _plane_dim(spec: varieties.SegreVeroneseSpec, k: int, s: int) -> int:
@@ -128,7 +130,7 @@ def gs_dim_direct(
 ) -> int:
     """dim GS_X(w, s) as the rank of the parameterization's differential into Hom(L, V/L)."""
     w = _plane_dim(spec, k, s)
-    bound = expected_gs_dim(spec.dim, w, s, spec.ambient_dim)
+    bound = expected_gs_dim(spec, k, s)
     return secant._max_rank(
         lambda rng, p: _direct_rank(spec, w, s, rng, p), bound, trials, seed, primes
     )[0]
@@ -149,16 +151,15 @@ def gs_report(
     ``defect_transfer`` verifies, when k <= s-1 < r, that the Grassmann
     secant defect equals the secant defect of Seg(P^k x X).
     """
-    n, r = spec.dim, spec.ambient_dim
     w = _plane_dim(spec, k, s)
     dim_direct = gs_dim_direct(spec, k, s, trials=trials, seed=seed, primes=primes)
     seg = varieties.prepend_projective_factor(spec, k)
     seg_report = secant.secant_dim(seg, s, trials=trials, seed=seed, primes=primes)
     dim_phi = seg_report.dim - ((w + 1) * (k + 1) - 1)
-    expected = expected_gs_dim(n, w, s, r)
+    expected = expected_gs_dim(spec, k, s)
 
     defect_transfer: bool | None = None
-    if k <= s - 1 < r:
+    if k <= s - 1 < spec.ambient_dim:
         defect_transfer = (expected - dim_direct) == seg_report.defect
 
     return GrassmannSecantReport(
@@ -169,7 +170,6 @@ def gs_report(
         dim_phi=dim_phi,
         dim_direct=dim_direct,
         expected_dim=expected,
-        cross_check=(dim_phi == dim_direct),
         seg_dim=seg_report.dim,
         seg_expected_dim=seg_report.expected_dim,
         defect_transfer=defect_transfer,

@@ -155,15 +155,15 @@ def count_decompositions(
     spec: varieties.SegreVeroneseSpec,
     s: int,
     target: SlicedTensor | PluckerPoint,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> int:
     """Number of s-subsets of X(F_q) whose span contains the target, q = target.p.
 
     For a subspace target this is direct containment.  For a tensor target
     it is the reduced decomposition count: once the X-points are fixed,
     suitable coefficient points of P^k exist exactly when every slice lies
-    in the span of the chosen points, a linear solvability test.  After the
-    budget check the s-subsets are tested in chunks, one stacked
+    in the span of the chosen points, a linear solvability test.  After
+    checking the subset count against DEFAULT_ENUMERATION_BUDGET, the
+    s-subsets are tested in chunks, one stacked
     :func:`field.subspace_contains` call per chunk.
     """
     q = target.p
@@ -172,8 +172,10 @@ def count_decompositions(
     # #X(F_q) = prod #P^{n_i}(F_q): the embedding is injective on F_q-points
     npoints = math.prod((q ** (n + 1) - 1) // (q - 1) for n, _ in spec.factors)
     total = math.comb(npoints, s)
-    if total > budget:
-        raise BudgetExceededError(f"{total} span tests exceed the budget of {budget}")
+    if total > DEFAULT_ENUMERATION_BUDGET:
+        raise BudgetExceededError(
+            f"{total} span tests exceed the budget of {DEFAULT_ENUMERATION_BUDGET}"
+        )
     points = enumerate_variety_points(spec, q)
     rows = field.as_matrix(target.basis if isinstance(target, PluckerPoint) else target.slices, q)
     chunk = max(1, _CHUNK_ENTRIES // ((s + len(rows)) * points.shape[1]))

@@ -30,51 +30,33 @@ def _check(name: str, anchor: str, computed, expected) -> dict:
     }
 
 
-def _generic_rank(reports: list[secant.SecantReport]) -> int | None:
-    """Least s whose report fills the ambient space, if any does."""
-    return next((rep.s for rep in reports if rep.fills_ambient), None)
-
-
 def _secant_checks(seed: int, primes: tuple[int, ...], trials: int) -> list[dict]:
-    # each range computes sigma_{s_max} and sigma_{s_max - 1}; propagation
-    # fills in the rest, and the generic rank is read off the same reports
+    # each range computes sigma_top and sigma_{top - 1}; propagation fills
+    # in the rest, and the generic rank is read off the same reports
+    table = (  # spec, top; (name, expected, anchor) of sigma_top, sigma_{top-1}, generic rank
+        ("1,1,1,1,1", 6, (
+            ("pencil-2x2x2x2-sigma6", {"dim": 31, "fills": True},
+             "the 6th secant variety of the five-fold Segre product of P^1 fills P^31"),
+            ("pencil-2x2x2x2-sigma5", 29,
+             "the 5th secant variety of the five-fold Segre product of P^1 has dimension 29 < 31"),
+            ("pencil-2x2x2x2-generic-rank", 6, "the generic pencil of 2x2x2x2 tensors has rank 6"),
+        )),
+        ("3,3,3", 7, (
+            ("matrix-4x4-sigma7", {"dim": 63, "fills": True},
+             "the 7th secant variety of P^3 x P^3 x P^3 fills P^63"),
+            ("matrix-4x4-sigma6", 59, "the 6th secant variety of P^3 x P^3 x P^3 has dimension 59"),
+            ("matrix-4x4-generic-rank", 7,
+             "the generic dimension-3 linear system of 4x4 matrices has rank 7"),
+        )),
+    )
     checks = []
-    pencils = varieties.SegreVeroneseSpec.parse("1,1,1,1,1")
-    reps = secant.classify_secant_range(pencils, range(1, 7), trials=trials, seed=seed, primes=primes)
-    r6, r5 = reps[5], reps[4]
-    checks.append(_check(
-        "pencil-2x2x2x2-sigma6",
-        "the 6th secant variety of the five-fold Segre product of P^1 fills P^31",
-        {"dim": r6.dim, "fills": r6.fills_ambient}, {"dim": 31, "fills": True},
-    ))
-    checks.append(_check(
-        "pencil-2x2x2x2-sigma5",
-        "the 5th secant variety of the five-fold Segre product of P^1 has dimension 29 < 31",
-        r5.dim, 29,
-    ))
-    checks.append(_check(
-        "pencil-2x2x2x2-generic-rank",
-        "the generic pencil of 2x2x2x2 tensors has rank 6",
-        _generic_rank(reps), 6,
-    ))
-    cubes = varieties.SegreVeroneseSpec.parse("3,3,3")
-    reps = secant.classify_secant_range(cubes, range(1, 8), trials=trials, seed=seed, primes=primes)
-    r7, r6b = reps[6], reps[5]
-    checks.append(_check(
-        "matrix-4x4-sigma7",
-        "the 7th secant variety of P^3 x P^3 x P^3 fills P^63",
-        {"dim": r7.dim, "fills": r7.fills_ambient}, {"dim": 63, "fills": True},
-    ))
-    checks.append(_check(
-        "matrix-4x4-sigma6",
-        "the 6th secant variety of P^3 x P^3 x P^3 has dimension 59",
-        r6b.dim, 59,
-    ))
-    checks.append(_check(
-        "matrix-4x4-generic-rank",
-        "the generic dimension-3 linear system of 4x4 matrices has rank 7",
-        _generic_rank(reps), 7,
-    ))
+    for text, top, rows in table:
+        spec = varieties.SegreVeroneseSpec.parse(text)
+        reps = secant.classify_secant_range(spec, range(1, top + 1), trials=trials, seed=seed, primes=primes)
+        computed = ({"dim": reps[-1].dim, "fills": reps[-1].fills_ambient},
+                    reps[-2].dim, secant._filling_order(reps))
+        checks += [_check(name, anchor, value, expected)
+                   for (name, expected, anchor), value in zip(rows, computed)]
     return checks
 
 

@@ -36,7 +36,10 @@ class SecantReport:
     trials_used: int                # rank evaluations that ran; 0 when propagated
     primes_used: tuple[int, ...]    # distinct primes they ran on, in order
     seed: int
-    propagated: bool = False
+
+    @property
+    def propagated(self) -> bool:  # filled in by monotonicity, no rank evaluation ran
+        return self.trials_used == 0
 
     @property
     def defect(self) -> int:
@@ -74,6 +77,11 @@ def subseed(seed: int, trial: int, prime: int) -> int:
     """Stable per-(trial, prime) sub-seed, independent of PYTHONHASHSEED."""
     digest = hashlib.blake2b(f"{seed}:{trial}:{prime}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
+
+
+def _fill_floor(spec: varieties.SegreVeroneseSpec) -> int:
+    """ceil((r+1)/(n+1)): no secant variety of lower order fills P^r."""
+    return math.ceil((spec.ambient_dim + 1) / (spec.dim + 1))
 
 
 def _check_order(spec: varieties.SegreVeroneseSpec, k: int, s: int) -> None:
@@ -145,21 +153,32 @@ def secant_dim(
     The maximum is sound because the rank at any special point only
     under-estimates the generic rank.
     """
-    _check_order(spec, 0, s)
     expected = expected_secant_dim(spec, s)
     dim, ran = _max_rank(
         lambda rng, p: terracini_rank(spec, s, rng, p), expected, trials, seed, primes
     )
+    return _report(spec, s, dim, seed, ran)
+
+
+def _report(
+    spec: varieties.SegreVeroneseSpec, s: int, dim: int, seed: int, ran: tuple[int, ...]
+) -> SecantReport:
+    """The report of dim sigma_s = ``dim``; ``ran`` holds the prime of each rank evaluation."""
     return SecantReport(
         spec=str(spec),
         s=s,
         dim=dim,
-        expected_dim=expected,
+        expected_dim=expected_secant_dim(spec, s),
         fills_ambient=(dim == spec.ambient_dim),
         trials_used=len(ran),
         primes_used=tuple(dict.fromkeys(ran)),
         seed=seed,
     )
+
+
+def _filling_order(reports: list[SecantReport]) -> int | None:
+    """Least s whose report fills the ambient space, if any does."""
+    return next((rep.s for rep in reports if rep.fills_ambient), None)
 
 
 def generic_rank(
@@ -170,30 +189,14 @@ def generic_rank(
 ) -> int:
     """Least s with the s-th secant variety filling the ambient space.
 
-    The search ascends from the information-theoretic bound
-    ceil((r+1)/(n+1)); sigma_{r+1} always fills, so the loop terminates.
+    One :func:`classify_secant_range` walk over ceil((r+1)/(n+1)) .. r + 1;
+    sigma_{r+1} always fills, so some report does.
     """
-    r = spec.ambient_dim
-    s = math.ceil((r + 1) / (spec.dim + 1))
-    while s <= r + 1:
-        if secant_dim(spec, s, trials=trials, seed=seed, primes=primes).fills_ambient:
-            return s
-        s += 1
-    raise InconsistencyError(f"no filling secant variety found for {spec} up to s = r + 1")
-
-
-def _propagated(spec: varieties.SegreVeroneseSpec, s: int, dim: int, seed: int) -> SecantReport:
-    return SecantReport(
-        spec=str(spec),
-        s=s,
-        dim=dim,
-        expected_dim=expected_secant_dim(spec, s),
-        fills_ambient=(dim == spec.ambient_dim),
-        trials_used=0,
-        primes_used=(),
-        seed=seed,
-        propagated=True,
-    )
+    orders = range(_fill_floor(spec), spec.ambient_dim + 2)
+    s = _filling_order(classify_secant_range(spec, orders, trials=trials, seed=seed, primes=primes))
+    if s is None:
+        raise InconsistencyError(f"no filling secant variety found for {spec} up to s = r + 1")
+    return s
 
 
 def classify_secant_range(
@@ -221,20 +224,20 @@ def classify_secant_range(
         reports[s] = rep
         return rep
 
-    s_pivot = min(hi, math.ceil((r + 1) / (n + 1)))
+    s_pivot = min(hi, _fill_floor(spec))
     pivot = compute(s_pivot)
 
     propagate_down = pivot.dim == s_pivot * (n + 1) - 1
     for t in range(s_pivot - 1, lo - 1, -1):
         if propagate_down:
-            reports[t] = _propagated(spec, t, t * (n + 1) - 1, seed)
+            reports[t] = _report(spec, t, t * (n + 1) - 1, seed, ())
         else:
             propagate_down = compute(t).dim == t * (n + 1) - 1
 
     fills = pivot.fills_ambient
     for t in range(s_pivot + 1, hi + 1):
         if fills:
-            reports[t] = _propagated(spec, t, r, seed)
+            reports[t] = _report(spec, t, r, seed, ())
         else:
             fills = compute(t).fills_ambient
 

@@ -159,7 +159,8 @@ def tangent_frame(spec: SegreVeroneseSpec, points: list[ParameterPoint], p: int)
         row += n
         frames = frames[..., None] * np.take_along_axis(block, pick, axis=1)[:, :, None, :]
         frames %= p  # in place: the product is the largest array built here
-        frames = frames.reshape(len(points), nrows, -1)
+        # the width is spelled out: -1 cannot be inferred for an empty stack
+        frames = frames.reshape(len(points), nrows, frames.shape[2] * frames.shape[3])
     return frames
 
 

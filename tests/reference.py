@@ -19,15 +19,18 @@
 * :func:`count_decompositions` tests every s-subset of those points on
   its own: its span contains the target rows iff adding them keeps the
   rank.
+* :func:`generic_rank` is the plain ascending loop over secant orders,
+  one :func:`grasec.secant.secant_dim` call per order until one fills.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
-from grasec import varieties
-from grasec.errors import SamplingError
+from grasec import field, secant, varieties
+from grasec.errors import InconsistencyError, SamplingError
 
 
 def rref(rows, p: int) -> tuple[list[list[int]], list[int]]:
@@ -190,3 +193,19 @@ def plucker_direct_rank(
             dm[a] = frames[b][0]
             columns.append(_minors_derivative(m, dm, p))
     return rank(columns, p)
+
+
+def generic_rank(
+    spec: varieties.SegreVeroneseSpec,
+    trials: int = secant.DEFAULT_TRIALS,
+    seed: int = 0,
+    primes: tuple[int, ...] = field.DEFAULT_PRIMES,
+) -> int:
+    """Least s with sigma_s filling P^r, ascending from ceil((r+1)/(n+1)) to r + 1."""
+    r = spec.ambient_dim
+    s = math.ceil((r + 1) / (spec.dim + 1))
+    while s <= r + 1:
+        if secant.secant_dim(spec, s, trials=trials, seed=seed, primes=primes).fills_ambient:
+            return s
+        s += 1
+    raise InconsistencyError(f"no filling secant variety found for {spec} up to s = r + 1")

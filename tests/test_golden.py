@@ -17,6 +17,8 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     "reproduce_seed0.txt": ["reproduce", "--seed", "0"],
     "grassmann_2-4_k3_s5.txt": ["grassmann", "--spec", "2:4", "--k", "3", "--s", "5"],
+    # k > s - 1: expected_dim is taken at the w-plane, w = min(k, s-1) = 1
+    "grassmann_2-2_k3_s2.txt": ["grassmann", "--spec", "2:2", "--k", "3", "--s", "2"],
     "secant_2-2_s1-4.txt": ["secant", "--spec", "2,2", "--s", "1..4"],
     # r = 511: the only case whose ranks take the blocked route (more than 128 columns)
     "secant_1x9_s50-53.txt": ["secant", "--spec", "1,1,1,1,1,1,1,1,1", "--s", "50..53"],

@@ -11,20 +11,24 @@ V3P1 = SegreVeroneseSpec.parse("1:3")
 
 class TestExpectedDim:
     def test_veronese_surface(self):
-        assert grassec.expected_gs_dim(n=2, k=1, s=3, r=5) == 8
+        assert grassec.expected_gs_dim(V2P2, 1, 3) == 8
 
     def test_k_zero_reduces_to_secant(self):
         for spec_text, s in (("2:2", 2), ("1,1", 2), ("1:3", 3)):
             spec = SegreVeroneseSpec.parse(spec_text)
-            assert grassec.expected_gs_dim(spec.dim, 0, s, spec.ambient_dim) == \
-                secant.expected_secant_dim(spec, s)
+            assert grassec.expected_gs_dim(spec, 0, s) == secant.expected_secant_dim(spec, s)
 
     def test_twisted_cubic_chords(self):
-        assert grassec.expected_gs_dim(n=1, k=1, s=2, r=3) == 2
+        assert grassec.expected_gs_dim(V3P1, 1, 2) == 2
 
-    def test_parameter_order_enforced(self):
-        with pytest.raises(ValueError):
-            grassec.expected_gs_dim(n=2, k=3, s=3, r=5)
+    def test_k_above_s_minus_one_takes_the_w_plane(self):
+        # k = 3 > s - 1 = 2: the value at w = 2, the expected_dim gs_report prints
+        assert grassec.expected_gs_dim(V2P2, 3, 3) == grassec.expected_gs_dim(V2P2, 2, 3) == \
+            grassec.gs_report(V2P2, 3, 3, trials=1).expected_dim == 6
+        for k, s in ((-1, 3), (1, 0), (1, 7)):
+            with pytest.raises(ValueError, match=f"^need k >= 0, s >= 1 and s - 1 <= r, "
+                                                 f"got k={k}, s={s}, r=5$"):
+                grassec.expected_gs_dim(V2P2, k, s)
 
 
 class TestPhiRoute:
@@ -72,7 +76,9 @@ class TestDirectRoute:
             assert grassec.gs_dim_direct(spec, k, s, trials=1) == expected
 
 
-@pytest.mark.parametrize("route", [grassec.gs_dim_direct, grassec.gs_report])
+@pytest.mark.parametrize("route", [
+    grassec.expected_gs_dim, grassec.gs_dim_direct, grassec.gs_report,
+])
 @pytest.mark.parametrize("k,s", [(-1, 2), (1, 0), (1, 6)])
 def test_plane_dim_rejects_bad_k_s(route, k, s):
     # V3P1 has r = 3: k = -1, s = 0 and s - 1 > r are each out of range

@@ -124,11 +124,12 @@ class TestCounting:
         n_pi = phimap.count_decompositions(spec, 2, phimap.phi(witness.tensor))
         assert n_b == n_pi
 
-    def test_budget_enforced(self):
+    def test_budget_enforced(self, monkeypatch):
+        monkeypatch.setattr(phimap, "DEFAULT_ENUMERATION_BUDGET", 10)
         spec = SegreVeroneseSpec.parse("1,1")
         witness = phimap.random_secant_point(spec, 0, 2, _rng(1, 5), 5)
         with pytest.raises(phimap.BudgetExceededError):
-            phimap.count_decompositions(spec, 2, witness.tensor, budget=10)
+            phimap.count_decompositions(spec, 2, witness.tensor)
 
     def test_budget_checked_before_enumeration(self, monkeypatch):
         # #X(F_7) = 57**3 points would take seconds to enumerate
@@ -136,11 +137,12 @@ class TestCounting:
             raise AssertionError("enumerated X(F_q) before checking the budget")
 
         monkeypatch.setattr(phimap, "enumerate_variety_points", unreachable)
+        monkeypatch.setattr(phimap, "DEFAULT_ENUMERATION_BUDGET", 10)
         spec = SegreVeroneseSpec.parse("2,2,2")
         witness = phimap.random_secant_point(spec, 0, 2, _rng(1, 7), 7)
         with pytest.raises(phimap.BudgetExceededError,
                            match="^17148131028 span tests exceed the budget of 10$"):
-            phimap.count_decompositions(spec, 2, witness.tensor, budget=10)
+            phimap.count_decompositions(spec, 2, witness.tensor)
 
     def test_large_field_rejected(self):
         # q is the target's field: one built over F_11 or F_P cannot be enumerated

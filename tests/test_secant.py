@@ -1,10 +1,12 @@
 """Secant dimensions, defects, generic ranks and range classification."""
 
+import dataclasses
 import math
 import random
 
 import pytest
 
+import reference
 from grasec import field, secant
 from grasec.errors import InconsistencyError
 from grasec.varieties import SegreVeroneseSpec
@@ -128,6 +130,42 @@ class TestGenericRank:
     def test_two_by_two_matrices(self):
         assert secant.generic_rank(SegreVeroneseSpec.parse("1,1")) == 2
 
+    @staticmethod
+    def _spy(monkeypatch, fills=None) -> list:
+        """Record every secant_dim call; ``fills`` overrides each report's fills_ambient."""
+        real, calls = secant.secant_dim, []
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            rep = real(*args, **kwargs)
+            return rep if fills is None else dataclasses.replace(rep, fills_ambient=fills)
+
+        monkeypatch.setattr(secant, "secant_dim", spy)
+        return calls
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("text", ["1,1,1,1,1", "3,3,3", "1,1", "2:2", "1,3,3", "2,2"])
+    def test_walk_matches_ascending_loop(self, text, seed, monkeypatch):
+        spec = SegreVeroneseSpec.parse(text)
+        calls = self._spy(monkeypatch)
+        rank = secant.generic_rank(spec, seed=seed)
+        walk = calls[:]
+        calls.clear()
+        assert rank == reference.generic_rank(spec, seed=seed)
+        assert walk == calls
+
+    def test_none_filling_raises(self, monkeypatch):
+        spec = SegreVeroneseSpec.parse("1,1")
+        calls = self._spy(monkeypatch, fills=False)
+        message = "^no filling secant variety found for 1,1 up to s = r \\+ 1$"
+        with pytest.raises(InconsistencyError, match=message):
+            secant.generic_rank(spec)
+        walk = calls[:]
+        calls.clear()
+        with pytest.raises(InconsistencyError, match=message):
+            reference.generic_rank(spec)
+        assert walk == calls and [args[1] for args, _ in calls] == [2, 3, 4]
+
 
 class TestClassifyRange:
     def test_fill_propagates_upward(self):
@@ -148,6 +186,16 @@ class TestClassifyRange:
         reports = secant.classify_secant_range(SegreVeroneseSpec.parse("2,2"), range(1, 4))
         assert [rep.defect for rep in reports] == [0, 1, 0]
         assert not any(rep.propagated for rep in reports)
+
+    @pytest.mark.parametrize("text,orders", [
+        ("1,1,1,1,1", range(1, 9)), ("2,2", range(1, 6)), ("2:2", range(1, 7)),
+    ])
+    def test_propagated_reports_ran_nothing(self, text, orders):
+        reports = secant.classify_secant_range(SegreVeroneseSpec.parse(text), orders)
+        assert any(rep.propagated for rep in reports)
+        for rep in reports:
+            assert rep.propagated == (rep.trials_used == 0) == rep.to_dict()["propagated"]
+            assert (rep.primes_used == ()) == rep.propagated
 
     def test_propagated_dims_match_direct_computation(self):
         spec = SegreVeroneseSpec.parse("1,1,1")

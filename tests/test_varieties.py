@@ -3,6 +3,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 import reference
@@ -110,6 +111,13 @@ class TestTangentFrames:
         point = varieties.random_parameter_point(spec, rng, P)
         frame = varieties.tangent_frame(spec, [point], P)[0]
         assert field.matrix_rank(frame, P) == 5
+
+    @pytest.mark.parametrize("text", ["1,2", "1:3"])
+    def test_no_points_give_an_empty_stack(self, text):
+        spec = SegreVeroneseSpec.parse(text)
+        frames = varieties.tangent_frame(spec, [], P)
+        assert frames.shape == (0, spec.dim + 1, spec.ambient_dim + 1)
+        assert frames.dtype == np.int64
 
     def test_frame_contains_embedding(self):
         spec = SegreVeroneseSpec.parse("1:3")
