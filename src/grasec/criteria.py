@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from . import field, secant, varieties
+from . import field, grassec, secant, varieties
 from .errors import InconsistencyError
 
 HOLDS = "holds"
@@ -102,8 +102,8 @@ def theorem_tre(
     Hypotheses: 0 < k <= s-1, the ambient dimension strictly exceeds
     s*n + s - 1 (so the s-th secant variety of the Segre product cannot
     cover its span), X is not s-defective, and
-    s*n + (k+1)(s-1-k) < (k+1)(r-k).  Non-defectivity is certified by
-    computing dim sigma_s(X) with :func:`secant.secant_dim`.
+    s*n + (k+1)(s-1-k) < (k+1)(r-k) (:func:`grassec.expected_gs_dim`, w = k).
+    Non-defectivity is certified by computing dim sigma_s(X) with :func:`secant.secant_dim`.
     """
     secant._check_order(spec, k, s)
     n, r = spec.dim, spec.ambient_dim
@@ -112,7 +112,7 @@ def theorem_tre(
         "0 < k <= s-1": 0 < k <= s - 1,
         "r > s*n + s - 1": r > s * n + s - 1,
         "X not s-defective": not s_defective,
-        "s*n + (k+1)(s-1-k) < (k+1)(r-k)": s * n + (k + 1) * (s - 1 - k) < (k + 1) * (r - k),
+        "s*n + (k+1)(s-1-k) < (k+1)(r-k)": grassec.expected_gs_dim(spec, k, s) < (k + 1) * (r - k),
     }
     outcome = HOLDS if all(hypotheses.values()) else NOT_DECIDED
     step = CriterionStep(

@@ -86,14 +86,14 @@ def _check_modulus(p: int) -> None:
 
 
 def as_matrix(rows, p: int) -> np.ndarray:
-    """Copy ``rows`` into an int64 array with entries reduced into [0, p)."""
+    """Copy ``rows`` into an int64 array with entries in [0, p), reducing only if needed."""
     _check_modulus(p)
     m = np.array(rows, dtype=np.int64)
     if m.ndim == 1:
         m = m.reshape(1, -1)
     if m.ndim != 2:
         raise ValueError("expected a matrix (2-dimensional array)")
-    return m % p
+    return m if not m.size or 0 <= m.min() <= m.max() < p else m % p
 
 
 def _limb_sum(left: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:

@@ -164,6 +164,28 @@ def tangent_frame(spec: SegreVeroneseSpec, points: list[ParameterPoint], p: int)
     return frames
 
 
+def _coordinate_supports(spec: SegreVeroneseSpec) -> np.ndarray:
+    """Column of each (unit) frame row at every coordinate point, shape (prod(n_i + 1), n + 1).
+
+    A coordinate point is e_j in every factor, in mixed radix over the factors.  Its
+    rows, in :func:`tangent_frame`'s order, sit at prod x_j^d, then per factor at each
+    x_j^(d-1) x_k, k != j.
+    """
+    digits = np.indices([n + 1 for n, _ in spec.factors]).reshape(len(spec.factors), -1)
+    stride, base = spec.ambient_dim + 1, 0
+    deltas = [np.zeros((digits.shape[1], 1), dtype=np.int64)]
+    for (n, d), j in zip(spec.factors, digits):
+        exps = _power_rule(n, d)[0][0]
+        stride //= len(exps)
+        eye = np.eye(n + 1, dtype=np.int64)
+        # table[j, k]: this factor's column offset of x_j^(d-1) x_k
+        table = (exps == ((d - 1) * eye[:, None] + eye)[:, :, None]).all(-1).argmax(-1) * stride
+        k = np.arange(n)
+        deltas.append(table[j[:, None], k + (k >= j[:, None])] - table[j, j][:, None])
+        base = base + table[j, j]
+    return base[:, None] + np.concatenate(deltas, axis=1)
+
+
 def embed(spec: SegreVeroneseSpec, point: ParameterPoint, p: int) -> list[int]:
     """Ambient coordinates of the embedded point, length r + 1."""
     return tangent_frame(spec, [point], p)[0, 0].tolist()

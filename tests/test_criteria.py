@@ -160,8 +160,9 @@ class TestNeverDefective:
             _classify_to_generic_rank(spec, seed=5)
 
     def test_defect_message_matches_generic_rank_search(self):
-        # over F_3 the random frames of Seg(P^1 x P^1 x P^1) lose rank at s = 2
-        spec, budget = SegreVeroneseSpec.parse("1,1"), {"trials": 1, "primes": (3,)}
+        # over F_2 the frames of Seg(P^1 x P^1 x P^1) lose rank at s = 2, both
+        # in the coordinate attempt and in the random trial
+        spec, budget = SegreVeroneseSpec.parse("1,1"), {"trials": 1, "primes": (2,)}
         with pytest.raises(InconsistencyError) as old:
             _classify_to_generic_rank(spec, **budget)
         with pytest.raises(InconsistencyError, match="defect") as new:
@@ -294,6 +295,21 @@ class TestReports:
             criteria.format_to_spec((4,))
         with pytest.raises(ValueError):
             criteria.format_to_spec((1, 4))
+
+
+def test_parameter_count_hypothesis_is_the_inequality_its_key_names():
+    # the value comes from grassec.expected_gs_dim, the printed key states the count
+    seen = set()
+    for text in ("1:4", "2:2", "1,2", "2:3", "1:10"):
+        spec = SegreVeroneseSpec.parse(text)
+        n, r = spec.dim, spec.ambient_dim
+        for s in range(2, 6):
+            for k in range(1, s):
+                step = criteria.theorem_tre(spec, s, k, trials=1).chain[0]
+                value = step.inputs["hypotheses"]["s*n + (k+1)(s-1-k) < (k+1)(r-k)"]
+                assert value == (s * n + (k + 1) * (s - 1 - k) < (k + 1) * (r - k)), (text, k, s)
+                seen.add(value)
+    assert seen == {True, False}
 
 
 def test_soundness_guard_on_positive_verdicts():

@@ -67,6 +67,18 @@ class TestMatrixRank:
         assert field.matrix_rank(scaled, 101) == base
 
 
+def test_as_matrix_reduces_entries_outside_the_field():
+    # an int64 input already in [0, p) is copied without a second mod pass
+    raw = np.array([[-1, 7, 8, -15], [2**40, 0, 6, 3]], dtype=np.int64)
+    reduced = field.as_matrix(raw, 7)
+    assert reduced.tolist() == [[6, 0, 1, 6], [2**40 % 7, 0, 6, 3]]
+    assert raw[0, 0] == -1
+    done = np.array([[0, 6], [3, 1]], dtype=np.int64)
+    copy = field.as_matrix(done, 7)
+    assert copy.tolist() == done.tolist() and not np.shares_memory(copy, done)
+    assert field.as_matrix([[-3, 10]], 7).tolist() == [[4, 3]]
+
+
 class TestRref:
     def test_hand_reduction(self):
         out = field.rref([[1, 1, 0], [0, 1, 1]], P)

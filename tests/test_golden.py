@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from grasec import cli
+from grasec import cli, field
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -20,7 +20,8 @@ CASES = {
     # k > s - 1: expected_dim is taken at the w-plane, w = min(k, s-1) = 1
     "grassmann_2-2_k3_s2.txt": ["grassmann", "--spec", "2:2", "--k", "3", "--s", "2"],
     "secant_2-2_s1-4.txt": ["secant", "--spec", "2,2", "--s", "1..4"],
-    # r = 511: the only case whose ranks take the blocked route (more than 128 columns)
+    # r = 511: the only case whose ranks take the blocked route (more than 128
+    # columns, also after the coordinate attempt deletes its covered columns)
     "secant_1x9_s50-53.txt": ["secant", "--spec", "1,1,1,1,1,1,1,1,1", "--s", "50..53"],
     "identifiability_format_4-4_k1_s3.txt": [
         "identifiability", "--format", "4,4", "--k", "1", "--s", "3",
@@ -32,3 +33,16 @@ CASES = {
 def test_stdout_matches_golden(name, capsys):
     cli.main(CASES[name])
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+def test_blocked_golden_ranks_take_the_blocked_route(capsys, monkeypatch):
+    widths = []
+    rank = field.matrix_rank
+
+    def recorded(rows, p):
+        widths.append(rows.shape[1])
+        return rank(rows, p)
+
+    monkeypatch.setattr(field, "matrix_rank", recorded)
+    cli.main(CASES["secant_1x9_s50-53.txt"])
+    assert widths and min(widths) > field._BLOCKED_ABOVE, widths

@@ -7,9 +7,9 @@ import random
 import pytest
 
 import reference
-from grasec import field, secant
+from grasec import field, reproduce, secant
 from grasec.errors import InconsistencyError
-from grasec.varieties import SegreVeroneseSpec
+from grasec.varieties import SegreVeroneseSpec, prepend_projective_factor
 
 PENCILS = SegreVeroneseSpec.parse("1,1,1,1,1")
 CUBES = SegreVeroneseSpec.parse("3,3,3")
@@ -87,8 +87,9 @@ class TestTrialLedger:
         assert rep.to_dict()["primes_used"] == [field.DEFAULT_PRIME]
 
     def test_defective_runs_the_whole_budget(self):
+        # the coordinate attempt, then trials x primes
         rep = secant.secant_dim(SegreVeroneseSpec.parse("2,2"), 2, trials=2)
-        assert rep.trials_used == 4 and rep.primes_used == field.DEFAULT_PRIMES
+        assert rep.trials_used == 2 * 2 + 1 and rep.primes_used == field.DEFAULT_PRIMES
 
     def test_loop_order_and_seeds(self):
         calls = []
@@ -232,6 +233,68 @@ class TestDefectivityOracle:
     def test_known_defective_segre_products(self, text, s):
         # Abo, Ottaviani & Peterson, Trans. AMS 2009
         assert secant.secant_dim(SegreVeroneseSpec.parse(text), s).defect == 1
+
+
+def _random_only(spec, s, seed=0):
+    """dim sigma_s from the random trials alone, without the coordinate attempt."""
+    return secant._max_rank(lambda rng, p: secant.terracini_rank(spec, s, rng, p),
+                            secant.expected_secant_dim(spec, s), secant.DEFAULT_TRIALS, seed,
+                            field.DEFAULT_PRIMES)[0]
+
+
+# the benchmark's secant_dim rows, r = 124, 241, 511, 611
+SECANT_SCALE = (("4,4,4", 10), ("2,2,2,2,2", 22), ("1,1,1,1,1,1,1,1,1", 52), ("4,4,4,4", 36))
+
+
+class TestCoordinateAttempt:
+    """The coordinate-point certificate against the random-only route and a dense rank."""
+
+    @pytest.mark.parametrize("text,s", [("1,1,1,1", 3), ("1,1,1,1", 4), ("2,2", 2), ("2:3", 3),
+                                        ("3:2,2", 4), ("1,1,1", 2), ("2:2,1", 5)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_residual_rank_matches_the_whole_matrix(self, text, s, seed):
+        spec = SegreVeroneseSpec.parse(text)
+        fast = secant.terracini_rank(spec, s, random.Random(seed), 101, coordinates=True)
+        assert fast == reference.coordinate_terracini_rank(spec, s, random.Random(seed), 101)
+
+    @pytest.mark.parametrize("text,s", SECANT_SCALE)
+    def test_certifies_the_benchmark_rows_alone(self, text, s):
+        spec = SegreVeroneseSpec.parse(text)
+        rep = secant.secant_dim(spec, s, trials=1, primes=(field.DEFAULT_PRIME,))
+        assert rep.trials_used == 1 and rep.primes_used == (field.DEFAULT_PRIME,)
+        assert rep.dim == rep.expected_dim == _random_only(spec, s)
+
+    def test_matches_random_route_on_catalog_grid(self):
+        for text in reproduce.PHI_GRID_SPECS:
+            spec = SegreVeroneseSpec.parse(text)
+            for k in reproduce.PHI_GRID_K:
+                seg = prepend_projective_factor(spec, k)
+                for s in reproduce.PHI_GRID_S:
+                    assert secant.secant_dim(seg, s).dim == _random_only(seg, s), (text, k, s)
+
+    @pytest.mark.parametrize("text", _veronese_specs(130))
+    def test_matches_random_route_on_veronese_oracle_cells(self, text):
+        spec = SegreVeroneseSpec.parse(text)
+        for s in range(1, math.ceil((spec.ambient_dim + 1) / (spec.dim + 1)) + 1):
+            assert secant.secant_dim(spec, s).dim == _random_only(spec, s), s
+
+    @pytest.mark.parametrize("text,s", [("1,1,1,1", 3), ("2,2,2", 4), ("1,1,3", 3), ("2,3,3", 5)])
+    def test_defective_results_come_from_the_trials(self, text, s, monkeypatch):
+        spec = SegreVeroneseSpec.parse(text)
+        calls = []
+        rank = secant.terracini_rank
+
+        def recorded(spec, s, rng, p, coordinates=False):
+            calls.append((p, coordinates))
+            return rank(spec, s, rng, p, coordinates)
+
+        monkeypatch.setattr(secant, "terracini_rank", recorded)
+        rep = secant.secant_dim(spec, s)
+        # the attempt first, on the first prime, then every trial
+        assert calls == [(field.DEFAULT_PRIME, True)] + [
+            (p, False) for p in field.DEFAULT_PRIMES for _ in range(secant.DEFAULT_TRIALS)]
+        assert rep.trials_used == len(calls) and rep.defect == 1
+        assert rep.dim == _random_only(spec, s)
 
 
 class TestInvariants:

@@ -1,6 +1,7 @@
 """Segre-Veronese specs, embeddings and tangent frames."""
 
 import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -118,6 +119,20 @@ class TestTangentFrames:
         frames = varieties.tangent_frame(spec, [], P)
         assert frames.shape == (0, spec.dim + 1, spec.ambient_dim + 1)
         assert frames.dtype == np.int64
+
+    @pytest.mark.parametrize("text", ["1,1,1,1", "2:3,1", "3:2,2", "4,4,4"])
+    def test_coordinate_supports_match_frames(self, text):
+        # the supports read off the power-rule table against the dense frames
+        spec = SegreVeroneseSpec.parse(text)
+        points = [tuple(tuple(int(i == j) for i in range(n + 1))
+                        for (n, _), j in zip(spec.factors, digits))
+                  for digits in itertools.product(*(range(n + 1) for n, _ in spec.factors))]
+        frames = varieties.tangent_frame(spec, points, P)
+        supports = varieties._coordinate_supports(spec)
+        assert supports.shape == (len(points), spec.dim + 1)
+        for frame, support in zip(frames, supports):
+            assert [np.flatnonzero(row).tolist() for row in frame] == [[c] for c in support]
+            assert frame[np.arange(spec.dim + 1), support].tolist() == [1] * (spec.dim + 1)
 
     def test_frame_contains_embedding(self):
         spec = SegreVeroneseSpec.parse("1:3")
