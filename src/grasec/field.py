@@ -26,10 +26,10 @@ each pivot; bases get the full reduced echelon form.
 
 :func:`subspace_contains` takes a whole stack of spans, e.g. every
 s-subset of X(F_q) at once, and eliminates all of them in one per-column
-loop vectorized over the stack.  That loop is kept apart from
-:func:`_gauss_jordan` on purpose: on a stack of one it takes about twice
-as long as the forward-only loop (15 x 15: 359 vs 141 us; 60 x 35: 1303
-vs 542 us; a 612 x 64 panel: 19.2 vs 10.2 ms; min of 7 repeats at
+loop vectorized over the stack.  A single span is reduced by
+:func:`_echelon` instead: on a stack of one the stacked loop takes about
+twice as long as :func:`_gauss_jordan` (15 x 15: 359 vs 141 us; 60 x 35:
+1303 vs 542 us; a 612 x 64 panel: 19.2 vs 10.2 ms; min of 7 repeats at
 p = 2**31 - 1 on a 2-vCPU Xeon), and that loop is most of every rank.
 """
 
@@ -41,7 +41,7 @@ import math
 
 import numpy as np
 
-DEFAULT_PRIME = 2_147_483_647       # 2**31 - 1, fast reduction
+DEFAULT_PRIME = 2_147_483_647       # 2**31 - 1, the largest prime the int64 kernels allow
 CONFIRMATION_PRIME = 2_147_483_629  # second large prime for confirmation runs
 DEFAULT_PRIMES = (DEFAULT_PRIME, CONFIRMATION_PRIME)
 
@@ -298,20 +298,24 @@ def subspace_contains(span_rows, candidate_rows, p: int) -> bool | np.ndarray:
     ``span_rows`` may be a stack of spans, shape ``(..., s, c)``, tested
     against the same candidates; the result is then a bool array of shape
     ``(...)``, and a plain bool for a single (2-D) span.  A span contains
-    the candidates iff rank(span ; candidates) == rank(span), that is iff
-    no candidate row becomes a pivot row of the stacked (span ; candidates)
-    matrix, see :func:`_stacked_pivots`.
+    the candidates iff rank(span ; candidates) == rank(span).  A stack
+    checks that no candidate row becomes a pivot row of its (span ;
+    candidates) matrices, see :func:`_stacked_pivots`.  A single span takes
+    its reduced echelon basis B from :func:`_echelon` instead: a row v lies
+    in the span iff v equals v[pivots] @ B.
     """
     cand = as_matrix(candidate_rows, p)
     span = np.asarray(span_rows, dtype=np.int64)
     *stack, s, width = span.shape
     if width != cand.shape[1]:
         raise ValueError("span and candidate rows have different lengths")
+    if not stack:
+        basis, pivots = _echelon(span, p)
+        return bool((cand == _limb_product(cand[:, pivots], basis, p)).all())
     m = np.empty((math.prod(stack), s + len(cand), width), dtype=np.int64)
     m[:, :s] = span.reshape(-1, s, width) % p
     m[:, s:] = cand
-    contained = ~_stacked_pivots(m, p)[:, s:].any(axis=1)
-    return bool(contained[0]) if not stack else contained.reshape(stack)
+    return ~_stacked_pivots(m, p)[:, s:].any(axis=1).reshape(stack)
 
 
 def dual_evaluate(x, exponents: np.ndarray, coeffs: np.ndarray, p: int) -> np.ndarray:

@@ -8,22 +8,29 @@ rank.  When the computed value reaches the expected dimension the bound
 is an equality certificate; a strict gap across all trials and both
 default primes is reported as defective with high confidence.  Before the
 trials x primes budget comes one more evaluation with most points at
-coordinate points (Draisma, JPAA 2008), which only ranks a small residual.
+coordinate points (Draisma, JPAA 2008), which only ranks a small residual;
+they are drawn from one cached packing per spec, found by a local search.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+import operator
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import field, varieties
 from .errors import InconsistencyError
 
 DEFAULT_TRIALS = 3
 MAX_EVALUATIONS = 64  # cap on trials x primes; the coordinate attempt comes on top
+PACKING_ROUNDS = 600   # rounds of the coordinate packing search, once per spec
+PACKING_RESTART = 100  # rounds without a new best packing before the search restarts
 
 
 @dataclass(frozen=True)
@@ -96,24 +103,92 @@ def _check_order(spec: varieties.SegreVeroneseSpec, k: int, s: int) -> None:
         raise ValueError(f"need k >= 0, s >= 1 and s - 1 <= r, got k={k}, s={s}, r={r}")
 
 
+def _members(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, increasing."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _packing(spec: varieties.SegreVeroneseSpec) -> tuple[int, ...]:
+    """Indices of coordinate points with pairwise disjoint supports, built once per spec.
+
+    Iterated local search (Andrade, Resende & Werneck, J. Heuristics 2012)
+    on Python-int bitsets, from a fixed seed: each of PACKING_ROUNDS rounds
+    forces a random point in, drops those whose supports meet its own, then
+    refills at random and makes (1,2)-swaps until none applies.  A result d
+    points short of the current packing and d' of the best replaces the
+    current one with probability 1 / (1 + d d'); PACKING_RESTART rounds
+    without a new best restart from scratch.  No packing exceeds (r+1)/(n+1).
+    """
+    supports = varieties._coordinate_supports(spec).tolist()
+    cover = [0] * (spec.ambient_dim + 1)  # the points whose support holds each column
+    for v, row in enumerate(supports):
+        for c in row:
+            cover[c] |= 1 << v
+    meets = [functools.reduce(operator.or_, (cover[c] for c in row)) for row in supports]
+    full, rng = (1 << len(meets)) - 1, random.Random(0)
+
+    def search(sol: list[int]) -> list[int]:
+        while True:
+            once = twice = 0  # the points that meet at least one, two points of sol
+            for x in sol:
+                once, twice = once | meets[x], twice | once & meets[x]
+            free = _members(full & ~once)
+            rng.shuffle(free)
+            for v in free:
+                if not once >> v & 1:
+                    sol.append(v)
+                    once, twice = once | meets[v], twice | once & meets[v]
+            for i, x in enumerate(sol):
+                # two points that meet no point of sol but x, nor each other
+                alone = meets[x] & ~twice & ~(1 << x)
+                pair = alone & alone - 1 and next(
+                    ((u, pick) for u in _members(alone) if (pick := alone & ~meets[u])), None)
+                if pair:
+                    sol[i:i + 1] = [pair[0], pair[1].bit_length() - 1]
+                    break
+            else:
+                return sol
+
+    best = current = search([])
+    bound, stale = min(len(meets), (spec.ambient_dim + 1) // (spec.dim + 1)), 0
+    for _ in range(PACKING_ROUNDS):
+        if len(best) == bound:
+            break
+        if stale and stale % PACKING_RESTART == 0:
+            current = search([])
+        v = rng.randrange(len(meets))
+        while v in current:  # some point is outside, as no packing exceeds the bound
+            v = rng.randrange(len(meets))
+        trial = search([x for x in current if not meets[v] >> x & 1] + [v])
+        worse, behind = len(current) - len(trial), len(best) - len(trial)
+        if worse <= 0 or rng.random() < 1 / (1 + worse * behind):
+            current = trial
+        best, stale = (current, 0) if len(current) > len(best) else (best, stale + 1)
+    return tuple(sorted(best))
+
+
 def terracini_rank(
     spec: varieties.SegreVeroneseSpec, s: int, rng: random.Random, p: int,
     coordinates: bool = False,
 ) -> int:
     """Rank of the s stacked tangent frames at random points, minus one.
 
-    With ``coordinates``, up to floor(3s/4) points are coordinate points with
-    disjoint supports, kept greedily in an order drawn from ``rng``: unit rows
-    on columns C, so the rank is |C| + that of the other frames without C.
+    With ``coordinates``, min(floor(3s/4), len(packing)) points are drawn
+    with ``rng.sample`` from the spec's cached :func:`_packing`: their frames
+    are unit rows on disjoint columns C, so the rank is |C| plus that of the
+    other frames without C.
     """
-    n1, r1, cover = spec.dim + 1, spec.ambient_dim + 1, set()
-    if coordinates:
-        supports = varieties._coordinate_supports(spec).tolist()
-        for i in rng.sample(range(len(supports)), len(supports)):
-            if len(cover) < 3 * s // 4 * n1 and cover.isdisjoint(supports[i]):
-                cover.update(supports[i])
-    rows = varieties.random_frames(spec, s - len(cover) // n1, rng, p).reshape(-1, r1)
-    return len(cover) + field.matrix_rank(rows[:, [c for c in range(r1) if c not in cover]], p) - 1
+    packing = _packing(spec) if coordinates else ()
+    chosen = rng.sample(packing, min(3 * s // 4, len(packing)))
+    keep = np.ones(spec.ambient_dim + 1, dtype=bool)
+    keep[varieties._coordinate_supports(spec)[chosen]] = False
+    rows = varieties.random_frames(spec, s - len(chosen), rng, p).reshape(-1, len(keep))
+    return len(chosen) * (spec.dim + 1) + field.matrix_rank(rows[:, keep], p) - 1
 
 
 def _max_rank(

@@ -164,12 +164,13 @@ def tangent_frame(spec: SegreVeroneseSpec, points: list[ParameterPoint], p: int)
     return frames
 
 
+@functools.lru_cache(maxsize=None)
 def _coordinate_supports(spec: SegreVeroneseSpec) -> np.ndarray:
     """Column of each (unit) frame row at every coordinate point, shape (prod(n_i + 1), n + 1).
 
     A coordinate point is e_j in every factor, in mixed radix over the factors.  Its
     rows, in :func:`tangent_frame`'s order, sit at prod x_j^d, then per factor at each
-    x_j^(d-1) x_k, k != j.
+    x_j^(d-1) x_k, k != j.  Built once per spec and read-only, like :func:`_power_rule`.
     """
     digits = np.indices([n + 1 for n, _ in spec.factors]).reshape(len(spec.factors), -1)
     stride, base = spec.ambient_dim + 1, 0
@@ -183,7 +184,9 @@ def _coordinate_supports(spec: SegreVeroneseSpec) -> np.ndarray:
         k = np.arange(n)
         deltas.append(table[j[:, None], k + (k >= j[:, None])] - table[j, j][:, None])
         base = base + table[j, j]
-    return base[:, None] + np.concatenate(deltas, axis=1)
+    supports = base[:, None] + np.concatenate(deltas, axis=1)
+    supports.flags.writeable = False  # shared by the cache
+    return supports
 
 
 def embed(spec: SegreVeroneseSpec, point: ParameterPoint, p: int) -> list[int]:

@@ -22,8 +22,8 @@
 * :func:`generic_rank` is the plain ascending loop over secant orders,
   one :func:`grasec.secant.secant_dim` call per order until one fills.
 * :func:`coordinate_terracini_rank` ranks the whole Terracini matrix at the
-  point set of the coordinate attempt, with each coordinate point's support
-  read off its dense :func:`frame`.
+  point set of the coordinate attempt, coordinate points from the spec's
+  packing included, with no column deleted.
 """
 
 from __future__ import annotations
@@ -214,23 +214,22 @@ def generic_rank(
     raise InconsistencyError(f"no filling secant variety found for {spec} up to s = r + 1")
 
 
+def coordinate_points(spec: varieties.SegreVeroneseSpec) -> list[varieties.ParameterPoint]:
+    """Every coordinate point (a unit vector per factor), in mixed radix over the factors."""
+    return [tuple(tuple(int(i == j) for i in range(n + 1)) for (n, _), j in zip(spec.factors, js))
+            for js in itertools.product(*(range(n + 1) for n, _ in spec.factors))]
+
+
 def coordinate_terracini_rank(spec: varieties.SegreVeroneseSpec, s: int, rng: random.Random,
                               p: int) -> int:
     """``terracini_rank(spec, s, rng, p, coordinates=True)`` without deleting any column.
 
-    The same draws from ``rng``: an order of the coordinate points, in which
-    up to floor(3s/4) with pairwise disjoint supports are kept, then the
-    other points.  All s frames are stacked and ranked whole.
+    The same draws from ``rng``: min(floor(3s/4), len(packing)) points of the
+    spec's coordinate packing, then the other points.  All s frames are
+    stacked and ranked whole.
     """
-    points = [tuple(tuple(int(i == j) for i in range(n + 1)) for (n, _), j in zip(spec.factors, js))
-              for js in itertools.product(*(range(n + 1) for n, _ in spec.factors))]
-    kept, covered = [], set()
-    for i in rng.sample(range(len(points)), len(points)):
-        if len(kept) == 3 * s // 4:
-            break
-        support = {row.index(1) for row in frame(spec, points[i], p)}
-        if not support & covered:
-            kept.append(points[i])
-            covered |= support
+    points = coordinate_points(spec)
+    packing = secant._packing(spec)
+    kept = [points[i] for i in rng.sample(packing, min(3 * s // 4, len(packing)))]
     kept += [varieties.random_parameter_point(spec, rng, p) for _ in range(s - len(kept))]
     return rank([row for point in kept for row in frame(spec, point, p)], p) - 1

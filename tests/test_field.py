@@ -108,6 +108,26 @@ class TestSubspaceContains:
         span = [[1, 0, 0]]
         assert not field.subspace_contains(span, [[0, 1, 0]], P)
 
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, P])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_single_span_matches_the_stack_and_the_reference(self, q, data):
+        width = data.draw(st.integers(1, 6))
+        row = st.lists(st.integers(0, q - 1), min_size=width, max_size=width)
+        span = data.draw(st.lists(row, min_size=1, max_size=5))
+        cand = data.draw(st.lists(row, min_size=1, max_size=3))
+        if data.draw(st.booleans()):
+            span.insert(data.draw(st.integers(0, len(span))), [0] * width)
+        if data.draw(st.booleans()):
+            cand.append([0] * width)
+        if data.draw(st.booleans()):
+            span.append(span[0])
+        if data.draw(st.booleans()):
+            cand.append(data.draw(st.sampled_from(span)))
+        expected = reference.rank(span + cand, q) == reference.rank(span, q)
+        assert field.subspace_contains(span, cand, q) is expected
+        assert field.subspace_contains([span], cand, q).tolist() == [expected]
+
     @pytest.mark.parametrize("span", [[[0, 0]], [[1, 2]]])
     def test_width_mismatch_rejected(self, span):
         with pytest.raises(ValueError):

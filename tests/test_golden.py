@@ -20,9 +20,11 @@ CASES = {
     # k > s - 1: expected_dim is taken at the w-plane, w = min(k, s-1) = 1
     "grassmann_2-2_k3_s2.txt": ["grassmann", "--spec", "2:2", "--k", "3", "--s", "2"],
     "secant_2-2_s1-4.txt": ["secant", "--spec", "2,2", "--s", "1..4"],
-    # r = 511: the only case whose ranks take the blocked route (more than 128
-    # columns, also after the coordinate attempt deletes its covered columns)
+    # r = 511; the coordinate attempt leaves residuals of at most 128 columns
     "secant_1x9_s50-53.txt": ["secant", "--spec", "1,1,1,1,1,1,1,1,1", "--s", "50..53"],
+    # r = 624: the only case whose ranks take the blocked route (more than 128
+    # columns, also after the coordinate attempt deletes its covered columns)
+    "secant_4x4_s36.txt": ["secant", "--spec", "4,4,4,4", "--s", "36"],
     "identifiability_format_4-4_k1_s3.txt": [
         "identifiability", "--format", "4,4", "--k", "1", "--s", "3",
     ],
@@ -44,5 +46,5 @@ def test_blocked_golden_ranks_take_the_blocked_route(capsys, monkeypatch):
         return rank(rows, p)
 
     monkeypatch.setattr(field, "matrix_rank", recorded)
-    cli.main(CASES["secant_1x9_s50-53.txt"])
+    cli.main(CASES["secant_4x4_s36.txt"])
     assert widths and min(widths) > field._BLOCKED_ABOVE, widths

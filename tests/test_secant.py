@@ -2,12 +2,17 @@
 
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import reference
-from grasec import field, reproduce, secant
+from grasec import field, reproduce, secant, varieties
 from grasec.errors import InconsistencyError
 from grasec.varieties import SegreVeroneseSpec, prepend_projective_factor
 
@@ -246,6 +251,46 @@ def _random_only(spec, s, seed=0):
 SECANT_SCALE = (("4,4,4", 10), ("2,2,2,2,2", 22), ("1,1,1,1,1,1,1,1,1", 52), ("4,4,4,4", 36))
 
 
+class TestPacking:
+    """The coordinate packing the attempt draws from, built once per spec."""
+
+    @pytest.mark.parametrize("text", ["1,1,1,1", "2:3,1", "3:2,2", "4,4,4"])
+    def test_supports_are_disjoint_in_the_frames(self, text):
+        spec = SegreVeroneseSpec.parse(text)
+        packing = secant._packing(spec)
+        points = reference.coordinate_points(spec)
+        frames = varieties.tangent_frame(spec, [points[v] for v in packing], field.DEFAULT_PRIME)
+        columns = [c for frame in frames for row in frame for c in np.flatnonzero(row)]
+        assert len(columns) == len(set(columns)) == len(packing) * (spec.dim + 1)
+
+    @pytest.mark.parametrize("text", ["1,1,1,1", "2:3,1", "3:2,2", "4,4,4", "1:5", "2,2,2,2,2"])
+    def test_is_maximal(self, text):
+        spec = SegreVeroneseSpec.parse(text)
+        supports = varieties._coordinate_supports(spec).tolist()
+        packing = secant._packing(spec)
+        covered = {c for v in packing for c in supports[v]}
+        assert list(packing) == sorted(set(packing))
+        assert all(covered.intersection(supports[v]) for v in range(len(supports)) if v not in packing)
+
+    def test_does_not_depend_on_the_hash_seed(self):
+        code = ("from grasec import secant, varieties\n"
+                "for text in ('3:2,2', '2,2,2,2,2', '1,1,1,1,1,1,1,1,1'):\n"
+                "    print(secant._packing(varieties.SegreVeroneseSpec.parse(text)))\n")
+        src = str(Path(secant.__file__).resolve().parents[1])
+        outputs = {subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
+                                  env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)).stdout
+                   for seed in ("1", "2")}
+        here = "".join(f"{secant._packing(SegreVeroneseSpec.parse(text))}\n"
+                       for text in ("3:2,2", "2,2,2,2,2", "1,1,1,1,1,1,1,1,1"))
+        assert outputs == {here.encode()}
+
+    @pytest.mark.parametrize("text,size", [("4,4,4", 5), ("2,2,2,2,2", 18),
+                                           ("1,1,1,1,1,1,1,1,1", 40), ("4,4,4,4", 25)])
+    def test_sizes_on_the_benchmark_specs(self, text, size):
+        # the optimal codes of minimum distance 3: A_5(3,3), A_3(5,3), A(9,3), A_5(4,3)
+        assert len(secant._packing(SegreVeroneseSpec.parse(text))) == size
+
+
 class TestCoordinateAttempt:
     """The coordinate-point certificate against the random-only route and a dense rank."""
 
@@ -263,6 +308,13 @@ class TestCoordinateAttempt:
         rep = secant.secant_dim(spec, s, trials=1, primes=(field.DEFAULT_PRIME,))
         assert rep.trials_used == 1 and rep.primes_used == (field.DEFAULT_PRIME,)
         assert rep.dim == rep.expected_dim == _random_only(spec, s)
+
+    @pytest.mark.parametrize("text,s", SECANT_SCALE + (("1,1,1,1,1,1,1,1,1,1", 94),))
+    def test_certifies_alone_on_ten_seeds(self, text, s):
+        spec = SegreVeroneseSpec.parse(text)
+        for seed in range(10):
+            rep = secant.secant_dim(spec, s, trials=1, seed=seed, primes=(field.DEFAULT_PRIME,))
+            assert rep.trials_used == 1 and rep.dim == rep.expected_dim, seed
 
     def test_matches_random_route_on_catalog_grid(self):
         for text in reproduce.PHI_GRID_SPECS:

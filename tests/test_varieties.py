@@ -1,7 +1,6 @@
 """Segre-Veronese specs, embeddings and tangent frames."""
 
 import hashlib
-import itertools
 import random
 
 import numpy as np
@@ -124,15 +123,19 @@ class TestTangentFrames:
     def test_coordinate_supports_match_frames(self, text):
         # the supports read off the power-rule table against the dense frames
         spec = SegreVeroneseSpec.parse(text)
-        points = [tuple(tuple(int(i == j) for i in range(n + 1))
-                        for (n, _), j in zip(spec.factors, digits))
-                  for digits in itertools.product(*(range(n + 1) for n, _ in spec.factors))]
+        points = reference.coordinate_points(spec)
         frames = varieties.tangent_frame(spec, points, P)
         supports = varieties._coordinate_supports(spec)
         assert supports.shape == (len(points), spec.dim + 1)
         for frame, support in zip(frames, supports):
             assert [np.flatnonzero(row).tolist() for row in frame] == [[c] for c in support]
             assert frame[np.arange(spec.dim + 1), support].tolist() == [1] * (spec.dim + 1)
+
+    def test_coordinate_supports_are_cached_read_only(self):
+        spec = SegreVeroneseSpec.parse("2:3,1")
+        supports = varieties._coordinate_supports(spec)
+        assert varieties._coordinate_supports(SegreVeroneseSpec.parse("2:3,1")) is supports
+        assert not supports.flags.writeable
 
     def test_frame_contains_embedding(self):
         spec = SegreVeroneseSpec.parse("1:3")
