@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from . import field, grassec, secant, varieties
+from . import field, secant, varieties
 from .errors import InconsistencyError
 
 HOLDS = "holds"
@@ -47,12 +47,26 @@ class CriterionStep:
 
 @dataclass(frozen=True)
 class IdentifiabilityVerdict:
+    """The chain of criterion steps for (k, s)-identifiability of ``subject``."""
+
     subject: str
     k: int
     s: int
-    verdict: str
     chain: tuple[CriterionStep, ...]
-    provenance: str
+
+    @property
+    def verdict(self) -> str:
+        """FAILS if a step fails, else HOLDS if one holds, else NOT_DECIDED."""
+        outcomes = {step.outcome for step in self.chain}
+        if FAILS in outcomes:
+            return FAILS
+        return HOLDS if HOLDS in outcomes else NOT_DECIDED
+
+    @property
+    def provenance(self) -> str:
+        """The provenances of the steps that hold or fail, sorted and joined by '+'."""
+        decisive = {st.provenance for st in self.chain if st.outcome in (HOLDS, FAILS)}
+        return "+".join(sorted(decisive)) or "computed"
 
     def to_dict(self) -> dict:
         return {
@@ -74,21 +88,6 @@ class DimsegreCase:
     defective: bool | None
 
 
-def _verdict_from_chain(subject: str, k: int, s: int, chain) -> IdentifiabilityVerdict:
-    decisive = [st for st in chain if st.outcome in (HOLDS, FAILS)]
-    if any(st.outcome == FAILS for st in decisive):
-        verdict = FAILS
-    elif any(st.outcome == HOLDS for st in decisive):
-        verdict = HOLDS
-    else:
-        verdict = NOT_DECIDED
-    provenance = "+".join(sorted({st.provenance for st in decisive})) or "computed"
-    return IdentifiabilityVerdict(
-        subject=subject, k=k, s=s, verdict=verdict,
-        chain=tuple(chain), provenance=provenance,
-    )
-
-
 def theorem_tre(
     spec: varieties.SegreVeroneseSpec,
     s: int,
@@ -102,7 +101,7 @@ def theorem_tre(
     Hypotheses: 0 < k <= s-1, the ambient dimension strictly exceeds
     s*n + s - 1 (so the s-th secant variety of the Segre product cannot
     cover its span), X is not s-defective, and
-    s*n + (k+1)(s-1-k) < (k+1)(r-k) (:func:`grassec.expected_gs_dim`, w = k).
+    s*n + (k+1)(s-1-k) < (k+1)(r-k).
     Non-defectivity is certified by computing dim sigma_s(X) with :func:`secant.secant_dim`.
     """
     secant._check_order(spec, k, s)
@@ -112,7 +111,7 @@ def theorem_tre(
         "0 < k <= s-1": 0 < k <= s - 1,
         "r > s*n + s - 1": r > s * n + s - 1,
         "X not s-defective": not s_defective,
-        "s*n + (k+1)(s-1-k) < (k+1)(r-k)": grassec.expected_gs_dim(spec, k, s) < (k + 1) * (r - k),
+        "s*n + (k+1)(s-1-k) < (k+1)(r-k)": s * n + (k + 1) * (s - 1 - k) < (k + 1) * (r - k),
     }
     outcome = HOLDS if all(hypotheses.values()) else NOT_DECIDED
     step = CriterionStep(
@@ -131,7 +130,7 @@ def theorem_tre(
         ),
         provenance="computed",
     )
-    return _verdict_from_chain(str(spec), k, s, [step])
+    return IdentifiabilityVerdict(str(spec), k, s, (step,))
 
 
 def codimension_criterion(spec: varieties.SegreVeroneseSpec, s: int) -> IdentifiabilityVerdict:
@@ -150,7 +149,7 @@ def codimension_criterion(spec: varieties.SegreVeroneseSpec, s: int) -> Identifi
         ),
         provenance="computed",
     )
-    return _verdict_from_chain(str(spec), s - 1, s, [step])
+    return IdentifiabilityVerdict(str(spec), s - 1, s, (step,))
 
 
 def recheck_step(step: CriterionStep) -> str:
@@ -327,7 +326,7 @@ def identifiability_report(
     if k == s - 1:
         chain.extend(codimension_criterion(spec, s).chain)
     subject = "x".join(str(d) for d in fmt) if fmt else str(spec)
-    return _verdict_from_chain(subject, k, s, chain)
+    return IdentifiabilityVerdict(subject, k, s, tuple(chain))
 
 
 def linear_system_report(

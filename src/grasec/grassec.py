@@ -29,17 +29,26 @@ from .errors import SamplingError
 
 @dataclass(frozen=True)
 class GrassmannSecantReport:
-    spec: str
+    """dim GS_X(w, s) by the direct route, and ``seg``: the report of sigma_s(Seg(P^k x X))."""
+
+    spec: varieties.SegreVeroneseSpec
     k: int
     s: int
-    w: int
-    dim_phi: int
     dim_direct: int
-    expected_dim: int
-    seg_dim: int
-    seg_expected_dim: int
-    defect_transfer: bool | None
+    seg: secant.SecantReport
     seed: int
+
+    @property
+    def w(self) -> int:
+        return _plane_dim(self.spec, self.k, self.s)
+
+    @property
+    def dim_phi(self) -> int:  # the slice-map route: seg_dim - ((w+1)(k+1) - 1)
+        return self.seg.dim - ((self.w + 1) * (self.k + 1) - 1)
+
+    @property
+    def expected_dim(self) -> int:
+        return expected_gs_dim(self.spec, self.k, self.s)
 
     @property
     def defect(self) -> int:
@@ -49,9 +58,24 @@ class GrassmannSecantReport:
     def cross_check(self) -> bool:  # the slice-map and direct routes agree
         return self.dim_phi == self.dim_direct
 
+    @property
+    def seg_dim(self) -> int:
+        return self.seg.dim
+
+    @property
+    def seg_expected_dim(self) -> int:
+        return self.seg.expected_dim
+
+    @property
+    def defect_transfer(self) -> bool | None:
+        """For k <= s-1 < r: whether the defect equals that of sigma_s(Seg(P^k x X)), else None."""
+        if self.k <= self.s - 1 < self.spec.ambient_dim:
+            return self.defect == self.seg.defect
+        return None
+
     def to_dict(self) -> dict:
         return {
-            "spec": self.spec,
+            "spec": str(self.spec),
             "k": self.k,
             "s": self.s,
             "w": self.w,
@@ -144,34 +168,8 @@ def gs_report(
     seed: int = 0,
     primes: tuple[int, ...] = field.DEFAULT_PRIMES,
 ) -> GrassmannSecantReport:
-    """Both dimension computations plus expected dimension and defect checks.
-
-    ``dim_phi`` is the slice-map route, read off the secant dimension of
-    Seg(P^k x X); ``dim_direct`` is :func:`gs_dim_direct`.
-    ``defect_transfer`` verifies, when k <= s-1 < r, that the Grassmann
-    secant defect equals the secant defect of Seg(P^k x X).
-    """
-    w = _plane_dim(spec, k, s)
+    """Both dimension computations: :func:`gs_dim_direct` and the secant of Seg(P^k x X)."""
     dim_direct = gs_dim_direct(spec, k, s, trials=trials, seed=seed, primes=primes)
-    seg = varieties.prepend_projective_factor(spec, k)
-    seg_report = secant.secant_dim(seg, s, trials=trials, seed=seed, primes=primes)
-    dim_phi = seg_report.dim - ((w + 1) * (k + 1) - 1)
-    expected = expected_gs_dim(spec, k, s)
-
-    defect_transfer: bool | None = None
-    if k <= s - 1 < spec.ambient_dim:
-        defect_transfer = (expected - dim_direct) == seg_report.defect
-
-    return GrassmannSecantReport(
-        spec=str(spec),
-        k=k,
-        s=s,
-        w=w,
-        dim_phi=dim_phi,
-        dim_direct=dim_direct,
-        expected_dim=expected,
-        seg_dim=seg_report.dim,
-        seg_expected_dim=seg_report.expected_dim,
-        defect_transfer=defect_transfer,
-        seed=seed,
-    )
+    seg = secant.secant_dim(varieties.prepend_projective_factor(spec, k), s,
+                            trials=trials, seed=seed, primes=primes)
+    return GrassmannSecantReport(spec, k, s, dim_direct, seg, seed)

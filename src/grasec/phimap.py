@@ -32,16 +32,14 @@ _CHUNK_ENTRIES = 2**19
 
 @dataclass(frozen=True)
 class SlicedTensor:
-    """A point of P^{(k+1)(r+1)-1} as its (k+1) x (r+1) slice matrix."""
+    """A point of P^{(k+1)(r+1)-1} over F_p as its (k+1) x (r+1) slice matrix."""
 
-    k: int
-    r: int
     p: int
     slices: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.slices) != self.k + 1 or any(len(row) != self.r + 1 for row in self.slices):
-            raise ValueError("slice matrix shape does not match (k+1) x (r+1)")
+        if len({len(row) for row in self.slices}) != 1:
+            raise ValueError("the slice rows must have one common length")
         if not any(any(row) for row in self.slices):
             raise ValueError("the zero tensor has no slice span")
 
@@ -49,12 +47,7 @@ class SlicedTensor:
         c %= self.p
         if c == 0:
             raise ValueError("scaling by zero")
-        return SlicedTensor(
-            k=self.k,
-            r=self.r,
-            p=self.p,
-            slices=tuple(tuple(v * c % self.p for v in row) for row in self.slices),
-        )
+        return SlicedTensor(self.p, tuple(tuple(v * c % self.p for v in row) for row in self.slices))
 
 
 @dataclass(frozen=True)
@@ -65,9 +58,12 @@ class PluckerPoint:
     coordinates are the maximal minors of ``basis``.
     """
 
-    w: int
     p: int
     basis: tuple[tuple[int, ...], ...]
+
+    @property
+    def w(self) -> int:
+        return len(self.basis) - 1
 
 
 @dataclass(frozen=True)
@@ -82,22 +78,15 @@ class SecantWitness:
 def phi(tensor: SlicedTensor) -> PluckerPoint:
     """Row space of the slice matrix, as its canonical row basis."""
     basis = field.row_space_basis(tensor.slices, tensor.p)
-    return PluckerPoint(
-        w=basis.shape[0] - 1,
-        p=tensor.p,
-        basis=tuple(tuple(int(v) for v in row) for row in basis),
-    )
+    return PluckerPoint(tensor.p, tuple(tuple(int(v) for v in row) for row in basis))
 
 
 def assemble_tensor(lambdas, embedded_points, p: int) -> SlicedTensor:
-    """Slice j is sum_i lambda_{i,j} * P_i, computed exactly; k and r are read off the widths."""
+    """Slice j is sum_i lambda_{i,j} * P_i, computed exactly."""
     P = field.as_matrix(embedded_points, p)
     lam = field.as_matrix(lambdas, p)            # s x (k+1)
     slices = field.matmul_mod(lam.T, P, p)       # (k+1) x (r+1)
-    return SlicedTensor(
-        k=lam.shape[1] - 1, r=P.shape[1] - 1, p=p,
-        slices=tuple(tuple(int(v) for v in row) for row in slices),
-    )
+    return SlicedTensor(p, tuple(tuple(int(v) for v in row) for row in slices))
 
 
 def random_secant_point(

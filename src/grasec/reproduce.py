@@ -71,15 +71,10 @@ def _grid_checks(seed: int, primes: tuple[int, ...]) -> list[dict]:
     except SamplingError as exc:
         identity = transfer = {"error": str(exc)}
     else:
-        identity_pass = sum(
-            1 for rep in reports
-            if rep.cross_check and rep.seg_dim - rep.dim_direct == (rep.w + 1) * (rep.k + 1) - 1
-        )
-        transfer_pass = sum(
-            1 for rep in reports
-            if rep.defect_transfer
-            and rep.seg_dim - rep.dim_direct == rep.k**2 + 2 * rep.k
-        )
+        # cross_check is the identity seg_dim - dim_direct == (w+1)(k+1) - 1,
+        # which is the gap k^2 + 2k wherever the transfer applies (w = k)
+        identity_pass = sum(rep.cross_check for rep in reports)
+        transfer_pass = sum(bool(rep.defect_transfer and rep.cross_check) for rep in reports)
         identity, transfer = f"{identity_pass}/{total}", f"{transfer_pass}/{transfers}"
     return [
         _check(

@@ -35,16 +35,22 @@ PACKING_RESTART = 100  # rounds without a new best packing before the search res
 
 @dataclass(frozen=True)
 class SecantReport:
-    """Result of one secant-dimension computation."""
+    """Result of one secant-dimension computation: its arguments and what it computed."""
 
-    spec: str
+    spec: varieties.SegreVeroneseSpec
     s: int
     dim: int
-    expected_dim: int
-    fills_ambient: bool
     trials_used: int                # rank evaluations that ran; 0 when propagated
     primes_used: tuple[int, ...]    # distinct primes they ran on, in order
     seed: int
+
+    @property
+    def expected_dim(self) -> int:
+        return expected_secant_dim(self.spec, self.s)
+
+    @property
+    def fills_ambient(self) -> bool:
+        return self.dim == self.spec.ambient_dim
 
     @property
     def propagated(self) -> bool:  # filled in by monotonicity, no rank evaluation ran
@@ -62,7 +68,7 @@ class SecantReport:
 
     def to_dict(self) -> dict:
         return {
-            "spec": self.spec,
+            "spec": str(self.spec),
             "s": self.s,
             "dim": self.dim,
             "expected_dim": self.expected_dim,
@@ -256,16 +262,7 @@ def _report(
     spec: varieties.SegreVeroneseSpec, s: int, dim: int, seed: int, ran: tuple[int, ...]
 ) -> SecantReport:
     """The report of dim sigma_s = ``dim``; ``ran`` holds the prime of each rank evaluation."""
-    return SecantReport(
-        spec=str(spec),
-        s=s,
-        dim=dim,
-        expected_dim=expected_secant_dim(spec, s),
-        fills_ambient=(dim == spec.ambient_dim),
-        trials_used=len(ran),
-        primes_used=tuple(dict.fromkeys(ran)),
-        seed=seed,
-    )
+    return SecantReport(spec, s, dim, len(ran), tuple(dict.fromkeys(ran)), seed)
 
 
 def _filling_order(reports: list[SecantReport]) -> int | None:

@@ -83,7 +83,7 @@ def test_03_slice_map_dimension_identity_grid(grid_reports):
 def test_04_defect_transfer_on_grid(grid_reports):
     relevant = [
         rep for rep in grid_reports
-        if rep.k <= rep.s - 1 < SegreVeroneseSpec.parse(rep.spec).ambient_dim
+        if rep.k <= rep.s - 1 < rep.spec.ambient_dim
     ]
     ok = bool(relevant) and all(
         rep.defect_transfer

@@ -298,18 +298,27 @@ class TestReports:
 
 
 def test_parameter_count_hypothesis_is_the_inequality_its_key_names():
-    # the value comes from grassec.expected_gs_dim, the printed key states the count
-    seen = set()
-    for text in ("1:4", "2:2", "1,2", "2:3", "1:10"):
+    # every k in 0..r+1 and s in 1..r+1; for k >= s the parameter count of
+    # grassec.expected_gs_dim is taken at w = s-1 and differs from the key
+    differs, seen = 0, set()
+    for text in ("1,1", "2:2", "1:4", "2:3", "1,2", "1,1,1", "3:2", "1:10", "1:3", "2,2"):
         spec = SegreVeroneseSpec.parse(text)
         n, r = spec.dim, spec.ambient_dim
-        for s in range(2, 6):
-            for k in range(1, s):
+        for s in range(1, r + 2):
+            for k in range(r + 2):
                 step = criteria.theorem_tre(spec, s, k, trials=1).chain[0]
                 value = step.inputs["hypotheses"]["s*n + (k+1)(s-1-k) < (k+1)(r-k)"]
                 assert value == (s * n + (k + 1) * (s - 1 - k) < (k + 1) * (r - k)), (text, k, s)
-                seen.add(value)
-    assert seen == {True, False}
+                assert criteria.recheck_step(step) == step.outcome
+                w_plane = grassec.expected_gs_dim(spec, k, s) < (k + 1) * (r - k)
+                if 0 < k <= s - 1:  # the only cells the CLI reaches: unchanged
+                    assert value == w_plane, (text, k, s)
+                    seen.add(value)
+                differs += value != w_plane
+    assert seen == {True, False} and differs == 134
+    # e.g. 1,1 at s = 2, k = 2: 2*2 + 3*(-1) = 1 < 3 = 3*(3-2)
+    assert criteria.theorem_tre(SegreVeroneseSpec.parse("1,1"), s=2, k=2).chain[0] \
+        .inputs["hypotheses"]["s*n + (k+1)(s-1-k) < (k+1)(r-k)"] is True
 
 
 def test_soundness_guard_on_positive_verdicts():

@@ -29,12 +29,20 @@ CASES = {
         "identifiability", "--format", "4,4", "--k", "1", "--s", "3",
     ],
 }
+_ORDERED = {  # text and CSV print each row's keys in the order to_dict() builds them
+    "grassmann_2-4_k3_s5": CASES["grassmann_2-4_k3_s5.txt"],
+    "identifiability_spec_2-4_k1_s4": ["identifiability", "--spec", "2:4", "--k", "1", "--s", "4"],
+    "identifiability_format_4-4_k1_s3": CASES["identifiability_format_4-4_k1_s3.txt"],
+    "secant_2-2_s1-4": CASES["secant_2-2_s1-4.txt"],
+}
+CASES.update({f"{name}_{fmt}.txt": [*args, "--output", fmt]
+              for name, args in _ORDERED.items() for fmt in ("text", "csv")})
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(name, capsys):
     cli.main(CASES[name])
-    assert capsys.readouterr().out == (GOLDEN / name).read_text()
+    assert capsys.readouterr().out == (GOLDEN / name).read_bytes().decode()  # keeps CSV \r\n
 
 
 def test_blocked_golden_ranks_take_the_blocked_route(capsys, monkeypatch):

@@ -21,16 +21,16 @@ def _rng(seed, p):
 class TestSlicedTensor:
     def test_zero_tensor_rejected(self):
         with pytest.raises(ValueError):
-            SlicedTensor(1, 1, P, ((0, 0), (0, 0)))
+            SlicedTensor(P, ((0, 0), (0, 0)))
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
-            SlicedTensor(1, 1, P, ((1, 2), (3,)))
+            SlicedTensor(P, ((1, 2), (3,)))
 
 
 class TestPhi:
     def test_k_zero_is_the_point_itself(self):
-        tensor = SlicedTensor(0, 3, P, ((0, 2, 4, 0),))
+        tensor = SlicedTensor(P, ((0, 2, 4, 0),))
         plucker = phimap.phi(tensor)
         assert plucker.w == 0
         assert plucker.basis == ((0, 1, 2, 0),)
@@ -155,6 +155,6 @@ class TestCounting:
 
     def test_prime_power_field_rejected(self):
         # Z/4 is not the field F_4, so a target over it must not enumerate
-        target = SlicedTensor(1, 3, 4, ((1, 0, 0, 1), (0, 1, 1, 0)))
+        target = SlicedTensor(4, ((1, 0, 0, 1), (0, 1, 1, 0)))
         with pytest.raises(ValueError, match="needs a prime q <= 7, got q=4$"):
             phimap.count_decompositions(SegreVeroneseSpec.parse("1,1"), 2, target)

@@ -137,14 +137,14 @@ class TestGenericRank:
         assert secant.generic_rank(SegreVeroneseSpec.parse("1,1")) == 2
 
     @staticmethod
-    def _spy(monkeypatch, fills=None) -> list:
-        """Record every secant_dim call; ``fills`` overrides each report's fills_ambient."""
+    def _spy(monkeypatch, short=False) -> list:
+        """Record every secant_dim call; ``short`` makes each report's dim r - 1, so none fills."""
         real, calls = secant.secant_dim, []
 
         def spy(*args, **kwargs):
             calls.append((args, kwargs))
             rep = real(*args, **kwargs)
-            return rep if fills is None else dataclasses.replace(rep, fills_ambient=fills)
+            return dataclasses.replace(rep, dim=rep.spec.ambient_dim - 1) if short else rep
 
         monkeypatch.setattr(secant, "secant_dim", spy)
         return calls
@@ -162,7 +162,7 @@ class TestGenericRank:
 
     def test_none_filling_raises(self, monkeypatch):
         spec = SegreVeroneseSpec.parse("1,1")
-        calls = self._spy(monkeypatch, fills=False)
+        calls = self._spy(monkeypatch, short=True)
         message = "^no filling secant variety found for 1,1 up to s = r \\+ 1$"
         with pytest.raises(InconsistencyError, match=message):
             secant.generic_rank(spec)
