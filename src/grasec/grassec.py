@@ -9,8 +9,9 @@ points of X.  Its dimension is computed here both
 * directly, as the rank of the differential of the parameterization
   (points, coefficient matrix) -> the spanned w-plane L, with tangent
   vectors taken in T_L Gr = Hom(L, V/L): each derivative of the spanning
-  matrix is reduced modulo L.  The rank is the dimension itself; the
-  scaling of the coefficient matrix moves inside L and reduces to zero.
+  matrix is reduced modulo L and kept off L's pivots, for the s*n point
+  parameters and the coefficients outside an invertible block, a
+  ((w+1)(r-w)) x (s*n + (w+1)(s-1-w)) matrix whose rank is the dimension.
 
 Agreement of the two values on every instance is the package's central
 executable identity.
@@ -68,10 +69,8 @@ class GrassmannSecantReport:
 
     @property
     def defect_transfer(self) -> bool | None:
-        """For k <= s-1 < r: whether the defect equals that of sigma_s(Seg(P^k x X)), else None."""
-        if self.k <= self.s - 1 < self.spec.ambient_dim:
-            return self.defect == self.seg.defect
-        return None
+        """Where :func:`_transfers`, whether GS and the Segre secant have equal defects, else None."""
+        return self.defect == self.seg.defect if _transfers(self.spec, self.k, self.s) else None
 
     def to_dict(self) -> dict:
         return {
@@ -97,6 +96,11 @@ def expected_gs_dim(spec: varieties.SegreVeroneseSpec, k: int, s: int) -> int:
     return min(s * spec.dim + (w + 1) * (s - 1 - w), (w + 1) * (spec.ambient_dim - w))
 
 
+def _transfers(spec: varieties.SegreVeroneseSpec, k: int, s: int) -> bool:
+    """k <= s-1 < r: where the defect of GS_X(k, s) equals that of sigma_s(Seg(P^k x X))."""
+    return k <= s - 1 < spec.ambient_dim
+
+
 def _plane_dim(spec: varieties.SegreVeroneseSpec, k: int, s: int) -> int:
     """Check (k, s) against X and return w = min(k, s-1).
 
@@ -106,13 +110,8 @@ def _plane_dim(spec: varieties.SegreVeroneseSpec, k: int, s: int) -> int:
     return min(k, s - 1)
 
 
-def _direct_rank(
-    spec: varieties.SegreVeroneseSpec,
-    w: int,
-    s: int,
-    rng: random.Random,
-    p: int,
-) -> int:
+def _direct_rank(spec: varieties.SegreVeroneseSpec, w: int, s: int, rng: random.Random,
+                 p: int) -> int:
     for _ in range(varieties.MAX_RESAMPLES):
         frames = varieties.random_frames(spec, s, rng, p)
         lam = field.as_matrix(
@@ -127,21 +126,24 @@ def _direct_rank(
     # Each parameter derivative dM of M = lam @ P is an outer product: a
     # column of lam times a frame partial, or a unit vector times a row of
     # P.  Reducing dM modulo L = rowspace(M), dM - dM[:, pivots] @ rref(M),
-    # therefore reduces just that row vector.
-    r = spec.ambient_dim
+    # reduces just that row vector and zeroes it at L's pivots: the rows are
+    # Hom(L, V/L) off those pivots.
+    n, r = spec.dim, spec.ambient_dim
+    rest = np.delete(np.arange(r + 1), pivots)
     rows = frames.reshape(-1, r + 1)
-    reduced = ((rows - field.matmul_mod(rows[:, pivots], basis, p)) % p).reshape(frames.shape)
-    # s*n point parameters: lam[:, i] times each reduced partial at point i
-    point_part = lam.T[:, None, :, None] * reduced[:, 1:, None, :] % p
-    # (w+1)*s coefficient parameters: reduced point b placed in row a
-    coeff_part = np.zeros((w + 1, s, w + 1, r + 1), dtype=np.int64)
-    for a in range(w + 1):
-        coeff_part[a, :, a] = reduced[:, 0]
-    jacobian = np.concatenate([
-        point_part.reshape(-1, (w + 1) * (r + 1)),
-        coeff_part.reshape(-1, (w + 1) * (r + 1)),
-    ])
-    return field.matrix_rank(jacobian.T, p)
+    reduced = ((rows[:, rest] - field.matmul_mod(rows[:, pivots], basis[:, rest], p)) % p
+               ).reshape(s, n + 1, r - w).transpose(2, 0, 1)
+    # s*n point parameters: lam[a, i] times each reduced partial at point i
+    point_part = lam[:, None, :, None] * reduced[None, :, :, 1:] % p
+    # With J the pivot columns of lam's echelon form, lam_J is invertible, so a
+    # coefficient direction is g @ lam (g @ M lies in L) plus one outside J:
+    # the (w+1)(s-1-w) outside J span them all, reduced point b in row a.
+    outside = np.delete(np.arange(s), field._echelon(lam, p, jordan=False)[1])
+    coeff_part = np.eye(w + 1, dtype=np.int64)[:, None, :, None] * reduced[:, outside, 0][:, None]
+    height = (w + 1) * (r - w)  # spelled out: -1 cannot be inferred with no rows (w = r)
+    jacobian = np.concatenate([point_part.reshape(height, s * n),
+                               coeff_part.reshape(height, (w + 1) * len(outside))], axis=1)
+    return field.matrix_rank(jacobian, p)
 
 
 def gs_dim_direct(

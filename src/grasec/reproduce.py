@@ -63,8 +63,7 @@ def _secant_checks(seed: int, primes: tuple[int, ...], trials: int) -> list[dict
 def _grid_checks(seed: int, primes: tuple[int, ...]) -> list[dict]:
     cases = [(spec, k, s) for spec in map(varieties.SegreVeroneseSpec.parse, PHI_GRID_SPECS)
              for k in PHI_GRID_K for s in PHI_GRID_S if s - 1 <= spec.ambient_dim]
-    # gs_report checks the defect transfer exactly where k <= s-1 < r
-    total, transfers = len(cases), sum(k <= s - 1 < spec.ambient_dim for spec, k, s in cases)
+    total, transfers = len(cases), sum(grassec._transfers(*case) for case in cases)
     try:
         reports = [grassec.gs_report(spec, k, s, trials=1, seed=seed, primes=primes)
                    for spec, k, s in cases]

@@ -16,7 +16,7 @@ which takes a list of points and returns their frames as one stack: the
 ambient vector is the Kronecker product of the per-factor Veronese
 vectors, and a tangent direction of factor i swaps in that factor's
 partial derivative, whose entries follow the power rule a_j * x^(a - e_j).
-Each factor's coordinates are checked and evaluated at all points at once.
+Every factor's table is evaluated at all points in one pass (:func:`_frame_table`).
 
 Random points take one path to frames, :func:`random_frames`: s points drawn
 in turn from one generator, each factor a uniform nonzero vector.  At a
@@ -35,6 +35,7 @@ that determines the point.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -69,10 +70,7 @@ class SegreVeroneseSpec:
     @property
     def ambient_dim(self) -> int:
         """Projective dimension r of the ambient space."""
-        count = 1
-        for n, d in self.factors:
-            count *= math.comb(n + d, n)
-        return count - 1
+        return math.prod(math.comb(n + d, n) for n, d in self.factors) - 1
 
     @classmethod
     def parse(cls, text: str) -> "SegreVeroneseSpec":
@@ -100,16 +98,6 @@ def prepend_projective_factor(spec: SegreVeroneseSpec, k: int) -> SegreVeroneseS
     return SegreVeroneseSpec(((k, 1),) + spec.factors) if k else spec
 
 
-def _degree_monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
-    if nvars == 1:
-        return [(degree,)]
-    out = []
-    for e in range(degree, -1, -1):
-        for rest in _degree_monomials(nvars - 1, degree - e):
-            out.append((e,) + rest)
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _power_rule(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Exponents and power-rule coefficients of a Veronese vector and its partials.
@@ -119,12 +107,35 @@ def _power_rule(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     a is a_j * x^(a - e_j).  Where a_j = 0 the coefficient is 0 and the
     exponent is clipped to stay a valid table index.
     """
-    exps = np.array(_degree_monomials(n + 1, d), dtype=np.int64)   # N x (n+1)
+    exps = np.array([np.bincount(c, minlength=n + 1)  # N x (n+1), in the module's order
+                     for c in itertools.combinations_with_replacement(range(n + 1), d)])
     lowered = exps[None] - np.eye(n + 1, dtype=np.int64)[:, None, :]
     exponents = np.concatenate([exps[None], np.maximum(lowered, 0)])
     coeffs = np.concatenate([np.ones((1, len(exps)), dtype=np.int64), exps.T])
     exponents.flags.writeable = coeffs.flags.writeable = False  # shared by the cache
     return exponents, coeffs
+
+
+@functools.lru_cache(maxsize=None)
+def _frame_table(spec: SegreVeroneseSpec) -> tuple[np.ndarray, np.ndarray, tuple, int]:
+    """Every factor's :func:`_power_rule` table on one flat axis, read-only like it.
+
+    ``gather[j, e]`` indexes the powers x^0 .. x^(top-1) of all coordinates, flattened:
+    that of variable j of entry e's factor, or x_0^0 = 1 where it has no variable j.
+    ``parts`` holds each factor's coordinate slice, table slice and table shape.
+    """
+    top, slots = max(d for _, d in spec.factors) + 1, max(n for n, _ in spec.factors) + 1
+    gathers, parts, first, start = [], [], 0, 0
+    for n, d in spec.factors:
+        exponents, c = _power_rule(n, d)
+        index = (first + np.arange(n + 1)) * top + exponents
+        gathers.append(np.pad(index, [(0, 0), (0, 0), (0, slots - n - 1)]).reshape(-1, slots))
+        parts.append((slice(first, first + n + 1), slice(start, start + c.size), c.shape))
+        first, start = first + n + 1, start + c.size
+    gather = np.concatenate(gathers).T.copy()
+    coeff = np.concatenate([_power_rule(n, d)[1].ravel() for n, d in spec.factors])
+    gather.flags.writeable = coeff.flags.writeable = False  # shared by the cache
+    return gather, coeff, tuple(parts), top
 
 
 def tangent_frame(spec: SegreVeroneseSpec, points: list[ParameterPoint], p: int) -> np.ndarray:
@@ -135,29 +146,37 @@ def tangent_frame(spec: SegreVeroneseSpec, points: list[ParameterPoint], p: int)
     point's pivot (first nonzero) one, which gives rank n + 1 over every
     prime, the module's frame invariant.  Every row is the Kronecker product
     over factors of the factor's Veronese vector, except that the factor
-    owning the row's direction contributes its partial instead; entries are
-    reduced after every product, which keeps the int64 arithmetic exact for
-    p < 2**31.
+    owning the row's direction contributes its partial instead, all from one
+    :func:`_frame_table` pass; entries are reduced after every product, which
+    keeps the int64 arithmetic exact for p < 2**31.
     """
+    field._check_modulus(p)
     if any(len(u) != len(spec.factors) for u in points):
         raise ValueError("parameter point has the wrong number of factors")
-    nrows = spec.dim + 1
+    if any(len(x) != n + 1 for u in points for x, (n, _) in zip(u, spec.factors)):
+        raise ValueError("factor coordinate vector has the wrong length")
+    gather, coeff, parts, top = _frame_table(spec)
+    x = np.array([[c for v in u for c in v] for u in points], dtype=np.int64)
+    x = x.reshape(len(points), parts[-1][0].stop) % p
+    powers = np.ones(x.shape + (top,), dtype=np.int64)
+    for e in range(1, top):
+        powers[..., e] = powers[..., e - 1] * x % p
+    values, powers = coeff, powers.reshape(-1, x.shape[1] * top)
+    for index in gather:  # one gather-multiply per variable slot
+        values = values * powers[:, index] % p
+    nrows, stack, row = spec.dim + 1, np.arange(len(points))[:, None], 1
     frames = np.ones((len(points), nrows, 1), dtype=np.int64)
-    row = 1
-    for i, (n, d) in enumerate(spec.factors):
-        if any(len(u[i]) != n + 1 for u in points):
-            raise ValueError("factor coordinate vector has the wrong length")
-        x = np.array([u[i] for u in points], dtype=np.int64).reshape(-1, n + 1) % p
-        if not x.any(axis=1).all():
+    for (n, _), (coords, entries, shape) in zip(spec.factors, parts):
+        if not x[:, coords].any(axis=1).all():
             raise ValueError("factor coordinate vector is zero")
-        block = field.dual_evaluate(x, *_power_rule(n, d), p)
         # partial 1 + j + (j >= pivot) is the j-th non-pivot one; row 0 and
         # the rows of the other factors take the Veronese vector (entry 0)
-        pick = np.zeros((len(points), nrows, 1), dtype=np.int64)
+        pick = np.zeros((len(points), nrows), dtype=np.int64)
         j = np.arange(n)
-        pick[:, row:row + n, 0] = 1 + j + (j >= (x != 0).argmax(axis=1)[:, None])
+        pick[:, row:row + n] = 1 + j + (j >= (x[:, coords] != 0).argmax(axis=1)[:, None])
         row += n
-        frames = frames[..., None] * np.take_along_axis(block, pick, axis=1)[:, :, None, :]
+        block = values[:, entries].reshape((len(points),) + shape)[stack, pick]
+        frames = frames[..., None] * block[:, :, None, :]
         frames %= p  # in place: the product is the largest array built here
         # the width is spelled out: -1 cannot be inferred for an empty stack
         frames = frames.reshape(len(points), nrows, frames.shape[2] * frames.shape[3])

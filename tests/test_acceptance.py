@@ -81,10 +81,7 @@ def test_03_slice_map_dimension_identity_grid(grid_reports):
 
 
 def test_04_defect_transfer_on_grid(grid_reports):
-    relevant = [
-        rep for rep in grid_reports
-        if rep.k <= rep.s - 1 < rep.spec.ambient_dim
-    ]
+    relevant = [rep for rep in grid_reports if grassec._transfers(rep.spec, rep.k, rep.s)]
     ok = bool(relevant) and all(
         rep.defect_transfer
         and rep.seg_dim - rep.dim_direct == rep.k**2 + 2 * rep.k

@@ -219,6 +219,25 @@ def test_hom_rank_is_pluecker_rank_minus_one(text, k, s, seed):
     assert direct == reference.plucker_direct_rank(spec, k, s, random.Random(seed), P) - 1
 
 
+@pytest.mark.parametrize("text,k,s,shape", [case + (None,) for case in GS_CASES] + [
+    # the three grassmann benchmark rows, and w = r, where Hom(L, V/L) = 0
+    ("2:4", 3, 5, (44, 14)), ("3:3", 3, 5, (64, 19)), ("2,2,2", 3, 5, (92, 34)),
+    ("1:3", 3, 4, (0, 4)),
+])
+def test_direct_jacobian_is_hom_by_parameters(text, k, s, shape, monkeypatch):
+    # Hom(L, V/L) off L's pivots by s*n point parameters and the (w+1)(s-1-w)
+    # coefficients outside lam's pivot columns; none of them when w = s - 1
+    spec = SegreVeroneseSpec.parse(text)
+    n, r, w = spec.dim, spec.ambient_dim, grassec._plane_dim(spec, k, s)
+    shapes, rank = [], field.matrix_rank
+    monkeypatch.setattr(field, "matrix_rank",
+                        lambda rows, p: shapes.append(rows.shape) or rank(rows, p))
+    value = grassec._direct_rank(spec, w, s, random.Random(0), P)
+    expected = ((w + 1) * (r - w), s * n + (w + 1) * (s - 1 - w))
+    assert shapes == [expected] and shape in (None, expected)
+    assert w < r or value == 0
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.lists(_factor, min_size=1, max_size=2).filter(

@@ -136,6 +136,15 @@ class TestTangentFrames:
         supports = varieties._coordinate_supports(spec)
         assert varieties._coordinate_supports(SegreVeroneseSpec.parse("2:3,1")) is supports
         assert not supports.flags.writeable
+        gather, coeff, _, _ = table = varieties._frame_table(spec)
+        assert varieties._frame_table(SegreVeroneseSpec.parse("2:3,1")) is table
+        assert not gather.flags.writeable and not coeff.flags.writeable
+
+    @pytest.mark.parametrize("points", [[], [((1, 2), (1, 0, 3))]])
+    @pytest.mark.parametrize("n", [4, 561])
+    def test_composite_modulus_rejected(self, points, n):
+        with pytest.raises(ValueError, match=f"modulus {n} is not prime"):
+            varieties.tangent_frame(SegreVeroneseSpec.parse("1,2"), points, n)
 
     def test_frame_contains_embedding(self):
         spec = SegreVeroneseSpec.parse("1:3")
@@ -192,6 +201,26 @@ class TestDrawStream:
                 rng = random.Random(secant.subseed(0, t, P))
                 digest.update(varieties.random_frames(spec, s, rng, P).astype("<i8").tobytes())
         assert digest.hexdigest() == "12e1f1aa730670dacf27bf8ff8b3d819"
+
+    @pytest.mark.parametrize("p,expected", [
+        (2, "615dab06e365c0107743dbf130cf3e7c"),
+        (101, "972fc762262c51982aaf8d8d07252d05"),
+        (P, "2fa0d00eaf7ed1d7cfc5f2050c7fb2d7"),
+    ])
+    def test_frames_at_each_prime(self, p, expected):
+        # the same specs and point counts at p = 2, 101 and P, each also as an
+        # empty stack and with one point's coordinates unreduced; recorded
+        # before the frames moved to one evaluation pass for all factors
+        digest = hashlib.blake2b(digest_size=16)
+        for text, s in [(text, 3) for text in self.CATALOG] + list(self.SCALE):
+            spec = SegreVeroneseSpec.parse(text)
+            rng = random.Random(secant.subseed(0, 0, p))
+            points = [varieties.random_parameter_point(spec, rng, p) for _ in range(s)]
+            points.append(tuple(tuple(c - 3 * p for c in v) for v in points[0]))
+            for stack in ([], points):
+                frames = varieties.tangent_frame(spec, stack, p)
+                digest.update(repr(frames.shape).encode() + frames.astype("<i8").tobytes())
+        assert digest.hexdigest() == expected
 
     def test_cardinality_witnesses(self):
         # the five 1,1 / F_5 witnesses of the catalog's decomposition-count row at seed 0
