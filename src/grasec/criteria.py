@@ -3,7 +3,10 @@
 Two kinds of evidence are kept strictly apart:
 
 * computed -- inequalities checked here, with any defectivity hypothesis
-  certified by a fresh tangent-frame computation;
+  certified by a fresh tangent-frame computation.  One rule table maps each
+  computed step name to its anchor and its named hypotheses as a function of
+  the step's recorded inputs; it builds every computed step, and
+  :func:`recheck_step` re-derives an outcome from ``name`` + ``inputs`` alone;
 * recorded-from-literature -- facts from the static catalog shipped with
   the package (data/literature.json), never recomputed at full scale.
 
@@ -88,6 +91,33 @@ class DimsegreCase:
     defective: bool | None
 
 
+# computed step name -> (anchor, its named hypotheses as a function of the recorded inputs)
+_RULES = {
+    "rank-defect-criterion": (
+        "If r > s*n + s - 1, X is not s-defective and s*n + (k+1)(s-1-k) < (k+1)(r-k) "
+        "for 0 < k <= s-1, then the (k,s)-identifiability holds for X.",
+        lambda n, r, s, k, s_defective, **_: {
+            "0 < k <= s-1": 0 < k <= s - 1,
+            "r > s*n + s - 1": r > s * n + s - 1,
+            "X not s-defective": not s_defective,
+            "s*n + (k+1)(s-1-k) < (k+1)(r-k)": s * n + (k + 1) * (s - 1 - k) < (k + 1) * (r - k),
+        },
+    ),
+    "excess-codimension-criterion": (
+        "If the codimension of X exceeds s, a general (s-1)-space inside an s-secant "
+        "(s-1)-space lies in exactly one of them, so the (s-1, s)-identifiability holds.",
+        lambda n, r, s, **_: {"r - n > s": r - n > s},
+    ),
+}
+
+
+def _computed_step(name: str, **facts) -> CriterionStep:
+    anchor, rule = _RULES[name]
+    hypotheses = rule(**facts)
+    outcome = HOLDS if all(hypotheses.values()) else NOT_DECIDED
+    return CriterionStep(name, {**facts, "hypotheses": hypotheses}, outcome, anchor, "computed")
+
+
 def theorem_tre(
     spec: varieties.SegreVeroneseSpec,
     s: int,
@@ -98,37 +128,14 @@ def theorem_tre(
 ) -> IdentifiabilityVerdict:
     """Sufficient criterion for (k, s)-identifiability of X, of dimension n in P^r.
 
-    Hypotheses: 0 < k <= s-1, the ambient dimension strictly exceeds
-    s*n + s - 1 (so the s-th secant variety of the Segre product cannot
-    cover its span), X is not s-defective, and
-    s*n + (k+1)(s-1-k) < (k+1)(r-k).
-    Non-defectivity is certified by computing dim sigma_s(X) with :func:`secant.secant_dim`.
+    Its hypotheses are those of the ``rank-defect-criterion`` rule; non-defectivity
+    is certified by computing dim sigma_s(X) with :func:`secant.secant_dim`.
     """
     secant._check_order(spec, k, s)
-    n, r = spec.dim, spec.ambient_dim
-    s_defective = secant.secant_dim(spec, s, trials=trials, seed=seed, primes=primes).defect > 0
-    hypotheses = {
-        "0 < k <= s-1": 0 < k <= s - 1,
-        "r > s*n + s - 1": r > s * n + s - 1,
-        "X not s-defective": not s_defective,
-        "s*n + (k+1)(s-1-k) < (k+1)(r-k)": s * n + (k + 1) * (s - 1 - k) < (k + 1) * (r - k),
-    }
-    outcome = HOLDS if all(hypotheses.values()) else NOT_DECIDED
-    step = CriterionStep(
-        name="rank-defect-criterion",
-        inputs={
-            "n": n, "r": r, "s": s, "k": k,
-            "s_defective": s_defective,
-            "defectivity_source": "computed",
-            "hypotheses": hypotheses,
-        },
-        outcome=outcome,
-        anchor=(
-            "If r > s*n + s - 1, X is not s-defective and "
-            "s*n + (k+1)(s-1-k) < (k+1)(r-k) for 0 < k <= s-1, then the "
-            "(k,s)-identifiability holds for X."
-        ),
-        provenance="computed",
+    step = _computed_step(
+        "rank-defect-criterion", n=spec.dim, r=spec.ambient_dim, s=s, k=k,
+        s_defective=secant.secant_dim(spec, s, trials=trials, seed=seed, primes=primes).defect > 0,
+        defectivity_source="computed",
     )
     return IdentifiabilityVerdict(str(spec), k, s, (step,))
 
@@ -136,37 +143,19 @@ def theorem_tre(
 def codimension_criterion(spec: varieties.SegreVeroneseSpec, s: int) -> IdentifiabilityVerdict:
     """If the codimension r - n exceeds s, then (s-1, s)-identifiability holds."""
     secant._check_order(spec, s - 1, s)
-    n, r = spec.dim, spec.ambient_dim
-    ok = r - n > s
-    step = CriterionStep(
-        name="excess-codimension-criterion",
-        inputs={"n": n, "r": r, "s": s, "k": s - 1, "hypotheses": {"r - n > s": ok}},
-        outcome=HOLDS if ok else NOT_DECIDED,
-        anchor=(
-            "If the codimension of X exceeds s, a general (s-1)-space inside "
-            "an s-secant (s-1)-space lies in exactly one of them, so the "
-            "(s-1, s)-identifiability holds."
-        ),
-        provenance="computed",
-    )
+    step = _computed_step("excess-codimension-criterion", n=spec.dim, r=spec.ambient_dim, s=s, k=s - 1)
     return IdentifiabilityVerdict(str(spec), s - 1, s, (step,))
 
 
 def recheck_step(step: CriterionStep) -> str:
-    """Re-evaluate a serialized computed step from its recorded inputs."""
-    if step.name not in ("rank-defect-criterion", "excess-codimension-criterion"):
+    """Re-derive a computed step's outcome from its ``name`` and recorded ``inputs`` alone.
+
+    ``step`` may be rebuilt from printed JSON, keys sorted; its stored
+    ``outcome`` and ``hypotheses`` are not read.  Unknown names raise ``ValueError``.
+    """
+    if step.name not in _RULES:
         raise ValueError(f"cannot recheck step {step.name!r}")
-    ins = step.inputs
-    n, r, s, k = ins["n"], ins["r"], ins["s"], ins["k"]
-    if step.name == "rank-defect-criterion":
-        ok = (
-            0 < k <= s - 1
-            and r > s * n + s - 1
-            and not ins["s_defective"]
-            and s * n + (k + 1) * (s - 1 - k) < (k + 1) * (r - k)
-        )
-        return HOLDS if ok else NOT_DECIDED
-    return HOLDS if r - n > s else NOT_DECIDED
+    return _computed_step(step.name, **step.inputs).outcome
 
 
 def dimsegre_classify(n: int, r: int, k: int, s: int) -> DimsegreCase:

@@ -68,11 +68,16 @@ class PluckerPoint:
 
 @dataclass(frozen=True)
 class SecantWitness:
-    """A secant point together with the decomposition that built it."""
+    """A secant point over F_p as the decomposition that builds it."""
 
+    p: int
     lambdas: tuple[tuple[int, ...], ...]          # s points of P^k
     embedded_points: tuple[tuple[int, ...], ...]  # s rows of length r+1
-    tensor: SlicedTensor
+
+    @property
+    def tensor(self) -> SlicedTensor:
+        """The secant point, assembled afresh at each read."""
+        return assemble_tensor(self.lambdas, self.embedded_points, self.p)
 
 
 def phi(tensor: SlicedTensor) -> PluckerPoint:
@@ -108,11 +113,7 @@ def random_secant_point(
         if field.matrix_rank(embedded, p) < s:
             continue
         lambdas = tuple(varieties._nonzero_vector(k + 1, rng, p) for _ in range(s))
-        return SecantWitness(
-            lambdas=lambdas,
-            embedded_points=tuple(map(tuple, embedded)),
-            tensor=assemble_tensor(lambdas, embedded, p),
-        )
+        return SecantWitness(p, lambdas, tuple(map(tuple, embedded)))
     raise SamplingError(f"could not sample an independent secant witness on {spec}")
 
 

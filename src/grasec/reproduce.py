@@ -133,13 +133,14 @@ def _slice_map_checks(seed: int, primes: tuple[int, ...]) -> dict:
                 s = 2 + (j % 3)
                 k = 1 + (j % 2)
                 witness = phimap.random_secant_point(spec, k, s, rng, p)
-                plucker = phimap.phi(witness.tensor)
+                tensor = witness.tensor
+                plucker = phimap.phi(tensor)
                 contained = field.subspace_contains(
                     witness.embedded_points, plucker.basis, p
                 )
                 rank_ok = plucker.w == min(k, s - 1)
                 scale_ok = all(
-                    phimap.phi(witness.tensor.scaled(rng.randrange(1, p))).basis
+                    phimap.phi(tensor.scaled(rng.randrange(1, p))).basis
                     == plucker.basis
                     for _ in range(5)
                 )
@@ -163,9 +164,9 @@ def _cardinality_check(seed: int) -> dict:
     equal = 0
     for i in range(pairs):
         rng = random.Random(secant.subseed(seed + i, 0, q))
-        witness = phimap.random_secant_point(spec, 1, 2, rng, q)
-        n_b = phimap.count_decompositions(spec, 2, witness.tensor)
-        n_pi = phimap.count_decompositions(spec, 2, phimap.phi(witness.tensor))
+        tensor = phimap.random_secant_point(spec, 1, 2, rng, q).tensor
+        n_b = phimap.count_decompositions(spec, 2, tensor)
+        n_pi = phimap.count_decompositions(spec, 2, phimap.phi(tensor))
         if n_b == n_pi:
             equal += 1
     return _check(

@@ -1,10 +1,12 @@
 """Identifiability criteria, case classification and the literature catalog."""
 
+import dataclasses
+import json
 import random
 
 import pytest
 
-from grasec import criteria, field, grassec, phimap, reproduce, secant
+from grasec import cli, criteria, field, grassec, phimap, reproduce, secant
 from grasec.criteria import FAILS, HOLDS, NOT_DECIDED
 from grasec.errors import InconsistencyError
 from grasec.varieties import SegreVeroneseSpec, prepend_projective_factor
@@ -86,6 +88,49 @@ class TestRecheck:
         step = criteria.CriterionStep("nonsense", {}, HOLDS, "", "computed")
         with pytest.raises(ValueError):
             criteria.recheck_step(step)
+
+    def test_recheck_reads_the_recorded_facts(self):
+        step = criteria.theorem_tre(CURVE_10, 3, 1).chain[0]
+        assert step.name == "rank-defect-criterion" and step.outcome == HOLDS
+        defective = dataclasses.replace(step, inputs={**step.inputs, "s_defective": True})
+        assert criteria.recheck_step(defective) == NOT_DECIDED
+        # and back, whatever outcome is stored
+        cleared = dataclasses.replace(
+            defective, inputs={**defective.inputs, "s_defective": False}, outcome=NOT_DECIDED
+        )
+        assert criteria.recheck_step(cleared) == HOLDS
+
+    @pytest.mark.parametrize("make", [
+        lambda: criteria.theorem_tre(CURVE_4, 3, 2),
+        lambda: criteria.codimension_criterion(CUBIC, 2),
+    ])
+    def test_recheck_ignores_the_stored_verdict(self, make):
+        (step,) = make().chain
+        assert step.outcome == NOT_DECIDED
+        forced = {key: True for key in step.inputs["hypotheses"]}
+        forged = dataclasses.replace(
+            step, inputs={**step.inputs, "hypotheses": forced}, outcome=HOLDS
+        )
+        assert criteria.recheck_step(forged) == NOT_DECIDED
+
+    @pytest.mark.parametrize("argv", [
+        ["--spec", "1:10", "--k", "2", "--s", "3"],
+        ["--format", "4,4", "--k", "3", "--s", "4"],
+    ])
+    def test_steps_read_back_from_cli_json_replay(self, argv, capsys):
+        assert cli.main(["identifiability", *argv]) == 0
+        (result,) = json.loads(capsys.readouterr().out)["results"]
+        chain = result.get("identifiability", result)["chain"]
+        computed = [entry for entry in chain if entry["provenance"] == "computed"]
+        assert {entry["name"] for entry in computed} == {
+            "rank-defect-criterion", "excess-codimension-criterion",
+        }
+        for entry in computed:
+            step = criteria.CriterionStep(
+                entry["name"], entry["inputs"], entry["outcome"],
+                entry["anchor_quote"], entry["provenance"],
+            )
+            assert criteria.recheck_step(step) == entry["outcome"], entry["name"]
 
 
 class TestDimsegreClassify:

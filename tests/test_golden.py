@@ -28,7 +28,14 @@ CASES = {
     "identifiability_format_4-4_k1_s3.txt": [
         "identifiability", "--format", "4,4", "--k", "1", "--s", "3",
     ],
+    # a recorded info and holds step, then both computed criteria
+    "identifiability_format_4-4_k3_s4.txt": [
+        "identifiability", "--format", "4,4", "--k", "3", "--s", "4",
+    ],
 }
+CASES["identifiability_format_4-4_k3_s4_text.txt"] = [
+    *CASES["identifiability_format_4-4_k3_s4.txt"], "--output", "text",
+]
 _ORDERED = {  # text and CSV print each row's keys in the order to_dict() builds them
     "grassmann_2-4_k3_s5": CASES["grassmann_2-4_k3_s5.txt"],
     "identifiability_spec_2-4_k1_s4": ["identifiability", "--spec", "2:4", "--k", "1", "--s", "4"],

@@ -1,5 +1,6 @@
 """The slice map, secant witnesses and micro-enumeration."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -79,6 +80,12 @@ class TestWitnesses:
                 for c in range(spec.ambient_dim + 1)
             ]
             assert list(witness.tensor.slices[j]) == expected
+
+    def test_witness_stores_its_decomposition(self):
+        witness = phimap.random_secant_point(SegreVeroneseSpec.parse("1,1"), 1, 2, _rng(4, P), P)
+        assert [f.name for f in dataclasses.fields(witness)] == ["p", "lambdas", "embedded_points"]
+        assert witness.tensor == phimap.assemble_tensor(witness.lambdas, witness.embedded_points, P)
+        assert witness == phimap.SecantWitness(P, witness.lambdas, witness.embedded_points)
 
     def test_containment_in_witness_span(self):
         rng = random.Random(23)

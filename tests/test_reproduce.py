@@ -1,6 +1,6 @@
-"""The reproduction catalog computes each secant it checks once."""
+"""The reproduction catalog computes each secant it checks and each witness tensor once."""
 
-from grasec import field, reproduce, secant
+from grasec import field, phimap, reproduce, secant
 
 
 def test_secant_checks_compute_four_secants(monkeypatch):
@@ -15,3 +15,25 @@ def test_secant_checks_compute_four_secants(monkeypatch):
     checks = reproduce._secant_checks(0, field.DEFAULT_PRIMES, secant.DEFAULT_TRIALS)
     assert sorted(calls) == [("1,1,1,1,1", 5), ("1,1,1,1,1", 6), ("3,3,3", 6), ("3,3,3", 7)]
     assert all(check["status"] == "PASS" for check in checks)
+
+
+def test_slice_map_checks_assemble_each_witness_tensor_once(monkeypatch):
+    built = []
+    real = phimap.assemble_tensor
+
+    def counting(lambdas, embedded_points, p):
+        built.append(p)
+        return real(lambdas, embedded_points, p)
+
+    witnesses = []
+    draw = phimap.random_secant_point
+
+    def recording(*args):
+        witnesses.append(draw(*args))
+        return witnesses[-1]
+
+    monkeypatch.setattr(phimap, "assemble_tensor", counting)
+    monkeypatch.setattr(phimap, "random_secant_point", recording)
+    checks = [reproduce._slice_map_checks(0, field.DEFAULT_PRIMES), reproduce._cardinality_check(0)]
+    assert all(check["status"] == "PASS" for check in checks)
+    assert len(witnesses) == 25 and len(built) == len(witnesses)
