@@ -4,11 +4,11 @@ Everything downstream reduces to matrix ranks over F_p, so this module is
 deliberately small: dense integer matrices reduced mod p, one elimination
 kernel (:func:`_echelon`) behind every rank, echelon form and row-space
 basis, a stacked elimination (:func:`_stacked_pivots`) behind the
-containment test, and evaluation of monomial tables at a stack of points.
-Every modulus is checked to be a prime below 2**31.  :func:`rref` and
-:func:`maximal_minors`, like ``varieties.embed``, have no caller in the
-package; they stay only because the benchmark's per-layer metrics name
-them.
+containment test, and the monomial-table evaluator that builds every
+tangent frame (:func:`dual_evaluate`).  Every modulus is checked to be a
+prime below 2**31.  :func:`rref` and :func:`maximal_minors`, like
+``varieties.embed``, have no caller in the package; they stay only
+because the benchmark's per-layer metrics name them.
 
 Matrices are numpy int64 arrays.  With p < 2**31 every product of two
 reduced entries, and every difference of two such products, stays inside
@@ -318,27 +318,27 @@ def subspace_contains(span_rows, candidate_rows, p: int) -> bool | np.ndarray:
     return ~_stacked_pivots(m, p)[:, s:].any(axis=1).reshape(stack)
 
 
-def dual_evaluate(x, exponents: np.ndarray, coeffs: np.ndarray, p: int) -> np.ndarray:
-    """Entrywise ``coeffs * x**exponents`` mod p, for a table of monomials at a stack of points.
+def dual_evaluate(x, gather: np.ndarray, coeffs: np.ndarray, top: int, p: int) -> np.ndarray:
+    """``coeffs[e] * prod_j powers[gather[j, e]]`` mod p at each point (row) of ``x``.
 
-    ``x`` holds one point per row, ``exponents`` has shape ``coeffs.shape +
-    (x.shape[1],)``, and the result has shape ``(len(x),) + coeffs.shape``.
-    Given the power-rule table of a Veronese vector (entry 0 the vector,
-    entry 1 + j its partials a_j * x^(a - e_j)), this is the evaluation at
-    x + eps*e_j for every j at once: entry 0 is the value part, entry 1 + j
-    the eps part.  Entries are reduced after every product, which keeps the
-    int64 arithmetic exact.
+    ``powers`` holds x^0 .. x^(top-1) of every coordinate, coordinate-major,
+    so ``gather[j, e]`` picks the power of entry e's j-th variable, or
+    x_0^0 = 1 where it has fewer; the result has shape (len(x), len(coeffs)).
+    On a power-rule table (entry 0 a Veronese vector, entry 1 + j its
+    partials a_j * x^(a - e_j)) this evaluates at x + eps*e_j for every j:
+    entry 0 is the value part, 1 + j the eps part.  Entries are reduced
+    after every product, which keeps the int64 arithmetic exact.
     """
     _check_modulus(p)
     x = np.asarray(x, dtype=np.int64) % p
-    top = int(exponents.max(initial=0))
-    powers = np.ones(x.shape + (top + 1,), dtype=np.int64)
-    for e in range(1, top + 1):
+    powers = np.ones(x.shape + (top,), dtype=np.int64)
+    for e in range(1, top):
         powers[..., e] = powers[..., e - 1] * x % p
-    out = np.asarray(coeffs, dtype=np.int64) % p
-    for j in range(x.shape[-1]):
-        out = out * powers[..., j, exponents[..., j]] % p
-    return out
+    powers = powers.reshape(len(x), x.shape[1] * top)  # -1 cannot be inferred for an empty stack
+    values = np.asarray(coeffs, dtype=np.int64) % p
+    for index in gather:  # one gather-multiply per variable slot
+        values = values * powers[:, index] % p
+    return values
 
 
 def maximal_minors(rows, p: int) -> list[int]:

@@ -120,21 +120,20 @@ def random_secant_point(
 def enumerate_variety_points(spec: varieties.SegreVeroneseSpec, q: int) -> np.ndarray:
     """All F_q-points of the embedded variety, one row each, in sorted order.
 
-    Each factor evaluates its Veronese vector (entry 0 of the power-rule
-    table) at every point of P^{n_i}(F_q), scaled to first nonzero
-    coordinate 1; the row-wise Kronecker product of these tables, first
-    factor major as in :mod:`grasec.varieties`, embeds every product point.
+    Each factor embeds every point of P^{n_i}(F_q), scaled to first nonzero
+    coordinate 1, as row 0 of :func:`varieties.tangent_frame` on that factor
+    alone; the row-wise Kronecker product of these rows, first factor major
+    as in :mod:`grasec.varieties`, embeds every product point.
     The embedding of a normalized parameter point is already normalized and
     determines the point, so the rows are canonical and pairwise distinct;
     see the frame invariant in :mod:`grasec.varieties`.
     """
     rows = np.ones((1, 1), dtype=np.int64)
     for n, d in spec.factors:
-        x = [(0,) * pivot + (1,) + tail
+        x = [((0,) * pivot + (1,) + tail,)
              for pivot in range(n + 1)
              for tail in itertools.product(range(q), repeat=n - pivot)]
-        exponents, coeffs = varieties._power_rule(n, d)
-        values = field.dual_evaluate(x, exponents[0], coeffs[0], q)
+        values = varieties.tangent_frame(varieties.SegreVeroneseSpec(((n, d),)), x, q)[:, 0]
         rows = rows[:, None, :, None] * values[None, :, None, :]
         rows %= q
         rows = rows.reshape(rows.shape[0] * rows.shape[1], -1)

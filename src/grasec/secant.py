@@ -128,7 +128,9 @@ def _packing(spec: varieties.SegreVeroneseSpec) -> tuple[int, ...]:
     refills at random and makes (1,2)-swaps until none applies.  A result d
     points short of the current packing and d' of the best replaces the
     current one with probability 1 / (1 + d d'); PACKING_RESTART rounds
-    without a new best restart from scratch.  No packing exceeds (r+1)/(n+1).
+    without a new best restart from scratch.  No packing exceeds (r+1)/(n+1)
+    nor, with every degree 1, the Singleton bound of a distance-3 code:
+    prod(n_i + 1) over all but the two largest factors.
     """
     supports = varieties._coordinate_supports(spec).tolist()
     cover = [0] * (spec.ambient_dim + 1)  # the points whose support holds each column
@@ -162,6 +164,8 @@ def _packing(spec: varieties.SegreVeroneseSpec) -> tuple[int, ...]:
 
     best = current = search([])
     bound, stale = min(len(meets), (spec.ambient_dim + 1) // (spec.dim + 1)), 0
+    if all(d == 1 for _, d in spec.factors):
+        bound = min(bound, math.prod(sorted(n + 1 for n, _ in spec.factors)[:-2]))
     for _ in range(PACKING_ROUNDS):
         if len(best) == bound:
             break

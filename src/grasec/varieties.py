@@ -16,7 +16,7 @@ which takes a list of points and returns their frames as one stack: the
 ambient vector is the Kronecker product of the per-factor Veronese
 vectors, and a tangent direction of factor i swaps in that factor's
 partial derivative, whose entries follow the power rule a_j * x^(a - e_j).
-Every factor's table is evaluated at all points in one pass (:func:`_frame_table`).
+One :func:`field.dual_evaluate` call evaluates every factor's table at all points.
 
 Random points take one path to frames, :func:`random_frames`: s points drawn
 in turn from one generator, each factor a uniform nonzero vector.  At a
@@ -147,8 +147,8 @@ def tangent_frame(spec: SegreVeroneseSpec, points: list[ParameterPoint], p: int)
     prime, the module's frame invariant.  Every row is the Kronecker product
     over factors of the factor's Veronese vector, except that the factor
     owning the row's direction contributes its partial instead, all from one
-    :func:`_frame_table` pass; entries are reduced after every product, which
-    keeps the int64 arithmetic exact for p < 2**31.
+    :func:`field.dual_evaluate` call; entries are reduced after every
+    product, which keeps the int64 arithmetic exact for p < 2**31.
     """
     field._check_modulus(p)
     if any(len(u) != len(spec.factors) for u in points):
@@ -158,12 +158,7 @@ def tangent_frame(spec: SegreVeroneseSpec, points: list[ParameterPoint], p: int)
     gather, coeff, parts, top = _frame_table(spec)
     x = np.array([[c for v in u for c in v] for u in points], dtype=np.int64)
     x = x.reshape(len(points), parts[-1][0].stop) % p
-    powers = np.ones(x.shape + (top,), dtype=np.int64)
-    for e in range(1, top):
-        powers[..., e] = powers[..., e - 1] * x % p
-    values, powers = coeff, powers.reshape(-1, x.shape[1] * top)
-    for index in gather:  # one gather-multiply per variable slot
-        values = values * powers[:, index] % p
+    values = field.dual_evaluate(x, gather, coeff, top, p)
     nrows, stack, row = spec.dim + 1, np.arange(len(points))[:, None], 1
     frames = np.ones((len(points), nrows, 1), dtype=np.int64)
     for (n, _), (coords, entries, shape) in zip(spec.factors, parts):

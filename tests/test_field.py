@@ -1,6 +1,7 @@
 """Exact linear algebra over F_p: ranks, canonical bases, minors, moduli."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -340,17 +341,21 @@ class TestInverse:
 
 
 def test_dual_evaluate_matches_scalar_monomials():
-    rng = random.Random(5)
-    for p in (P, 5, 7):
-        points = [[rng.randrange(p) for _ in range(3)] for _ in range(4)]
-        exponents = np.array([[rng.randrange(4) for _ in range(3)] for _ in range(6)])
-        coeffs = np.array([rng.randrange(-p, p) for _ in range(6)])
-        expected = [
-            [int(c) * pow(x[0], int(a), p) * pow(x[1], int(b), p) * pow(x[2], int(e), p) % p
-             for c, (a, b, e) in zip(coeffs, exponents)]
-            for x in points
-        ]
-        assert field.dual_evaluate(points, exponents, coeffs, p).tolist() == expected
+    # gather[j, e] = variable * top + exponent of slot j of entry e; slot 2 of
+    # entry 0 is padded, as in a factor narrower than the widest, and reads x_0^0
+    top, nvars = 4, 3
+    for p in (2, 5, 7, P):
+        rng = random.Random(p)
+        points = [[rng.randrange(-p, 2 * p) for _ in range(nvars)] for _ in range(4)]
+        monomials = [[(rng.randrange(nvars), rng.randrange(top)) for _ in range(3)] for _ in range(6)]
+        monomials[0][2] = (0, 0)
+        gather = np.array([[v * top + a for v, a in m] for m in monomials]).T
+        coeffs = np.array([rng.randrange(-p, p) for _ in monomials])
+        expected = [[int(c) * math.prod(pow(x[v], a, p) for v, a in m) % p
+                     for c, m in zip(coeffs, monomials)] for x in points]
+        assert field.dual_evaluate(points, gather, coeffs, top, p).tolist() == expected
+        empty = field.dual_evaluate(np.zeros((0, nvars), dtype=np.int64), gather, coeffs, top, p)
+        assert empty.shape == (0, len(monomials))
 
 
 class TestMaximalMinors:

@@ -132,9 +132,14 @@ def test_every_frame_has_full_rank(text, q):
     _assert_frames_match(spec, list(reference.nonzero_points(spec, q)), q)
 
 
-@pytest.mark.parametrize("text", ["2", "1:2", "2:2", "1:4", "1,1", "1:2,1", "2:3", "1,1,1"])
-@pytest.mark.parametrize("q", [3, 5])
-def test_enumeration_matches_normalize_and_dedup(text, q):
+# every field count_decompositions accepts; q = 7 on the specs whose
+# reference listing stays fast
+@pytest.mark.parametrize("q,text", [
+    *((q, text) for q in (2, 3, 5)
+      for text in ("2", "1:2", "2:2", "1:4", "1,1", "1:2,1", "2:3", "1,1,1")),
+    *((7, text) for text in ("2", "1:2", "1:4", "1,1")),
+])
+def test_enumeration_matches_normalize_and_dedup(q, text):
     spec = SegreVeroneseSpec.parse(text)
     points = phimap.enumerate_variety_points(spec, q).tolist()
     assert points == reference.variety_points(spec, q)

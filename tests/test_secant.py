@@ -290,6 +290,24 @@ class TestPacking:
         # the optimal codes of minimum distance 3: A_5(3,3), A_3(5,3), A(9,3), A_5(4,3)
         assert len(secant._packing(SegreVeroneseSpec.parse(text))) == size
 
+    # what a search through all PACKING_ROUNDS returns: stopping once an
+    # all-degree-1 spec meets its Singleton bound must not change it
+    PINNED = {
+        "4,4,4": (10, 46, 52, 93, 109),
+        "3,3,3": (10, 29, 35, 52),
+        "2,2,2,2,2": (2, 12, 33, 49, 64, 80, 85, 105, 124, 128, 135, 149, 179, 181, 194, 198,
+                      223, 237),
+        "1,1,1,1,1,1,1,1,1": (3, 22, 36, 47, 56, 72, 93, 98, 113, 126, 138, 159, 169, 178, 181,
+                              193, 212, 231, 236, 251, 256, 283, 284, 298, 311, 325, 334, 338,
+                              361, 372, 390, 397, 401, 419, 446, 459, 471, 472, 480, 509),
+        "4,4,4,4": (19, 30, 63, 76, 122, 133, 162, 196, 215, 229, 270, 278, 317, 339, 356, 386,
+                    424, 425, 457, 493, 502, 541, 559, 598, 610),
+    }
+
+    @pytest.mark.parametrize("text", sorted(PINNED))
+    def test_pinned_packings(self, text):
+        assert secant._packing(SegreVeroneseSpec.parse(text)) == self.PINNED[text]
+
 
 class TestCoordinateAttempt:
     """The coordinate-point certificate against the random-only route and a dense rank."""

@@ -119,6 +119,25 @@ class TestTangentFrames:
         assert frames.shape == (0, spec.dim + 1, spec.ambient_dim + 1)
         assert frames.dtype == np.int64
 
+    def test_each_frame_build_is_one_dual_evaluate_call(self, monkeypatch):
+        # field.dual_evaluate is the one monomial evaluator: each frame stack,
+        # empty or not, is one call on all its points, and so is each factor
+        # of an F_q enumeration
+        stacks = {"frames": [], "evaluations": []}
+
+        def spy(name, fn, arg):
+            return lambda *args: stacks[name].append(len(args[arg])) or fn(*args)
+
+        monkeypatch.setattr(varieties, "tangent_frame", spy("frames", varieties.tangent_frame, 1))
+        monkeypatch.setattr(field, "dual_evaluate", spy("evaluations", field.dual_evaluate, 0))
+        varieties.tangent_frame(SegreVeroneseSpec.parse("2:3,1"), [], P)
+        varieties.random_frames(SegreVeroneseSpec.parse("1,2"), 3, random.Random(0), P)
+        phimap.enumerate_variety_points(SegreVeroneseSpec.parse("1:2,1,2"), 3)
+        secant.secant_dim(SegreVeroneseSpec.parse("1,1,1"), 2)
+        assert stacks["frames"][:5] == [0, 3, 4, 4, 13]
+        assert stacks["frames"] == stacks["evaluations"]
+        assert len(stacks["frames"]) > 5
+
     @pytest.mark.parametrize("text", ["1,1,1,1", "2:3,1", "3:2,2", "4,4,4"])
     def test_coordinate_supports_match_frames(self, text):
         # the supports read off the power-rule table against the dense frames
