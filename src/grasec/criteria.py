@@ -2,11 +2,12 @@
 
 Two kinds of evidence are kept strictly apart:
 
-* computed -- inequalities checked here, with any defectivity hypothesis
-  certified by a fresh tangent-frame computation.  One rule table maps each
-  computed step name to its anchor and its named hypotheses as a function of
-  the step's recorded inputs; it builds every computed step, and
-  :func:`recheck_step` re-derives an outcome from ``name`` + ``inputs`` alone;
+* computed -- inequalities a criterion checks on the reports it is given:
+  :func:`theorem_tre` judges a report of sigma_s(X) that it does not compute
+  itself; :func:`identifiability_report`, the one builder of a verdict, does.
+  One rule table maps each computed step name to its anchor and its named
+  hypotheses as a function of the step's recorded inputs; it builds every
+  step, and :func:`recheck_step` re-derives an outcome from ``name`` + ``inputs`` alone;
 * recorded-from-literature -- facts from the static catalog shipped with
   the package (data/literature.json), never recomputed at full scale.
 
@@ -118,33 +119,23 @@ def _computed_step(name: str, **facts) -> CriterionStep:
     return CriterionStep(name, {**facts, "hypotheses": hypotheses}, outcome, anchor, "computed")
 
 
-def theorem_tre(
-    spec: varieties.SegreVeroneseSpec,
-    s: int,
-    k: int,
-    trials: int = secant.DEFAULT_TRIALS,
-    seed: int = 0,
-    primes: tuple[int, ...] = field.DEFAULT_PRIMES,
-) -> IdentifiabilityVerdict:
-    """Sufficient criterion for (k, s)-identifiability of X, of dimension n in P^r.
+def theorem_tre(sigma: secant.SecantReport, k: int) -> CriterionStep:
+    """The ``rank-defect-criterion`` for (k, s)-identifiability of X, judged on sigma_s(X).
 
-    Its hypotheses are those of the ``rank-defect-criterion`` rule; non-defectivity
-    is certified by computing dim sigma_s(X) with :func:`secant.secant_dim`.
+    X and s are read off the report ``sigma``, and non-defectivity off its defect.
     """
+    spec, s = sigma.spec, sigma.s
     secant._check_order(spec, k, s)
-    step = _computed_step(
+    return _computed_step(
         "rank-defect-criterion", n=spec.dim, r=spec.ambient_dim, s=s, k=k,
-        s_defective=secant.secant_dim(spec, s, trials=trials, seed=seed, primes=primes).defect > 0,
-        defectivity_source="computed",
+        s_defective=sigma.defect > 0, defectivity_source="computed",
     )
-    return IdentifiabilityVerdict(str(spec), k, s, (step,))
 
 
-def codimension_criterion(spec: varieties.SegreVeroneseSpec, s: int) -> IdentifiabilityVerdict:
+def codimension_criterion(spec: varieties.SegreVeroneseSpec, s: int) -> CriterionStep:
     """If the codimension r - n exceeds s, then (s-1, s)-identifiability holds."""
     secant._check_order(spec, s - 1, s)
-    step = _computed_step("excess-codimension-criterion", n=spec.dim, r=spec.ambient_dim, s=s, k=s - 1)
-    return IdentifiabilityVerdict(str(spec), s - 1, s, (step,))
+    return _computed_step("excess-codimension-criterion", n=spec.dim, r=spec.ambient_dim, s=s, k=s - 1)
 
 
 def recheck_step(step: CriterionStep) -> str:
@@ -252,7 +243,6 @@ def recorded_facts(format_dims: tuple[int, ...], k: int, s: int) -> list[Criteri
                     continue
                 outcome = "info"
                 inputs["generic_rank"] = math.ceil(2 ** (t + 1) / (t + 2))
-                inputs["alternative_reading"] = math.ceil(2**t / (t + 1))
             else:  # identifiable-if-rule
                 if t < 5 or s * (t + 1) > 2**t:
                     continue
@@ -305,15 +295,16 @@ def identifiability_report(
     decomposable tensors of the format (n_i + 1): its chain starts with the
     recorded facts for that format and its subject is the format, e.g.
     ``2x2x2x2``.  Any other X has the spec string as subject.  The computed
-    criteria follow.
+    criteria follow, judged on one computed report of sigma_s(X).
     """
     secant._check_order(spec, k, s)
     fmt = _tensor_format(spec)
     chain = recorded_facts(fmt, k, s) if fmt else []
     if 0 < k <= s - 1:
-        chain.extend(theorem_tre(spec, s, k, trials=trials, seed=seed, primes=primes).chain)
+        sigma = secant.secant_dim(spec, s, trials=trials, seed=seed, primes=primes)
+        chain.append(theorem_tre(sigma, k))
     if k == s - 1:
-        chain.extend(codimension_criterion(spec, s).chain)
+        chain.append(codimension_criterion(spec, s))
     subject = "x".join(str(d) for d in fmt) if fmt else str(spec)
     return IdentifiabilityVerdict(subject, k, s, tuple(chain))
 

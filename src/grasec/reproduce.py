@@ -186,11 +186,12 @@ def _soundness_check(seed: int, primes: tuple[int, ...]) -> dict:
         spec = varieties.SegreVeroneseSpec.parse(rng.choice(specs))
         s = rng.randrange(2, 5)
         k = rng.randrange(1, s)
-        verdict = criteria.theorem_tre(spec, s, k, trials=1, seed=seed, primes=primes)
-        if verdict.verdict != criteria.HOLDS:
+        sigma = secant.secant_dim(spec, s, trials=1, seed=seed, primes=primes)
+        step = criteria.theorem_tre(sigma, k)
+        if step.outcome != criteria.HOLDS:
             continue
         holds_seen += 1
-        if criteria.recheck_step(verdict.chain[0]) != criteria.HOLDS:
+        if criteria.recheck_step(step) != criteria.HOLDS:
             violations += 1
         seg = varieties.prepend_projective_factor(spec, k)
         if secant.secant_dim(seg, s, trials=1, seed=seed, primes=primes).fills_ambient:

@@ -161,10 +161,9 @@ def test_09_criterion_soundness_sweep():
         spec = SegreVeroneseSpec.parse(rng.choice(specs))
         s = rng.randrange(2, 5)
         k = rng.randrange(1, s)
-        verdict = criteria.theorem_tre(spec, s, k, trials=1)
-        for step in verdict.chain:
-            ok = ok and criteria.recheck_step(step) == step.outcome
-        if verdict.verdict != criteria.HOLDS:
+        step = criteria.theorem_tre(secant.secant_dim(spec, s, trials=1), k)
+        ok = ok and criteria.recheck_step(step) == step.outcome
+        if step.outcome != criteria.HOLDS:
             continue
         holds_seen += 1
         seg = prepend_projective_factor(spec, k)

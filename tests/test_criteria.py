@@ -38,34 +38,56 @@ CURVE_4 = SegreVeroneseSpec.parse("1:4")    # n = 1, r = 4
 CUBIC = SegreVeroneseSpec.parse("1:3")      # twisted cubic: n = 1, r = 3
 
 
+def _tre(spec, s, k, **budget):
+    """theorem_tre judged on a freshly computed report of sigma_s(X)."""
+    return criteria.theorem_tre(secant.secant_dim(spec, s, **budget), k)
+
+
+def _hand_report(spec, s, dim):
+    """A report of sigma_s(X) built by hand, as if one rank evaluation on P had given ``dim``."""
+    return secant.SecantReport(spec, s, dim, 1, (P,), 0)
+
+
 class TestTheoremTre:
     def test_inequalities_hold(self):
-        verdict = criteria.theorem_tre(CURVE_10, s=3, k=1)
-        assert verdict.verdict == HOLDS
+        assert _tre(CURVE_10, s=3, k=1).outcome == HOLDS
 
     def test_ambient_too_small(self):
-        verdict = criteria.theorem_tre(CURVE_4, s=3, k=2)
-        assert verdict.verdict == NOT_DECIDED
+        assert _tre(CURVE_4, s=3, k=2).outcome == NOT_DECIDED
 
     def test_defectivity_certified_by_computation(self):
         spec = SegreVeroneseSpec.parse("2:4")  # n=2, r=14
-        verdict = criteria.theorem_tre(spec, s=4, k=1)
-        assert verdict.verdict == HOLDS
-        assert verdict.chain[0].inputs["defectivity_source"] == "computed"
+        step = _tre(spec, s=4, k=1)
+        assert step.outcome == HOLDS
+        assert step.inputs["defectivity_source"] == "computed"
+
+    def test_reads_only_its_report(self, monkeypatch):
+        computed = secant.secant_dim(CURVE_10, 3)
+        assert criteria.theorem_tre(computed, 1).outcome == HOLDS
+
+        def no_secant(*args, **kwargs):
+            raise AssertionError("a secant was computed")
+        monkeypatch.setattr(secant, "secant_dim", no_secant)
+        monkeypatch.setattr(secant, "terracini_rank", no_secant)
+        defective = _hand_report(CURVE_10, 3, computed.expected_dim - 1)
+        step = criteria.theorem_tre(defective, 1)
+        assert step.outcome == NOT_DECIDED
+        assert step.inputs["s_defective"] is True
+        assert step.inputs["hypotheses"]["X not s-defective"] is False
 
 
 class TestCodimensionCriterion:
     def test_holds(self):
-        assert criteria.codimension_criterion(CURVE_10, 3).verdict == HOLDS
+        assert criteria.codimension_criterion(CURVE_10, 3).outcome == HOLDS
 
     def test_fails_inequality(self):
         # Veronese surface: n = 2, r = 5
-        assert criteria.codimension_criterion(SegreVeroneseSpec.parse("2:2"), 4).verdict \
+        assert criteria.codimension_criterion(SegreVeroneseSpec.parse("2:2"), 4).outcome \
             == NOT_DECIDED
 
     def test_boundary(self):
         # twisted cubic, s = 2: codimension 2 is not > 2
-        assert criteria.codimension_criterion(SegreVeroneseSpec.parse("1:3"), 2).verdict \
+        assert criteria.codimension_criterion(SegreVeroneseSpec.parse("1:3"), 2).outcome \
             == NOT_DECIDED
 
     @pytest.mark.parametrize("n,d,s", [(1, 10, 0)])
@@ -76,13 +98,12 @@ class TestCodimensionCriterion:
 
 class TestRecheck:
     def test_chain_is_replayable(self):
-        for verdict in (
-            criteria.theorem_tre(CURVE_10, 3, 1),
-            criteria.theorem_tre(CURVE_4, 3, 2),
+        for step in (
+            _tre(CURVE_10, 3, 1),
+            _tre(CURVE_4, 3, 2),
             criteria.codimension_criterion(CURVE_10, 3),
         ):
-            for step in verdict.chain:
-                assert criteria.recheck_step(step) == step.outcome
+            assert criteria.recheck_step(step) == step.outcome
 
     def test_unknown_step_rejected(self):
         step = criteria.CriterionStep("nonsense", {}, HOLDS, "", "computed")
@@ -90,7 +111,7 @@ class TestRecheck:
             criteria.recheck_step(step)
 
     def test_recheck_reads_the_recorded_facts(self):
-        step = criteria.theorem_tre(CURVE_10, 3, 1).chain[0]
+        step = _tre(CURVE_10, 3, 1)
         assert step.name == "rank-defect-criterion" and step.outcome == HOLDS
         defective = dataclasses.replace(step, inputs={**step.inputs, "s_defective": True})
         assert criteria.recheck_step(defective) == NOT_DECIDED
@@ -101,11 +122,11 @@ class TestRecheck:
         assert criteria.recheck_step(cleared) == HOLDS
 
     @pytest.mark.parametrize("make", [
-        lambda: criteria.theorem_tre(CURVE_4, 3, 2),
+        lambda: _tre(CURVE_4, 3, 2),
         lambda: criteria.codimension_criterion(CUBIC, 2),
     ])
     def test_recheck_ignores_the_stored_verdict(self, make):
-        (step,) = make().chain
+        step = make()
         assert step.outcome == NOT_DECIDED
         forced = {key: True for key in step.inputs["hypotheses"]}
         forged = dataclasses.replace(
@@ -232,13 +253,19 @@ class TestCatalog:
         outcomes = {st.name: st.outcome for st in steps}
         assert outcomes["system-4x4-two-decompositions"] == FAILS
 
-    def test_recorded_pencil_rank_both_readings(self):
-        steps = criteria.recorded_facts((2, 2, 2, 2, 2), 1, 3)
-        rank_steps = [st for st in steps if st.name == "binary-pencil-generic-rank"]
-        assert rank_steps
-        inputs = rank_steps[0].inputs
-        assert inputs["generic_rank"] == 10  # ceil(2**6 / 7)
-        assert inputs["alternative_reading"] == 6  # ceil(2**5 / 6)
+    def test_recorded_pencil_rank_is_the_computed_rank(self):
+        # pencils of t-fold binary tensors are (t+1)-fold binary tensors: Seg(P^1 x (P^1)^t)
+        ranks = []
+        for t in range(4, 9):
+            fmt = (2,) * t
+            (step,) = [st for st in criteria.recorded_facts(fmt, 1, 2)
+                       if st.name == "binary-pencil-generic-rank"]
+            assert set(step.inputs) == {"format", "k", "s", "catalog_id", "generic_rank"}
+            seg = prepend_projective_factor(criteria.format_to_spec(fmt), 1)
+            assert seg == SegreVeroneseSpec.parse(",".join("1" * (t + 1)))
+            assert step.inputs["generic_rank"] == secant.generic_rank(seg), t
+            ranks.append(step.inputs["generic_rank"])
+        assert ranks == [6, 10, 16, 29, 52]  # ceil(2**(t+1) / (t+2))
 
     def test_matrix_system_rule(self):
         steps = criteria.recorded_facts((8, 8), 7, 4)
@@ -305,8 +332,8 @@ class TestReports:
         lambda: criteria.identifiability_report(criteria.format_to_spec((4, 4)), 1, 0),
         lambda: criteria.linear_system_report((4, 4), 1, s=0),
         lambda: criteria.linear_system_report((4, 4), -1, s=3),
-        lambda: criteria.theorem_tre(CURVE_10, 0, 1),
-        lambda: criteria.theorem_tre(CURVE_10, 3, -1),
+        lambda: criteria.theorem_tre(_hand_report(CURVE_10, 0, -1), 1),
+        lambda: criteria.theorem_tre(_hand_report(CURVE_10, 3, 5), -1),
         lambda: criteria.codimension_criterion(CURVE_10, 0),
         lambda: phimap.random_secant_point(CURVE_10, -1, 2, random.Random(0), P),
         lambda: phimap.random_secant_point(CURVE_10, 1, 0, random.Random(0), P),
@@ -324,7 +351,7 @@ class TestReports:
         lambda: criteria.identifiability_report(SegreVeroneseSpec.parse("1:3"), 0, 6),
         lambda: criteria.identifiability_report(SegreVeroneseSpec.parse("1:3"), 1, 6),
         lambda: criteria.linear_system_report((2, 2), 1, s=5),
-        lambda: criteria.theorem_tre(SegreVeroneseSpec.parse("1:3"), 6, 1),
+        lambda: criteria.theorem_tre(_hand_report(CUBIC, 6, 3), 1),
         lambda: criteria.codimension_criterion(SegreVeroneseSpec.parse("1:3"), 6),
         lambda: phimap.random_secant_point(CUBIC, 1, 6, random.Random(0), P),
         lambda: secant.expected_secant_dim(CUBIC, 5),
@@ -350,8 +377,9 @@ def test_parameter_count_hypothesis_is_the_inequality_its_key_names():
         spec = SegreVeroneseSpec.parse(text)
         n, r = spec.dim, spec.ambient_dim
         for s in range(1, r + 2):
+            sigma = secant.secant_dim(spec, s, trials=1)
             for k in range(r + 2):
-                step = criteria.theorem_tre(spec, s, k, trials=1).chain[0]
+                step = criteria.theorem_tre(sigma, k)
                 value = step.inputs["hypotheses"]["s*n + (k+1)(s-1-k) < (k+1)(r-k)"]
                 assert value == (s * n + (k + 1) * (s - 1 - k) < (k + 1) * (r - k)), (text, k, s)
                 assert criteria.recheck_step(step) == step.outcome
@@ -362,7 +390,7 @@ def test_parameter_count_hypothesis_is_the_inequality_its_key_names():
                 differs += value != w_plane
     assert seen == {True, False} and differs == 134
     # e.g. 1,1 at s = 2, k = 2: 2*2 + 3*(-1) = 1 < 3 = 3*(3-2)
-    assert criteria.theorem_tre(SegreVeroneseSpec.parse("1,1"), s=2, k=2).chain[0] \
+    assert _tre(SegreVeroneseSpec.parse("1,1"), s=2, k=2) \
         .inputs["hypotheses"]["s*n + (k+1)(s-1-k) < (k+1)(r-k)"] is True
 
 
@@ -370,8 +398,46 @@ def test_soundness_guard_on_positive_verdicts():
     # a "holds" verdict must never coincide with a filling secant variety
     for text, k, s in (("2:4", 1, 4), ("2:3", 1, 2), ("1:4", 1, 2)):
         spec = SegreVeroneseSpec.parse(text)
-        verdict = criteria.theorem_tre(spec, s, k, trials=1)
-        if verdict.verdict != HOLDS:
+        step = _tre(spec, s, k, trials=1)
+        if step.outcome != HOLDS:
             continue
         seg = prepend_projective_factor(spec, k)
         assert not secant.secant_dim(seg, s, trials=1).fills_ambient
+
+
+CENSUS_SPECS = ("2:2", "1,1,1", "1:4", "2:3", "1,2", "1,1,1,1", "3:2", "2,2", "1,1,2", "3:3",
+                "2,2,2", "4,4", "1,1,1,1,1", "2:4", "3,3,3")
+
+
+def test_census_theorem_tre_judges_one_walk_per_spec():
+    # every 0 < k <= min(3, s-1), s <= r: 3r - 6 cells per spec.  theorem_tre on
+    # the reports of one classify_secant_range walk, propagated ones included,
+    # gives the step of the single-cell verdict, which computes its own sigma_s(X)
+    tre_holds, propagated, verdicts, failing = 0, 0, {HOLDS: 0, FAILS: 0, NOT_DECIDED: 0}, []
+    for text in CENSUS_SPECS:
+        spec = SegreVeroneseSpec.parse(text)
+        r = spec.ambient_dim
+        for sigma in secant.classify_secant_range(spec, range(2, r + 1)):
+            propagated += sigma.propagated
+            for k in range(1, min(3, sigma.s - 1) + 1):
+                step = criteria.theorem_tre(sigma, k)
+                verdict = criteria.identifiability_report(spec, k, sigma.s)
+                (single,) = [st for st in verdict.chain if st.name == "rank-defect-criterion"]
+                assert step.to_dict() == single.to_dict(), (text, k, sigma.s)
+                outcomes = {st.outcome for st in verdict.chain}
+                assert not {HOLDS, FAILS} <= outcomes, (text, k, sigma.s)
+                verdicts[verdict.verdict] += 1
+                if verdict.verdict == FAILS:
+                    failing.append((text, k, sigma.s, verdict.provenance))
+                if step.outcome == HOLDS:
+                    tre_holds += 1
+                    seg = prepend_projective_factor(spec, k)
+                    assert not secant.secant_dim(seg, sigma.s, trials=1).fills_ambient, \
+                        (text, k, sigma.s)
+    assert sum(verdicts.values()) == sum(
+        3 * SegreVeroneseSpec.parse(text).ambient_dim - 6 for text in CENSUS_SPECS) == 660
+    assert propagated == 202  # of the 235 walk reports; 33 ran a rank
+    assert tre_holds == 42
+    assert verdicts == {HOLDS: 61, FAILS: 1, NOT_DECIDED: 598}
+    # the one "fails" is recorded: rank-5 pencils of 2x2x2x2 tensors have two decompositions
+    assert failing == [("1,1,1,1", 1, 5, "recorded-from-literature")]
