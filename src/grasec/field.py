@@ -16,13 +16,19 @@ the int64 range, so the arithmetic is exact -- there is no tolerance
 anywhere in this package.  Sums of several such products can overflow, so
 matrix products (:func:`matmul_mod`) split the left factor into 16-bit
 limbs and multiply in float64, 64 inner terms at a time: such a sum stays
-below 64 * 2**16 * 2**31 = 2**53, where float64 is exact.  Beyond 128
-columns :func:`_echelon` is blocked the same way (the delayed reduction of
-FFLAS-FFPACK): each 64-column panel finds its pivots with the per-column
-loop on a 128-row head, inverts its pivot block by halving through the
-Schur complement (:func:`_inverse`), and clears the pivot columns with one
-limb product.  A rank (:func:`matrix_rank`) only clears the rows below
-each pivot; bases get the full reduced echelon form.
+below 64 * 2**16 * 2**31 = 2**53, where float64 is exact.  Eliminations
+delay the reduction too, as FFLAS-FFPACK does.  From 2**13 entries the
+per-column loop (:func:`_gauss_jordan`) takes each step's factors and
+pivot row as balanced residues, |v| <= p // 2 < 2**30, so each product is
+below 2**60 and an entry in [0, p) stays inside int64 for 7 updates
+(2**31 + 7 * 2**60 < 2**63); it reduces the pivot column before each step,
+so pivots and factors come from exact residues, and the trailing block
+after every 7th.  Wider than 128 columns and larger than 256 in some
+dimension, :func:`_echelon` is blocked: each 64-column panel finds its
+pivots with the per-column loop on a 128-row head, inverts its pivot block
+by halving through the Schur complement (:func:`_inverse`), and clears the
+pivot columns with one limb product.  A rank (:func:`matrix_rank`) only
+clears the rows below each pivot; bases get the full reduced echelon form.
 
 :func:`subspace_contains` takes a whole stack of spans, e.g. every
 s-subset of X(F_q) at once, and eliminates all of them in one per-column
@@ -47,7 +53,9 @@ DEFAULT_PRIMES = (DEFAULT_PRIME, CONFIRMATION_PRIME)
 
 _MAX_MODULUS = 2**31
 _PANEL = 64            # 64 * (2**16 - 1) * (2**31 - 2) < 2**53: exact limb products
-_BLOCKED_ABOVE = 128   # columns; below the measured crossover one panel is faster
+_BLOCKED_ABOVE = 128   # columns, and twice that in the larger dimension: one panel is faster below
+_LAZY_FROM = 2**13     # entries; smaller matrices reduce after every step
+_DELAY = 7             # 2**31 + 7 * 2**60 < 2**63: updates between reductions of the trailing block
 
 
 def _is_prime(n: int) -> bool:
@@ -128,6 +136,13 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
     return _limb_product(as_matrix(a, p), as_matrix(b, p), p)
 
 
+def _reduce(v: np.ndarray, p: int, scratch: np.ndarray) -> None:
+    """v %= p in place, as v - (v // p) * p: numpy divides by a scalar far faster than it takes %."""
+    np.floor_divide(v, p, out=scratch)
+    scratch *= p
+    v -= scratch
+
+
 def _gauss_jordan(m: np.ndarray, p: int, jordan: bool = True) -> tuple[list[int], list[tuple[int, int]]]:
     """Reduce ``m`` (entries in [0, p)) in place, one column at a time.
 
@@ -136,31 +151,43 @@ def _gauss_jordan(m: np.ndarray, p: int, jordan: bool = True) -> tuple[list[int]
     pivot column c the pivot row is zero left of c, so each update touches
     columns ``c:`` only.  With ``jordan`` false only rows from the pivot
     down are updated: a Jordan step changes only rows that hold a pivot
-    already, so the pivots and swaps are the same.
+    already, so the pivots and swaps are the same.  From _LAZY_FROM
+    entries the reduction mod p is delayed (see the module docstring).
     """
     nrows, ncols = m.shape
+    lazy, half = m.size >= _LAZY_FROM, p // 2
+    scratch = np.empty_like(m) if lazy else None
     pivots: list[int] = []
     swaps: list[tuple[int, int]] = []
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
             break
+        first = 0 if jordan else r
+        if lazy:
+            m[first:, c] %= p
         if not m[r, c]:
             i = r + int(m[r:, c].argmax())
             if not m[i, c]:
                 continue
             m[[r, i]] = m[[i, r]]
             swaps.append((r, i))
-        first = 0 if jordan else r
         right = m[first:, c:]
         inv = pow(int(m[r, c]), -1, p)
         # Subtracting factors[i] * (row r) clears column c in the other
         # updated rows and leaves inv * (row r) in row r.
         factors = right[:, 0] * inv % p
         factors[r - first] = 1 - inv
-        right -= factors[:, None] * m[r, c:]
-        right %= p
+        if lazy:  # balanced residues, |v| <= p // 2
+            right -= ((factors + half) % p - half)[:, None] * ((m[r, c:] + half) % p - half)
+            if len(pivots) % _DELAY == _DELAY - 1:
+                _reduce(right, p, scratch[first:, c:])
+        else:
+            right -= factors[:, None] * m[r, c:]
+            right %= p
         pivots.append(c)
+    if lazy:
+        _reduce(m, p, scratch)
     return pivots, swaps
 
 
@@ -192,21 +219,22 @@ def _echelon(rows, p: int, jordan: bool = True) -> tuple[np.ndarray, list[int]]:
     Each pivot is scaled to 1 and alone in its column, so equal row spaces
     give byte-identical bases.  With ``jordan`` false (the rank path) only
     rows below a pivot are cleared: the same pivots, on an echelon basis.
-    Beyond _BLOCKED_ABOVE columns, each _PANEL-column panel of the rows
-    without a pivot yet finds pivot rows and columns C forward only on a
-    copy, first among 2 * _PANEL of those rows (a pivot in every column
-    there leaves none for other rows), else among all.  Those rows move
-    up, are scaled by inv(T), T their C columns, and
-    :func:`_subtract_product` clears C below them (and above, for the
-    RREF).  T's rows are in pivot order and C is increasing, and each pivot
-    was found after eliminating only the earlier ones, so T = L U with L
-    unit lower triangular and the pivots on U's diagonal: every leading
-    principal minor of T is nonzero, as :func:`_inverse` needs.  A panel
-    short of pivots stops the loop once the rows without one are zero.
+    Past _BLOCKED_ABOVE columns and twice that in the larger dimension,
+    each _PANEL-column panel of the rows without a pivot yet finds pivot
+    rows and columns C forward only on a copy, first among 2 * _PANEL of
+    those rows (a pivot in every column there leaves none for other rows),
+    else among all.  Those rows move up, are scaled by inv(T), T their C
+    columns, and :func:`_subtract_product` clears C below them (and above,
+    for the RREF).  T's rows are in pivot order and C is increasing, and
+    each pivot was found after eliminating only the earlier ones, so
+    T = L U with L unit lower triangular and the pivots on U's diagonal:
+    every leading principal minor of T is nonzero, as :func:`_inverse`
+    needs.  A panel short of pivots stops the loop once the rows without
+    one are zero.
     """
     m = as_matrix(rows, p)
     nrows, ncols = m.shape
-    if ncols <= _BLOCKED_ABOVE:
+    if ncols <= _BLOCKED_ABOVE or max(nrows, ncols) <= 2 * _BLOCKED_ABOVE:
         pivots = _gauss_jordan(m, p, jordan)[0]
         return m[:len(pivots)], pivots
     pivots = []

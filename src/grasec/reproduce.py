@@ -64,9 +64,16 @@ def _grid_checks(seed: int, primes: tuple[int, ...]) -> list[dict]:
     cases = [(spec, k, s) for spec in map(varieties.SegreVeroneseSpec.parse, PHI_GRID_SPECS)
              for k in PHI_GRID_K for s in PHI_GRID_S if s - 1 <= spec.ambient_dim]
     total, transfers = len(cases), sum(grassec._transfers(*case) for case in cases)
+    direct: dict[tuple, int] = {}  # the direct route depends on k only through w = min(k, s - 1)
+    reports = []
     try:
-        reports = [grassec.gs_report(spec, k, s, trials=1, seed=seed, primes=primes)
-                   for spec, k, s in cases]
+        for spec, k, s in cases:
+            key = (spec, min(k, s - 1), s)
+            if key not in direct:
+                direct[key] = grassec.gs_dim_direct(spec, k, s, trials=1, seed=seed, primes=primes)
+            seg = secant.secant_dim(varieties.prepend_projective_factor(spec, k), s,
+                                    trials=1, seed=seed, primes=primes)
+            reports.append(grassec.GrassmannSecantReport(spec, k, s, direct[key], seg, seed))
     except SamplingError as exc:
         identity = transfer = {"error": str(exc)}
     else:
@@ -182,19 +189,25 @@ def _soundness_check(seed: int, primes: tuple[int, ...]) -> dict:
     specs = ["1,1", "2:2", "1:4", "2:3", "1,2"]
     violations = 0
     holds_seen = 0
+    secants: dict[tuple, secant.SecantReport] = {}  # the draws repeat (spec, s) pairs
+
+    def secant_dim(spec: varieties.SegreVeroneseSpec, s: int) -> secant.SecantReport:
+        if (spec, s) not in secants:
+            secants[spec, s] = secant.secant_dim(spec, s, trials=1, seed=seed, primes=primes)
+        return secants[spec, s]
+
     for _ in range(12):
         spec = varieties.SegreVeroneseSpec.parse(rng.choice(specs))
         s = rng.randrange(2, 5)
         k = rng.randrange(1, s)
-        sigma = secant.secant_dim(spec, s, trials=1, seed=seed, primes=primes)
-        step = criteria.theorem_tre(sigma, k)
+        step = criteria.theorem_tre(secant_dim(spec, s), k)
         if step.outcome != criteria.HOLDS:
             continue
         holds_seen += 1
         if criteria.recheck_step(step) != criteria.HOLDS:
             violations += 1
         seg = varieties.prepend_projective_factor(spec, k)
-        if secant.secant_dim(seg, s, trials=1, seed=seed, primes=primes).fills_ambient:
+        if secant_dim(seg, s).fills_ambient:
             violations += 1
     return _check(
         "identifiability-criterion-soundness",

@@ -1,5 +1,6 @@
 """Exact linear algebra over F_p: ranks, canonical bases, minors, moduli."""
 
+import contextlib
 import itertools
 import math
 import random
@@ -208,11 +209,24 @@ def _one_panel(rows, q):
     return m[:len(pivots)], pivots
 
 
+@contextlib.contextmanager
+def _blocked_route(force):
+    """Record the size of every block :func:`field._inverse` inverts; with ``force``, every
+    _echelon call takes the blocked route, whatever the matrix's shape."""
+    inverted, inverse = [], field._inverse
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "_inverse", lambda t, p: inverted.append(len(t)) or inverse(t, p))
+        if force:
+            mp.setattr(field, "_BLOCKED_ABOVE", 0)
+        yield inverted
+
+
 @st.composite
 def _blocked_matrices(draw, q, max_rows, max_cols):
-    """Matrices over F_q wider than the blocking cutoff: X @ Y mod q of any rank, tall or
+    """Matrices over F_q wider than _BLOCKED_ABOVE columns: X @ Y mod q of any rank, tall or
     wide, optionally with duplicated rows and with one panel's columns zero in all rows
-    or in the first 2 * _PANEL rows only, so that its pivots lie below the head."""
+    or in the first 2 * _PANEL rows only, so that its pivots lie below the head.  Most
+    are within 2 * _BLOCKED_ABOVE in both dimensions, so tests force the blocked route."""
     nrows = draw(st.integers(1, max_rows))
     ncols = draw(st.integers(field._BLOCKED_ABOVE + 1, max_cols))
     rank = draw(st.integers(0, min(nrows, ncols)))
@@ -233,12 +247,15 @@ class TestBlockedEchelon:
     @given(data=st.data())
     def test_matches_one_panel_loop(self, q, data):
         m = data.draw(_blocked_matrices(q, max_rows=300, max_cols=400))
-        basis, pivots = field._echelon(m, q)
+        with _blocked_route(force=True) as inverted:
+            basis, pivots = field._echelon(m, q)
+            rank = field.matrix_rank(m, q)
         expected_basis, expected_pivots = _one_panel(m, q)
         assert pivots == expected_pivots
+        assert bool(inverted) == bool(pivots)
         assert basis.dtype.name == "int64"
         assert np.array_equal(basis, expected_basis)
-        assert field.matrix_rank(m, q) == len(expected_pivots)
+        assert rank == len(expected_pivots)
 
     @_PRIMES
     @settings(max_examples=4, deadline=None)
@@ -246,20 +263,24 @@ class TestBlockedEchelon:
     def test_matches_reference(self, q, data):
         m = data.draw(_blocked_matrices(q, max_rows=60, max_cols=260))
         expected, pivots = reference.rref(m.tolist(), q)
-        assert field.rref(m, q).tolist() == expected
-        assert field.row_space_basis(m, q).tolist() == expected[:len(pivots)]
-        assert field.matrix_rank(m, q) == len(pivots)
+        with _blocked_route(force=True) as inverted:
+            assert field.rref(m, q).tolist() == expected
+            assert field.row_space_basis(m, q).tolist() == expected[:len(pivots)]
+            assert field.matrix_rank(m, q) == len(pivots)
+        assert bool(inverted) == bool(pivots)
 
     def test_full_and_empty_panels(self):
         # panel 0 finds 64 pivots, panel 1 none, panels 2 and 3 the other 86
         rng = np.random.default_rng(3)
         m = rng.integers(0, P, (150, 300))
         m[:, 64:128] = 0
-        basis, pivots = field._echelon(m, P)
+        with _blocked_route(force=False) as inverted:
+            basis, pivots = field._echelon(m, P)
+            assert field.matrix_rank(m, P) == 150
+        assert inverted
         assert pivots == list(range(64)) + list(range(128, 214))
         expected_basis, _ = _one_panel(m, P)
         assert np.array_equal(basis, expected_basis)
-        assert field.matrix_rank(m, P) == 150
 
     @pytest.mark.parametrize("zero", [slice(0, 64), slice(63, 64)])
     def test_panel_pivots_below_the_head(self, zero):
@@ -268,12 +289,14 @@ class TestBlockedEchelon:
         # falls back to the whole panel
         m = np.random.default_rng(4).integers(0, P, (300, 200))
         m[:200, zero] = 0
-        basis, pivots = field._echelon(m, P)
+        with _blocked_route(force=False) as inverted:
+            basis, pivots = field._echelon(m, P)
+            assert field.matrix_rank(m, P) == 200
+        assert inverted
         assert pivots == list(range(200))
         expected_basis, _ = _one_panel(m, P)
         assert np.array_equal(basis, expected_basis)
         assert basis.tolist() == reference.rref(m.tolist(), P)[0][:200]
-        assert field.matrix_rank(m, P) == 200
 
     def test_stops_once_the_rows_without_a_pivot_are_zero(self, monkeypatch):
         # rank 100: panel 0 takes 64 pivots (forward-only head search, then
@@ -311,17 +334,20 @@ class TestBlockedEchelon:
         ("4,4,4,4", 36, 612),
     ])
     def test_secant_scale_frame_stacks(self, text, s, rank):
+        # the two smaller stacks (130 x 125, 242 x 243) are below the cutoff
         spec = varieties.SegreVeroneseSpec.parse(text)
         for q in (P, 2, 3, 5, 7):
             frames = varieties.random_frames(spec, s, random.Random(secant.subseed(0, 0, q)), q)
             rows = frames.reshape(-1, spec.ambient_dim + 1)
-            basis, pivots = field._echelon(rows, q)
+            with _blocked_route(force=True) as inverted:
+                basis, pivots = field._echelon(rows, q)
+                assert field.matrix_rank(rows, q) == len(pivots)
+            assert inverted
             if q == P:
                 assert len(pivots) == rank
             expected_basis, expected_pivots = _one_panel(rows, q)
             assert pivots == expected_pivots
             assert np.array_equal(basis, expected_basis)
-            assert field.matrix_rank(rows, q) == len(expected_pivots)
 
 
 class TestInverse:
@@ -338,6 +364,96 @@ class TestInverse:
         augmented = np.hstack([t, np.eye(k, dtype=np.int64)]).tolist()
         assert inverse.tolist() == [row[k:] for row in reference.rref(augmented, q)[0]]
         assert field.matmul_mod(inverse, t, q).tolist() == np.eye(k, dtype=np.int64).tolist()
+
+
+def _gauss_jordan_on(m, q, lazy, jordan=True):
+    """Pivots, swaps and the reduced copy of ``m`` from the per-column loop, with the delayed
+    reduction forced on or off; checks that the loop took the path it was sent down."""
+    out, reduced, reduce = m.copy(), [], field._reduce
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "_LAZY_FROM", 0 if lazy else m.size + 1)
+        mp.setattr(field, "_reduce", lambda v, p, scratch: reduced.append(v.shape) or reduce(v, p, scratch))
+        pivots, swaps = field._gauss_jordan(out, q, jordan)
+    assert bool(reduced) == lazy
+    return pivots, swaps, out
+
+
+@st.composite
+def _elimination_matrices(draw, q, max_rows, max_cols, min_entries=1):
+    """Matrices over F_q with at least ``min_entries`` entries: X @ Y mod q of any rank, or
+    every entry q // 2 or q - 1, optionally with zero leading rows, so that pivots need swaps."""
+    nrows = draw(st.integers(-(-min_entries // max_cols), max_rows))
+    ncols = draw(st.integers(-(-min_entries // nrows), max_cols))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        rank = draw(st.integers(0, min(nrows, ncols)))
+        m = field.matmul_mod(rng.integers(0, q, (nrows, rank)), rng.integers(0, q, (rank, ncols)), q)
+    else:
+        m = np.where(rng.integers(0, 2, (nrows, ncols)) == 1, q // 2, q - 1)
+    m[:draw(st.integers(0, nrows // 2))] = 0
+    return m
+
+
+_REFERENCE_PRIMES = pytest.mark.parametrize("q", [2, 3, 101, P])
+
+
+class TestDelayedReduction:
+    """The per-column loop gives the same pivots, swaps and matrix with and without the
+    delayed reduction, and both give the reference RREF."""
+
+    @staticmethod
+    def _check(m, q, lazy):
+        expected, expected_pivots = reference.rref(m.tolist(), q)
+        for jordan in (True, False):
+            pivots, swaps, out = _gauss_jordan_on(m, q, lazy, jordan)
+            other_pivots, other_swaps, other = _gauss_jordan_on(m, q, not lazy, jordan)
+            assert (pivots, swaps) == (other_pivots, other_swaps)
+            assert pivots == expected_pivots
+            assert out.tolist() == other.tolist()
+            assert out.min() >= 0 and out.max() < q
+            if jordan:
+                assert out.tolist() == expected
+
+    @_REFERENCE_PRIMES
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_lazy_path_on_small_matrices(self, q, data):
+        self._check(data.draw(_elimination_matrices(q, max_rows=12, max_cols=14)), q, lazy=True)
+
+    @_REFERENCE_PRIMES
+    @settings(max_examples=2, deadline=None)
+    @given(data=st.data())
+    def test_eager_path_on_large_matrices(self, q, data):
+        m = data.draw(_elimination_matrices(q, max_rows=90, max_cols=100, min_entries=field._LAZY_FROM))
+        self._check(m, q, lazy=False)
+
+    @pytest.mark.parametrize("multiplier", [P - P // 2, P - 1])
+    def test_largest_products_do_not_overflow(self, multiplier):
+        # M = L U, 24 x 40, with every multiplier below L's diagonal -(p // 2) (or -1)
+        # and U's entries on and above its diagonal p // 2, except 1 in every other column
+        # past 24: each step adds (p // 2)**2 ~ 2**60 to the entries in the other columns,
+        # so nine steps without a reduction pass 2**63 there (as would four with -1 taken
+        # as p - 1), and the wrapped entries change the RREF
+        half = P // 2
+        lower = np.tril(np.full((24, 24), multiplier), -1) + np.eye(24, dtype=np.int64)
+        upper = np.triu(np.full((24, 40), half))
+        upper[:, 24::2] = 1
+        m = field.matmul_mod(lower, upper, P)
+        self._check(m, P, lazy=True)
+
+
+def test_secant_scale_ranks_run_no_matrix_product(monkeypatch):
+    # the four residuals (65 x 60, 66 x 67, 130 x 122, 187 x 200) are all within
+    # 2 * _BLOCKED_ABOVE, so no rank multiplies float64 limbs (BLAS)
+    def no_product(*args):
+        raise AssertionError("limb product on a secant_scale rank")
+
+    monkeypatch.setattr(field, "_limb_sum", no_product)
+    monkeypatch.setattr(field, "_limb_product", no_product)
+    for text, s, dim in [("4,4,4", 10, 124), ("2,2,2,2,2", 22, 241),
+                         ("1,1,1,1,1,1,1,1,1", 52, 511), ("4,4,4,4", 36, 611)]:
+        spec = varieties.SegreVeroneseSpec.parse(text)
+        assert secant.secant_dim(spec, s, trials=1, seed=0, primes=(P,)).dim == dim
 
 
 def test_dual_evaluate_matches_scalar_monomials():

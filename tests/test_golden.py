@@ -22,9 +22,11 @@ CASES = {
     "secant_2-2_s1-4.txt": ["secant", "--spec", "2,2", "--s", "1..4"],
     # r = 511; the coordinate attempt leaves residuals of at most 128 columns
     "secant_1x9_s50-53.txt": ["secant", "--spec", "1,1,1,1,1,1,1,1,1", "--s", "50..53"],
-    # r = 624: the only case whose ranks take the blocked route (more than 128
-    # columns, also after the coordinate attempt deletes its covered columns)
+    # r = 624: the coordinate attempt leaves a 187 x 200 residual, on the one-panel route
     "secant_4x4_s36.txt": ["secant", "--spec", "4,4,4,4", "--s", "36"],
+    # r = 1023: the only case whose ranks take the blocked route (the 264 x 254
+    # residual is wider than 128 columns and larger than 256)
+    "secant_1x10_s94.txt": ["secant", "--spec", "1,1,1,1,1,1,1,1,1,1", "--s", "94"],
     "identifiability_format_4-4_k1_s3.txt": [
         "identifiability", "--format", "4,4", "--k", "1", "--s", "3",
     ],
@@ -53,13 +55,16 @@ def test_stdout_matches_golden(name, capsys):
 
 
 def test_blocked_golden_ranks_take_the_blocked_route(capsys, monkeypatch):
-    widths = []
-    rank = field.matrix_rank
+    shapes, inverted = [], []
+    rank, inverse = field.matrix_rank, field._inverse
 
     def recorded(rows, p):
-        widths.append(rows.shape[1])
+        shapes.append(rows.shape)
         return rank(rows, p)
 
     monkeypatch.setattr(field, "matrix_rank", recorded)
-    cli.main(CASES["secant_4x4_s36.txt"])
-    assert widths and min(widths) > field._BLOCKED_ABOVE, widths
+    monkeypatch.setattr(field, "_inverse", lambda t, p: inverted.append(len(t)) or inverse(t, p))
+    cli.main(CASES["secant_1x10_s94.txt"])
+    assert shapes and inverted, (shapes, inverted)
+    assert all(ncols > field._BLOCKED_ABOVE and max(nrows, ncols) > 2 * field._BLOCKED_ABOVE
+               for nrows, ncols in shapes), shapes

@@ -1,6 +1,6 @@
-"""The reproduction catalog computes each secant it checks and each witness tensor once."""
+"""The reproduction catalog computes each secant and direct rank it checks, and each witness tensor, once."""
 
-from grasec import field, phimap, reproduce, secant
+from grasec import field, grassec, phimap, reproduce, secant
 
 
 def test_secant_checks_compute_four_secants(monkeypatch):
@@ -37,3 +37,29 @@ def test_slice_map_checks_assemble_each_witness_tensor_once(monkeypatch):
     checks = [reproduce._slice_map_checks(0, field.DEFAULT_PRIMES), reproduce._cardinality_check(0)]
     assert all(check["status"] == "PASS" for check in checks)
     assert len(witnesses) == 25 and len(built) == len(witnesses)
+
+
+def test_grid_and_soundness_checks_compute_each_rank_once(monkeypatch):
+    # the direct route depends on k only through w = min(k, s - 1): 24 distinct
+    # (spec, w, s) among the grid's 36 cells; the soundness draws repeat (spec, s)
+    direct, secants = [], []
+    real_direct, real_secant = grassec.gs_dim_direct, secant.secant_dim
+
+    def counting_direct(spec, k, s, **kwargs):
+        direct.append((spec, min(k, s - 1), s))
+        return real_direct(spec, k, s, **kwargs)
+
+    def counting_secant(spec, s, **kwargs):
+        secants.append((spec, s))
+        return real_secant(spec, s, **kwargs)
+
+    monkeypatch.setattr(grassec, "gs_dim_direct", counting_direct)
+    monkeypatch.setattr(secant, "secant_dim", counting_secant)
+    checks = reproduce._grid_checks(0, field.DEFAULT_PRIMES)
+    assert all(check["status"] == "PASS" for check in checks)
+    assert len(direct) == len(set(direct)) == 24
+    assert len(secants) == 36
+    secants.clear()
+    check = reproduce._soundness_check(0, field.DEFAULT_PRIMES)
+    assert check["status"] == "PASS"
+    assert secants and len(secants) == len(set(secants))
