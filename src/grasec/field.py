@@ -4,7 +4,7 @@ Everything downstream reduces to matrix ranks over F_p, so this module is
 deliberately small: dense integer matrices reduced mod p, one elimination
 kernel (:func:`_echelon`) behind every rank, echelon form and row-space
 basis, a stacked elimination (:func:`_stacked_pivots`) behind the
-containment test, and the monomial-table evaluator that builds every
+decomposition count, and the monomial-table evaluator that builds every
 tangent frame (:func:`dual_evaluate`).  Every modulus is checked to be a
 prime below 2**31.  :func:`rref` and :func:`maximal_minors`, like
 ``varieties.embed``, have no caller in the package; they stay only
@@ -30,20 +30,19 @@ by halving through the Schur complement (:func:`_inverse`), and clears the
 pivot columns with one limb product.  A rank (:func:`matrix_rank`) only
 clears the rows below each pivot; bases get the full reduced echelon form.
 
-:func:`subspace_contains` takes a whole stack of spans, e.g. every
-s-subset of X(F_q) at once, and eliminates all of them in one per-column
-loop vectorized over the stack.  A single span is reduced by
-:func:`_echelon` instead: on a stack of one the stacked loop takes about
-twice as long as :func:`_gauss_jordan` (15 x 15: 359 vs 141 us; 60 x 35:
-1303 vs 542 us; a 612 x 64 panel: 19.2 vs 10.2 ms; min of 7 repeats at
-p = 2**31 - 1 on a 2-vCPU Xeon), and that loop is most of every rank.
+:func:`_stacked_pivots` ranks a stack of small matrices, such as the
+s-subsets of X(F_q) that ``phimap.count_decompositions`` tests, in one
+per-column loop vectorized over the stack.  On a single matrix it takes
+about twice as long as the forward-only :func:`_gauss_jordan` (15 x 15:
+575 vs 267 us; 60 x 35: 1687 vs 941 us; a 612 x 64 panel: 16.9 vs 8.8 ms;
+min of 7 repeats at p = 2**31 - 1 on a 2-vCPU Xeon), so :func:`_echelon`
+reduces every single matrix.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 
 import numpy as np
 
@@ -286,64 +285,45 @@ def row_space_basis(rows, p: int) -> np.ndarray:
 
 
 def _stacked_pivots(m: np.ndarray, p: int) -> np.ndarray:
-    """Pivot rows of a stack of matrices (B, rows, cols) over F_p, as a (B, rows) mask.
+    """Rank over F_p of every matrix of a stack, as its number of pivot rows.
 
-    Reduces ``m`` (entries in [0, p)) in place, one column at a time for the
-    whole stack.  At column c each matrix takes its first non-pivot row with
-    a nonzero entry as pivot row (a masked ``argmax``), then scales its other
-    non-pivot rows by that entry and subtracts multiples of the pivot row:
-    two products of residues per entry, exact in int64, and no inverse.  A
-    matrix with no such row is left unchanged.  The loop stops once every
-    non-pivot row is zero.
-
-    The pivot rows number the rank.  Because a pivot row is always the
-    first eligible one, a later pivot row finds the first t non-pivot rows
-    zero in its column and only rescales them by a unit, so the pivot rows
-    among the first t rows number their rank, for every t.
+    ``m`` holds the matrices transposed along its last axis, shape (cols,
+    rows, B), so every pass runs contiguously along the stack; it is
+    reduced (entries in [0, p)) in place, one column at a time.  At column
+    c each matrix takes its first non-pivot row with a nonzero entry as
+    pivot row (a masked ``argmax``), scales its rows by that entry and
+    subtracts multiples of the pivot row from the other non-pivot rows:
+    two products of residues per entry, exact in int64, and no inverse.
+    The loop stops once every non-pivot row is zero.
     """
-    nmat, nrows, ncols = m.shape
-    batch = np.arange(nmat)
-    pivot = np.zeros((nmat, nrows), dtype=bool)
-    for c in range(ncols):
-        free = ~pivot & (m[:, :, c] != 0)
-        i = free.argmax(axis=1)
-        found = free[batch, i]
-        pivot[batch, i] |= found
-        top = m[batch, i, c:]
-        factors = np.where(pivot, 0, m[:, :, c])
-        right = m[:, :, c:]
-        right *= np.where(found, top[:, 0], 1)[:, None, None]
-        right -= factors[:, :, None] * top[:, None]
+    stack, pivot = np.arange(m.shape[2]), np.zeros(m.shape[1:], dtype=bool)
+    for c in range(len(m)):
+        free = ~pivot & (m[c] != 0)
+        i = free.argmax(axis=0)
+        found = free[i, stack]
+        pivot[i, stack] |= found
+        right = m[c:]
+        top = right[:, i, stack]
+        factors = np.where(pivot, 0, m[c])
+        right *= np.where(found, top[0], 1)
+        right -= top[:, None] * factors
         right %= p
-        if not right[~pivot].any():
+        if not (right[1:].any(axis=0) & ~pivot).any():
             break
-    return pivot
+    return pivot.sum(axis=0)
 
 
-def subspace_contains(span_rows, candidate_rows, p: int) -> bool | np.ndarray:
+def subspace_contains(span_rows, candidate_rows, p: int) -> bool:
     """True iff every row of ``candidate_rows`` lies in the row space of ``span_rows``.
 
-    ``span_rows`` may be a stack of spans, shape ``(..., s, c)``, tested
-    against the same candidates; the result is then a bool array of shape
-    ``(...)``, and a plain bool for a single (2-D) span.  A span contains
-    the candidates iff rank(span ; candidates) == rank(span).  A stack
-    checks that no candidate row becomes a pivot row of its (span ;
-    candidates) matrices, see :func:`_stacked_pivots`.  A single span takes
-    its reduced echelon basis B from :func:`_echelon` instead: a row v lies
-    in the span iff v equals v[pivots] @ B.
+    With B the reduced echelon basis of the span from :func:`_echelon`, a
+    row v lies in the span iff v equals v[pivots] @ B.
     """
     cand = as_matrix(candidate_rows, p)
-    span = np.asarray(span_rows, dtype=np.int64)
-    *stack, s, width = span.shape
-    if width != cand.shape[1]:
+    basis, pivots = _echelon(span_rows, p)
+    if basis.shape[1] != cand.shape[1]:
         raise ValueError("span and candidate rows have different lengths")
-    if not stack:
-        basis, pivots = _echelon(span, p)
-        return bool((cand == _limb_product(cand[:, pivots], basis, p)).all())
-    m = np.empty((math.prod(stack), s + len(cand), width), dtype=np.int64)
-    m[:, :s] = span.reshape(-1, s, width) % p
-    m[:, s:] = cand
-    return ~_stacked_pivots(m, p)[:, s:].any(axis=1).reshape(stack)
+    return bool((cand == _limb_product(cand[:, pivots], basis, p)).all())
 
 
 def dual_evaluate(x, gather: np.ndarray, coeffs: np.ndarray, top: int, p: int) -> np.ndarray:

@@ -10,11 +10,13 @@ The module also counts decompositions exhaustively over tiny finite
 fields: given s points of X whose span must contain the target, the
 existence of the projective coefficient points is a linear solvability
 condition slice by slice, which reduces the search to s-subsets of the
-F_q-points of X.
+F_q-points of X, each decided by its rank in the quotient by the target's
+span.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -26,8 +28,8 @@ from . import field, secant, varieties
 from .errors import BudgetExceededError, SamplingError
 
 DEFAULT_ENUMERATION_BUDGET = 10**8
-# int64 entries of one chunk's stack of (subset ; target) matrices
-_CHUNK_ENTRIES = 2**19
+# int64 entries of one chunk's stack of subsets: from 2**15 to 2**18 count alike
+_CHUNK_ENTRIES = 2**17
 
 
 @dataclass(frozen=True)
@@ -117,6 +119,7 @@ def random_secant_point(
     raise SamplingError(f"could not sample an independent secant witness on {spec}")
 
 
+@functools.lru_cache(maxsize=None)
 def enumerate_variety_points(spec: varieties.SegreVeroneseSpec, q: int) -> np.ndarray:
     """All F_q-points of the embedded variety, one row each, in sorted order.
 
@@ -126,7 +129,8 @@ def enumerate_variety_points(spec: varieties.SegreVeroneseSpec, q: int) -> np.nd
     as in :mod:`grasec.varieties`, embeds every product point.
     The embedding of a normalized parameter point is already normalized and
     determines the point, so the rows are canonical and pairwise distinct;
-    see the frame invariant in :mod:`grasec.varieties`.
+    see the frame invariant in :mod:`grasec.varieties`.  Built once per
+    (spec, q) and read-only, like ``varieties._frame_table``.
     """
     rows = np.ones((1, 1), dtype=np.int64)
     for n, d in spec.factors:
@@ -137,7 +141,9 @@ def enumerate_variety_points(spec: varieties.SegreVeroneseSpec, q: int) -> np.nd
         rows = rows[:, None, :, None] * values[None, :, None, :]
         rows %= q
         rows = rows.reshape(rows.shape[0] * rows.shape[1], -1)
-    return rows[np.lexsort(rows.T[::-1])]
+    rows = rows[np.lexsort(rows.T[::-1])]
+    rows.flags.writeable = False  # shared by the cache
+    return rows
 
 
 def count_decompositions(
@@ -145,34 +151,46 @@ def count_decompositions(
     s: int,
     target: SlicedTensor | PluckerPoint,
 ) -> int:
-    """Number of s-subsets of X(F_q) whose span contains the target, q = target.p.
+    """Number of s-subsets S of X(F_q) whose span contains the target, q = target.p.
 
     For a subspace target this is direct containment.  For a tensor target
     it is the reduced decomposition count: once the X-points are fixed,
     suitable coefficient points of P^k exist exactly when every slice lies
-    in the span of the chosen points, a linear solvability test.  After
-    checking the subset count against DEFAULT_ENUMERATION_BUDGET, the
-    s-subsets are tested in chunks, one stacked
-    :func:`field.subspace_contains` call per chunk.
+    in the span of the chosen points, a linear solvability test.
+
+    With L the span of the target, d = dim L and pi: V -> V/L, L lies in
+    span(S) iff rank S = d + rank pi(S).  So only subsets with rank pi(S) <=
+    s - d can pass, and only those are ranked whole; with d = s only the
+    points inside L take part, and with d > s none.  After the budget check
+    on C(#X(F_q), s), the subsets are ranked in chunks, pi(S) first.
     """
     q = target.p
     if q not in (2, 3, 5, 7):
         raise ValueError(f"exhaustive enumeration needs a prime q <= 7, got q={q}")
     # #X(F_q) = prod #P^{n_i}(F_q): the embedding is injective on F_q-points
-    npoints = math.prod((q ** (n + 1) - 1) // (q - 1) for n, _ in spec.factors)
-    total = math.comb(npoints, s)
+    total = math.comb(math.prod((q ** (n + 1) - 1) // (q - 1) for n, _ in spec.factors), s)
     if total > DEFAULT_ENUMERATION_BUDGET:
         raise BudgetExceededError(
             f"{total} span tests exceed the budget of {DEFAULT_ENUMERATION_BUDGET}"
         )
+    basis, pivots = field._echelon(target.basis if isinstance(target, PluckerPoint) else target.slices, q)
+    d = len(pivots)
+    if d > s:
+        return 0
     points = enumerate_variety_points(spec, q)
-    rows = field.as_matrix(target.basis if isinstance(target, PluckerPoint) else target.slices, q)
-    chunk = max(1, _CHUNK_ENTRIES // ((s + len(rows)) * points.shape[1]))
-    subsets = itertools.combinations(range(npoints), s)
+    # pi(x): the columns of x - x[pivots] @ basis off L's pivots, where it is zero
+    rest = np.delete(np.arange(points.shape[1]), pivots)
+    quotient = (points[:, rest] - field.matmul_mod(points[:, pivots], basis[:, rest], q)) % q
+    if d == s:  # span(S) = L: only the points inside L, where pi vanishes
+        inside = ~quotient.any(axis=1)
+        points, quotient = points[inside], quotient[inside, :0]
+    chunk = max(1, _CHUNK_ENTRIES // (s * points.shape[1]))
+    subsets = itertools.combinations(range(len(points)), s)
     count = 0
-    for start in range(0, total, chunk):
-        size = min(chunk, total - start)
-        flat = itertools.chain.from_iterable(itertools.islice(subsets, size))
-        idx = np.fromiter(flat, dtype=np.int64, count=size * s).reshape(size, s)
-        count += int(field.subspace_contains(points[idx], rows, q).sum())
+    for _ in range(0, math.comb(len(points), s), chunk):
+        flat = itertools.chain.from_iterable(itertools.islice(subsets, chunk))
+        idx = np.fromiter(flat, dtype=np.int64).reshape(-1, s).T
+        low = field._stacked_pivots(quotient.T[:, idx], q)  # stacked as (columns, s, subsets)
+        passed = low <= s - d
+        count += int((field._stacked_pivots(points.T[:, idx[:, passed]], q) == d + low[passed]).sum())
     return count

@@ -1,8 +1,10 @@
 """Fast paths against the plain-Python references in reference.py."""
 
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 import reference
 from grasec import field, grassec, phimap, reproduce, varieties
 from grasec.errors import SamplingError
+from grasec.phimap import SlicedTensor
 from grasec.varieties import SegreVeroneseSpec
 
 P = field.DEFAULT_PRIME
@@ -72,12 +75,13 @@ def test_containment_matches_reference(data):
     if not candidates:
         candidates = [[0] * ncols]
     expected = [reference.rank(m, q) == reference.rank(m + candidates, q) for m in spans]
-    stacked = field.subspace_contains(spans, candidates, q)
-    assert stacked.shape == (len(spans),)
-    assert stacked.tolist() == expected
-    single = field.subspace_contains(span, candidates, q)
-    assert type(single) is bool
-    assert single == expected[0]
+    for m, contained in zip(spans, expected):
+        single = field.subspace_contains(m, candidates, q)
+        assert type(single) is bool
+        assert single == contained
+    stack = np.stack([np.array(m + candidates, dtype=np.int64).T % q for m in spans], axis=-1)
+    ranks = field._stacked_pivots(stack, q)
+    assert ranks.tolist() == [reference.rank(m + candidates, q) for m in spans]
     if not anywhere:
         assert expected[0]
 
@@ -141,31 +145,52 @@ def test_every_frame_has_full_rank(text, q):
 ])
 def test_enumeration_matches_normalize_and_dedup(q, text):
     spec = SegreVeroneseSpec.parse(text)
-    points = phimap.enumerate_variety_points(spec, q).tolist()
+    table = phimap.enumerate_variety_points(spec, q)
+    points = table.tolist()
     assert points == reference.variety_points(spec, q)
+    assert phimap.enumerate_variety_points(SegreVeroneseSpec.parse(text), q) is table
+    assert not table.flags.writeable  # shared by the cache
     assert len(points) == math.prod((q ** (n + 1) - 1) // (q - 1) for n, _ in spec.factors)
 
 
-def _spy_stacks(monkeypatch) -> list[int]:
-    """Record the stack length of every containment call ``count_decompositions`` makes."""
+def _spy_stacks(monkeypatch) -> list[tuple[int, int]]:
+    """Record (columns, stack length) of every stacked rank ``count_decompositions`` takes."""
     stacks = []
 
-    def spy(spans, candidates, p):
-        stacks.append(len(spans))
-        return contains(spans, candidates, p)
+    def spy(m, p):
+        stacks.append((m.shape[0], m.shape[2]))
+        return ranks(m, p)
 
-    contains = field.subspace_contains
-    monkeypatch.setattr(field, "subspace_contains", spy)
+    ranks = field._stacked_pivots
+    monkeypatch.setattr(field, "_stacked_pivots", spy)
     return stacks
 
 
-def _count_target(spec: SegreVeroneseSpec, s: int, kind: str, rng: random.Random, q: int):
-    """A k = 1 secant point over F_q, as a tensor or as its slice span, and its rows."""
-    witness = phimap.random_secant_point(spec, 1, s, rng, q)
+def _count_target(spec: SegreVeroneseSpec, s: int, kind: str, rng: random.Random, q: int, k: int = 1):
+    """A secant point over F_q, as a tensor or as its slice span, and its rows."""
+    witness = phimap.random_secant_point(spec, k, s, rng, q)
     if kind == "tensor":
         return witness.tensor, witness.tensor.slices
     target = phimap.phi(witness.tensor)
     return target, target.basis
+
+
+def _assert_pruned(spec: SegreVeroneseSpec, s: int, rows, q: int, stacks) -> None:
+    """The chunks rank pi(S) for every subset that can pass, and S for those with rank pi(S) <= s - d.
+
+    With d = dim L = s only the points inside L take part, and pi is zero on them.
+    """
+    rows = [list(row) for row in rows]
+    d, width = reference.rank(rows, q), spec.ambient_dim + 1
+    points = reference.variety_points(spec, q)
+    if d == s:
+        points = [x for x in points if reference.rank(rows + [x], q) == d]
+    subsets = list(itertools.combinations(points, s))
+    quotient, whole = stacks[::2], stacks[1::2]
+    assert all(c == (width - d if d < s else 0) for c, _ in quotient)
+    assert all(c == width for c, _ in whole)
+    assert sum(n for _, n in quotient) == len(subsets)
+    assert sum(n for _, n in whole) == sum(reference.rank(list(S) + rows, q) <= s for S in subsets)
 
 
 @pytest.mark.parametrize("text,q,s", [("1,1", 5, 2), ("1,1,1", 3, 2), ("2:2", 5, 3), ("1,2", 3, 3)])
@@ -177,21 +202,42 @@ def test_count_matches_per_subset_reference(text, q, s, kind, monkeypatch):
     count = phimap.count_decompositions(spec, s, target)
     assert count == reference.count_decompositions(spec, s, rows, q)
     assert count >= 1  # the witness's own points
-    assert sum(stacks) == math.comb(len(reference.variety_points(spec, q)), s)
+    _assert_pruned(spec, s, rows, q, stacks)
     if text == "1,2":
-        assert len(stacks) > 1  # 22,100 subsets cross a chunk boundary
+        assert len(stacks[::2]) > 1  # 22,100 subsets cross a chunk boundary
 
 
 @pytest.mark.parametrize("kind", ["tensor", "subspace"])
 def test_count_over_many_chunks_matches_reference(kind, monkeypatch):
-    # 630 subsets in chunks of 12 (or 16 for a one-row target): the last is ragged
+    # a point target, d = 1 < s = 2: all 630 subsets in chunks of 25, the last holds 5
     monkeypatch.setattr(phimap, "_CHUNK_ENTRIES", 200)
     spec = SegreVeroneseSpec.parse("1,1")
-    target, rows = _count_target(spec, 2, kind, random.Random(4), 5)
+    target, rows = _count_target(spec, 2, kind, random.Random(4), 5, k=0)
     stacks = _spy_stacks(monkeypatch)
     assert phimap.count_decompositions(spec, 2, target) == reference.count_decompositions(spec, 2, rows, 5)
-    assert sum(stacks) == 630
-    assert len(stacks) > 30 and 0 < stacks[-1] < stacks[0]
+    _assert_pruned(spec, 2, rows, 5, stacks)
+    assert [n for _, n in stacks[::2]] == [25] * 25 + [5]
+
+
+def _unit_rows(count: int, width: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(width)) for i in range(count))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+@pytest.mark.parametrize("text,s,rows", [
+    ("1,1", 2, None),              # a pencil's slice span, d = s: only the points inside L
+    ("1,1", 2, _unit_rows(3, 4)),  # d > s: no subset passes
+    ("1:2", 3, _unit_rows(3, 3)),  # L is the whole ambient space, d = s
+    ("1:2", 4, _unit_rows(3, 3)),  # L is the whole ambient space, d < s: pi is zero
+])
+@pytest.mark.parametrize("kind", ["tensor", "subspace"])
+def test_count_edge_targets_match_reference(q, text, s, rows, kind):
+    spec = SegreVeroneseSpec.parse(text)
+    if rows is None:
+        target, rows = _count_target(spec, s, kind, random.Random(q), q)
+    else:
+        target = SlicedTensor(q, rows) if kind == "tensor" else phimap.PluckerPoint(q, rows)
+    assert phimap.count_decompositions(spec, s, target) == reference.count_decompositions(spec, s, rows, q)
 
 
 _factor = st.tuples(st.integers(1, 2), st.integers(1, 3))

@@ -132,6 +132,7 @@ class TestTangentFrames:
         monkeypatch.setattr(field, "dual_evaluate", spy("evaluations", field.dual_evaluate, 0))
         varieties.tangent_frame(SegreVeroneseSpec.parse("2:3,1"), [], P)
         varieties.random_frames(SegreVeroneseSpec.parse("1,2"), 3, random.Random(0), P)
+        phimap.enumerate_variety_points.cache_clear()  # an earlier call would leave nothing to build
         phimap.enumerate_variety_points(SegreVeroneseSpec.parse("1:2,1,2"), 3)
         secant.secant_dim(SegreVeroneseSpec.parse("1,1,1"), 2)
         assert stacks["frames"][:5] == [0, 3, 4, 4, 13]
