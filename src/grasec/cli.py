@@ -86,17 +86,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config(args, **extra) -> dict:
-    cfg = {
-        "primes": list(args.primes),
-        "trials": args.trials,
-        "seed": args.seed,
-        "output": args.output,
-    }
-    cfg.update(extra)
-    return cfg
-
-
 def _cmd_secant(args) -> tuple[dict, int]:
     spec = varieties.SegreVeroneseSpec.parse(args.spec)
     lo, hi = _parse_s_range(args.s)
@@ -194,16 +183,14 @@ def main(argv: list[str] | None = None) -> int:
             "identifiability": _cmd_identifiability,
             "reproduce": _cmd_reproduce,
         }
-        extra = {}
-        for attr in ("spec", "s", "k", "format_dims"):
-            if hasattr(args, attr) and getattr(args, attr) is not None:
-                extra[attr] = getattr(args, attr)
         body, code = handlers[args.command](args)
         payload = {
             "schema": 1,
             "command": args.command,
             "version": __version__,
-            "config": _config(args, **extra),
+            # every parsed value but the command and the raw --prime list
+            "config": {key: value for key, value in vars(args).items()
+                       if value is not None and key not in ("command", "prime")},
             **body,
         }
     except UsageError as exc:

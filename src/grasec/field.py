@@ -5,10 +5,14 @@ deliberately small: dense integer matrices reduced mod p, one elimination
 kernel (:func:`_echelon`) behind every rank, echelon form and row-space
 basis, a stacked elimination (:func:`_stacked_pivots`) behind the
 decomposition count, and the monomial-table evaluator that builds every
-tangent frame (:func:`dual_evaluate`).  Every modulus is checked to be a
-prime below 2**31.  :func:`rref` and :func:`maximal_minors`, like
-``varieties.embed``, have no caller in the package; they stay only
-because the benchmark's per-layer metrics name them.
+tangent frame (:func:`dual_evaluate`).  :func:`quotient` is the one map
+V -> V/L by a span L: the subspace test, the direct Grassmann-secant
+route's Hom(L, V/L) and the decomposition count all reduce through it,
+and its image of the identity is a kernel basis of the span.  Every
+modulus is checked to be a prime below 2**31.  :func:`rref` and
+:func:`maximal_minors`, like ``varieties.embed``, have no caller in the
+package; they stay only because the benchmark's per-layer metrics name
+them.
 
 Matrices are numpy int64 arrays.  With p < 2**31 every product of two
 reduced entries, and every difference of two such products, stays inside
@@ -313,17 +317,26 @@ def _stacked_pivots(m: np.ndarray, p: int) -> np.ndarray:
     return pivot.sum(axis=0)
 
 
-def subspace_contains(span_rows, candidate_rows, p: int) -> bool:
-    """True iff every row of ``candidate_rows`` lies in the row space of ``span_rows``.
+def quotient(span_rows, rows, p: int) -> tuple[int, np.ndarray]:
+    """dim L and the image pi(rows) in V/L, for L the row space of ``span_rows``.
 
-    With B the reduced echelon basis of the span from :func:`_echelon`, a
-    row v lies in the span iff v equals v[pivots] @ B.
+    With B the reduced echelon basis of L from :func:`_echelon` and J its
+    pivot columns, pi maps a row v to v - v[J] @ B, which is zero on J, and
+    keeps the columns off J: c - dim L of them for rows of length c.  A row
+    lies in L iff its image is zero, and the columns of the image of the
+    c x c identity are a basis of the kernel {x : span_rows @ x = 0}.
     """
-    cand = as_matrix(candidate_rows, p)
+    m = as_matrix(rows, p)
     basis, pivots = _echelon(span_rows, p)
-    if basis.shape[1] != cand.shape[1]:
-        raise ValueError("span and candidate rows have different lengths")
-    return bool((cand == _limb_product(cand[:, pivots], basis, p)).all())
+    if basis.shape[1] != m.shape[1]:
+        raise ValueError("span and quotient rows have different lengths")
+    rest = np.delete(np.arange(m.shape[1]), pivots)
+    return len(pivots), (m[:, rest] - _limb_product(m[:, pivots], basis[:, rest], p)) % p
+
+
+def subspace_contains(span_rows, candidate_rows, p: int) -> bool:
+    """True iff every row of ``candidate_rows`` lies in the row space of ``span_rows``."""
+    return not quotient(span_rows, candidate_rows, p)[1].any()
 
 
 def dual_evaluate(x, gather: np.ndarray, coeffs: np.ndarray, top: int, p: int) -> np.ndarray:

@@ -112,27 +112,23 @@ def _plane_dim(spec: varieties.SegreVeroneseSpec, k: int, s: int) -> int:
 
 def _direct_rank(spec: varieties.SegreVeroneseSpec, w: int, s: int, rng: random.Random,
                  p: int) -> int:
+    # Each parameter derivative dM of M = lam @ P is an outer product: a
+    # column of lam times a frame partial, or a unit vector times a row of
+    # P.  Its image in Hom(L, V/L), L = rowspace(M), is that row vector's
+    # image in V/L, kept off L's pivots by field.quotient.
+    n, r = spec.dim, spec.ambient_dim
     for _ in range(varieties.MAX_RESAMPLES):
         frames = varieties.random_frames(spec, s, rng, p)
         lam = field.as_matrix(
             [[rng.randrange(p) for _ in range(s)] for _ in range(w + 1)], p
         )
-        basis, pivots = field._echelon(field.matmul_mod(lam, frames[:, 0], p), p)
-        if len(pivots) == w + 1:
+        rank, reduced = field.quotient(field.matmul_mod(lam, frames[:, 0], p),
+                                       frames.reshape(-1, r + 1), p)
+        if rank == w + 1:
             break
     else:
         raise SamplingError(f"degenerate coefficient matrix for GS on {spec}")
-
-    # Each parameter derivative dM of M = lam @ P is an outer product: a
-    # column of lam times a frame partial, or a unit vector times a row of
-    # P.  Reducing dM modulo L = rowspace(M), dM - dM[:, pivots] @ rref(M),
-    # reduces just that row vector and zeroes it at L's pivots: the rows are
-    # Hom(L, V/L) off those pivots.
-    n, r = spec.dim, spec.ambient_dim
-    rest = np.delete(np.arange(r + 1), pivots)
-    rows = frames.reshape(-1, r + 1)
-    reduced = ((rows[:, rest] - field.matmul_mod(rows[:, pivots], basis[:, rest], p)) % p
-               ).reshape(s, n + 1, r - w).transpose(2, 0, 1)
+    reduced = reduced.reshape(s, n + 1, r - w).transpose(2, 0, 1)
     # s*n point parameters: lam[a, i] times each reduced partial at point i
     point_part = lam[:, None, :, None] * reduced[None, :, :, 1:] % p
     # With J the pivot columns of lam's echelon form, lam_J is invertible, so a

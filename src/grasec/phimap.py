@@ -6,12 +6,12 @@ map sends such a point to the row space of its slice matrix, a point of
 the Grassmannian recorded by its canonical (reduced echelon) row-space
 basis, which determines the Pluecker coordinates.
 
-The module also counts decompositions exhaustively over tiny finite
-fields: given s points of X whose span must contain the target, the
-existence of the projective coefficient points is a linear solvability
-condition slice by slice, which reduces the search to s-subsets of the
-F_q-points of X, each decided by its rank in the quotient by the target's
-span.
+The module also counts exhaustively, over tiny finite fields, the
+s-subsets of X(F_q) whose span contains a target's span L: the subsets
+that can hold a decomposition, and the decomposition count itself when
+dim L = s.  X(F_q) is row 0 of one tangent-frame stack, and
+:func:`field.quotient` maps it to V/L, where each subset is decided by
+its rank.
 """
 
 from __future__ import annotations
@@ -123,24 +123,18 @@ def random_secant_point(
 def enumerate_variety_points(spec: varieties.SegreVeroneseSpec, q: int) -> np.ndarray:
     """All F_q-points of the embedded variety, one row each, in sorted order.
 
-    Each factor embeds every point of P^{n_i}(F_q), scaled to first nonzero
-    coordinate 1, as row 0 of :func:`varieties.tangent_frame` on that factor
-    alone; the row-wise Kronecker product of these rows, first factor major
-    as in :mod:`grasec.varieties`, embeds every product point.
+    Row 0 of one :func:`varieties.tangent_frame` call on every parameter
+    point whose factors are each scaled to first nonzero coordinate 1.
     The embedding of a normalized parameter point is already normalized and
     determines the point, so the rows are canonical and pairwise distinct;
     see the frame invariant in :mod:`grasec.varieties`.  Built once per
     (spec, q) and read-only, like ``varieties._frame_table``.
     """
-    rows = np.ones((1, 1), dtype=np.int64)
-    for n, d in spec.factors:
-        x = [((0,) * pivot + (1,) + tail,)
-             for pivot in range(n + 1)
-             for tail in itertools.product(range(q), repeat=n - pivot)]
-        values = varieties.tangent_frame(varieties.SegreVeroneseSpec(((n, d),)), x, q)[:, 0]
-        rows = rows[:, None, :, None] * values[None, :, None, :]
-        rows %= q
-        rows = rows.reshape(rows.shape[0] * rows.shape[1], -1)
+    factors = [[(0,) * pivot + (1,) + tail
+                for pivot in range(n + 1)
+                for tail in itertools.product(range(q), repeat=n - pivot)]
+               for n, _ in spec.factors]
+    rows = varieties.tangent_frame(spec, list(itertools.product(*factors)), q)[:, 0]
     rows = rows[np.lexsort(rows.T[::-1])]
     rows.flags.writeable = False  # shared by the cache
     return rows
@@ -151,18 +145,21 @@ def count_decompositions(
     s: int,
     target: SlicedTensor | PluckerPoint,
 ) -> int:
-    """Number of s-subsets S of X(F_q) whose span contains the target, q = target.p.
+    """Number of s-subsets S of X(F_q) whose span contains the target's span L, q = target.p.
 
     For a subspace target this is direct containment.  For a tensor target
-    it is the reduced decomposition count: once the X-points are fixed,
-    suitable coefficient points of P^k exist exactly when every slice lies
-    in the span of the chosen points, a linear solvability test.
+    T it is the count for its slice span, phi(T): the subsets that can hold
+    a decomposition of T.  When dim L = s, coefficient points of P^k exist
+    exactly on those subsets, and this is the decomposition count.  When
+    dim L < s a subset may need a zero coefficient point, so some subsets
+    counted hold no decomposition of T with s nonzero terms.
 
-    With L the span of the target, d = dim L and pi: V -> V/L, L lies in
+    With d = dim L and pi: V -> V/L from :func:`field.quotient`, L lies in
     span(S) iff rank S = d + rank pi(S).  So only subsets with rank pi(S) <=
     s - d can pass, and only those are ranked whole; with d = s only the
     points inside L take part, and with d > s none.  After the budget check
-    on C(#X(F_q), s), the subsets are ranked in chunks, pi(S) first.
+    on C(#X(F_q), s), the subsets are ranked in chunks, pi(S) first.  A
+    target whose rows are not as long as X's raises ``ValueError``.
     """
     q = target.p
     if q not in (2, 3, 5, 7):
@@ -173,14 +170,11 @@ def count_decompositions(
         raise BudgetExceededError(
             f"{total} span tests exceed the budget of {DEFAULT_ENUMERATION_BUDGET}"
         )
-    basis, pivots = field._echelon(target.basis if isinstance(target, PluckerPoint) else target.slices, q)
-    d = len(pivots)
+    points = enumerate_variety_points(spec, q)
+    rows = target.basis if isinstance(target, PluckerPoint) else target.slices
+    d, quotient = field.quotient(rows, points, q)
     if d > s:
         return 0
-    points = enumerate_variety_points(spec, q)
-    # pi(x): the columns of x - x[pivots] @ basis off L's pivots, where it is zero
-    rest = np.delete(np.arange(points.shape[1]), pivots)
-    quotient = (points[:, rest] - field.matmul_mod(points[:, pivots], basis[:, rest], q)) % q
     if d == s:  # span(S) = L: only the points inside L, where pi vanishes
         inside = ~quotient.any(axis=1)
         points, quotient = points[inside], quotient[inside, :0]

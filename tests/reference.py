@@ -18,7 +18,9 @@
   removing duplicates.
 * :func:`count_decompositions` tests every s-subset of those points on
   its own: its span contains the target rows iff adding them keeps the
-  rank.
+  rank.  :func:`count_nonzero_decompositions` tries every coefficient
+  vector on every such subset and counts those with a decomposition whose
+  coefficient points lambda_i are all nonzero.
 * :func:`generic_rank` is the plain ascending loop over secant orders,
   one :func:`grasec.secant.secant_dim` call per order until one fills.
 * :func:`coordinate_terracini_rank` ranks the whole Terracini matrix at the
@@ -131,6 +133,26 @@ def count_decompositions(spec: varieties.SegreVeroneseSpec, s: int, rows, q: int
         rank(subset, q) == rank(list(subset) + rows, q)
         for subset in itertools.combinations(variety_points(spec, q), s)
     )
+
+
+def count_nonzero_decompositions(spec: varieties.SegreVeroneseSpec, s: int, slices, q: int) -> int:
+    """Number of s-subsets {P_i} of X(F_q) with every slice j = sum_i lambda_i[j] P_i, all lambda_i != 0.
+
+    Every coefficient vector c of F_q^s is tried for every slice; a choice
+    of one c per slice sets lambda_i[j] = c_i of slice j's choice.  Only the
+    subsets whose span contains the slices are tried, as no other has a c.
+    """
+    slices = [list(row) for row in slices]
+    count = 0
+    for subset in itertools.combinations(variety_points(spec, q), s):
+        if rank(subset, q) != rank(list(subset) + slices, q):
+            continue
+        combos = {c: [sum(ci * x[j] for ci, x in zip(c, subset)) % q for j in range(len(slices[0]))]
+                  for c in itertools.product(range(q), repeat=s)}
+        per_slice = [[c for c, v in combos.items() if v == row] for row in slices]
+        count += any(all(any(c[i] for c in choice) for i in range(s))
+                     for choice in itertools.product(*per_slice))
+    return count
 
 
 def maximal_minors(rows, p: int) -> list[int]:

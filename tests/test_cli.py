@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from grasec import cli, secant
+from grasec import cli, field, secant
 from grasec.errors import BudgetExceededError, InconsistencyError, SamplingError
 
 
@@ -66,6 +66,18 @@ class TestSecantCommand:
         assert payload["command"] == "secant"
         assert set(payload["config"]) >= {"primes", "trials", "seed", "output"}
         assert "expected_dim" in payload["formulas"]
+
+    @pytest.mark.parametrize("argv,config", [
+        (("secant", "--spec", "1,1", "--s", "2"), {"spec": "1,1", "s": "2"}),
+        (("identifiability", "--format", "2,2", "--k", "1", "--s", "2", "--prime", "101"),
+         {"format_dims": "2,2", "k": 1, "s": 2, "primes": [101]}),
+    ])
+    def test_config_is_every_parsed_value(self, capsys, argv, config):
+        # the options given and the defaults, with the primes as used: no raw
+        # --prime list and no option left unset
+        defaults = {"primes": [field.DEFAULT_PRIME, field.CONFIRMATION_PRIME],
+                    "trials": secant.DEFAULT_TRIALS, "seed": 0, "output": "json"}
+        assert run_json(capsys, *argv)["config"] == {**defaults, **config}
 
 
 class TestGrassmannCommand:

@@ -445,6 +445,54 @@ class TestDelayedReduction:
         self._check(m, P, lazy=True)
 
 
+class TestQuotient:
+    """field.quotient: dim L and pi(rows) in V/L, against the reference RREF and ranks."""
+
+    @_REFERENCE_PRIMES
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_reference(self, q, data):
+        span = data.draw(_elimination_matrices(q, max_rows=6, max_cols=8))
+        rows = data.draw(_elimination_matrices(q, max_rows=5, max_cols=span.shape[1]))
+        rows = np.pad(rows, [(0, 0), (0, span.shape[1] - rows.shape[1])])
+        if data.draw(st.booleans()):  # a row inside L
+            rows = np.vstack([rows, field.matmul_mod(np.ones((1, len(span)), dtype=np.int64), span, q)])
+        d, image = field.quotient(span, rows, q)
+        echelon, pivots = reference.rref(span.tolist(), q)
+        rest = [j for j in range(span.shape[1]) if j not in pivots]
+        assert d == len(pivots) == reference.rank(span.tolist(), q)
+        assert image.dtype.name == "int64"
+        assert image.tolist() == [[(v[j] - sum(v[c] * b[j] for c, b in zip(pivots, echelon))) % q
+                                   for j in rest] for v in rows.tolist()]
+        # rank (L ; rows) = dim L + rank pi(rows), and pi(v) = 0 exactly on L
+        assert reference.rank(span.tolist() + rows.tolist(), q) == d + reference.rank(image.tolist(), q)
+        assert [not any(row) for row in image.tolist()] == [
+            reference.rank(span.tolist() + [v], q) == d for v in rows.tolist()]
+
+    @_REFERENCE_PRIMES
+    @pytest.mark.parametrize("c", [1, 4, 7])
+    def test_image_of_the_identity_is_a_kernel_basis(self, q, c):
+        span = np.random.default_rng(c).integers(0, q, (3, c))
+        d, kernel = field.quotient(span, np.eye(c, dtype=np.int64), q)
+        assert kernel.shape == (c, c - d)
+        assert not field.matmul_mod(span, kernel, q).any()
+        assert reference.rank(kernel.tolist(), q) == c - d
+
+    def test_zero_span_is_the_identity(self):
+        rows = [[3, 0, 5], [0, 0, 0]]
+        d, image = field.quotient([[0, 0, 0], [0, 0, 0]], rows, 7)
+        assert d == 0 and image.tolist() == rows
+
+    def test_whole_space_leaves_no_columns(self):
+        d, image = field.quotient([[1, 2], [3, 4]], [[5, 6], [1, 1], [0, 0]], 7)
+        assert d == 2 and image.shape == (3, 0)
+
+    @pytest.mark.parametrize("span", [[[0, 0]], [[1, 2]], [[1, 0, 0, 0]]])
+    def test_width_mismatch_rejected(self, span):
+        with pytest.raises(ValueError, match="different lengths"):
+            field.quotient(span, [[0, 0, 1]], P)
+
+
 def test_secant_scale_ranks_run_no_matrix_product(monkeypatch):
     # the four residuals (65 x 60, 66 x 67, 130 x 122, 187 x 200) are all within
     # 2 * _BLOCKED_ABOVE, so no rank multiplies float64 limbs (BLAS)

@@ -131,6 +131,33 @@ class TestCounting:
         n_pi = phimap.count_decompositions(spec, 2, phimap.phi(witness.tensor))
         assert n_b == n_pi
 
+    @pytest.mark.parametrize("rows", [((1, 2, 3, 4, 0),), ((0, 0, 1, 2, 3),), ((1, 2, 3),), ()])
+    def test_target_of_the_wrong_width_rejected(self, rows):
+        # X(F_5) of 1,1 has rows of length r + 1 = 4
+        with pytest.raises(ValueError, match="different lengths"):
+            phimap.count_decompositions(SegreVeroneseSpec.parse("1,1"), 2, phimap.PluckerPoint(5, rows))
+
+    def test_tensor_count_exceeds_the_decomposition_count_when_dim_l_is_below_s(self):
+        # d = 2 < s = 3: 34 of the 330 subsets whose span contains the slices
+        # hold only decompositions with a zero coefficient point lambda_i
+        spec = SegreVeroneseSpec.parse("1,1")
+        tensor = phimap.random_secant_point(spec, 1, 3, _rng(0, 5), 5).tensor
+        assert reference.rank(tensor.slices, 5) == 2
+        assert phimap.count_decompositions(spec, 3, tensor) == 330
+        assert phimap.count_decompositions(spec, 3, phimap.phi(tensor)) == 330
+        assert reference.count_nonzero_decompositions(spec, 3, tensor.slices, 5) == 296
+
+    @pytest.mark.parametrize("text,q,k,s,seed", [
+        ("1,1", 5, 1, 2, 0), ("1,1", 3, 2, 3, 2), ("1:2", 5, 2, 3, 1),
+        ("1,1,1", 2, 1, 2, 2), ("1,1,1", 2, 2, 3, 0),
+    ])
+    def test_tensor_count_is_the_decomposition_count_when_dim_l_is_s(self, text, q, k, s, seed):
+        spec = SegreVeroneseSpec.parse(text)
+        tensor = phimap.random_secant_point(spec, k, s, _rng(seed, q), q).tensor
+        assert reference.rank(tensor.slices, q) == s
+        assert phimap.count_decompositions(spec, s, tensor) == \
+            reference.count_nonzero_decompositions(spec, s, tensor.slices, q)
+
     def test_budget_enforced(self, monkeypatch):
         monkeypatch.setattr(phimap, "DEFAULT_ENUMERATION_BUDGET", 10)
         spec = SegreVeroneseSpec.parse("1,1")
