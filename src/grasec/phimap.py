@@ -85,7 +85,7 @@ class SecantWitness:
 def phi(tensor: SlicedTensor) -> PluckerPoint:
     """Row space of the slice matrix, as its canonical row basis."""
     basis = field.row_space_basis(tensor.slices, tensor.p)
-    return PluckerPoint(tensor.p, tuple(tuple(int(v) for v in row) for row in basis))
+    return PluckerPoint(tensor.p, tuple(map(tuple, basis.tolist())))
 
 
 def assemble_tensor(lambdas, embedded_points, p: int) -> SlicedTensor:
@@ -93,7 +93,7 @@ def assemble_tensor(lambdas, embedded_points, p: int) -> SlicedTensor:
     P = field.as_matrix(embedded_points, p)
     lam = field.as_matrix(lambdas, p)            # s x (k+1)
     slices = field.matmul_mod(lam.T, P, p)       # (k+1) x (r+1)
-    return SlicedTensor(p, tuple(tuple(int(v) for v in row) for row in slices))
+    return SlicedTensor(p, tuple(map(tuple, slices.tolist())))
 
 
 def random_secant_point(

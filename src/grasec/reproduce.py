@@ -65,15 +65,23 @@ def _grid_checks(seed: int, primes: tuple[int, ...]) -> list[dict]:
              for k in PHI_GRID_K for s in PHI_GRID_S if s - 1 <= spec.ambient_dim]
     total, transfers = len(cases), sum(grassec._transfers(*case) for case in cases)
     direct: dict[tuple, int] = {}  # the direct route depends on k only through w = min(k, s - 1)
+    # sigma_s(Seg(P^k x X)) from one walk per (X, k) over the grid's s-range:
+    # computed reports are the secant_dim calls a cell would make, and the
+    # monotonicity rules fill in the others exactly
+    orders = range(min(PHI_GRID_S), max(PHI_GRID_S) + 1)
+    walks: dict[tuple, dict[int, secant.SecantReport]] = {}
     reports = []
     try:
         for spec, k, s in cases:
             key = (spec, min(k, s - 1), s)
             if key not in direct:
                 direct[key] = grassec.gs_dim_direct(spec, k, s, trials=1, seed=seed, primes=primes)
-            seg = secant.secant_dim(varieties.prepend_projective_factor(spec, k), s,
-                                    trials=1, seed=seed, primes=primes)
-            reports.append(grassec.GrassmannSecantReport(spec, k, s, direct[key], seg, seed))
+            if (spec, k) not in walks:
+                seg = varieties.prepend_projective_factor(spec, k)
+                walks[spec, k] = {rep.s: rep for rep in secant.classify_secant_range(
+                    seg, orders, trials=1, seed=seed, primes=primes)}
+            seg_report = walks[spec, k][s]
+            reports.append(grassec.GrassmannSecantReport(spec, k, s, direct[key], seg_report, seed))
     except SamplingError as exc:
         identity = transfer = {"error": str(exc)}
     else:

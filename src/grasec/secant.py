@@ -10,6 +10,9 @@ default primes is reported as defective with high confidence.  Before the
 trials x primes budget comes one more evaluation with most points at
 coordinate points (Draisma, JPAA 2008), which only ranks a small residual;
 they are drawn from one cached packing per spec, found by a local search.
+When the packing holds s points the attempt ranks nothing: coordinate
+frames are unit rows, so s points with disjoint supports give rank s(n+1)
+over every prime, an exact certificate.
 """
 
 from __future__ import annotations
@@ -188,12 +191,20 @@ def terracini_rank(
 ) -> int:
     """Rank of the s stacked tangent frames at random points, minus one.
 
-    With ``coordinates``, min(floor(3s/4), len(packing)) points are drawn
-    with ``rng.sample`` from the spec's cached :func:`_packing`: their frames
-    are unit rows on disjoint columns C, so the rank is |C| plus that of the
-    other frames without C.
+    With ``coordinates``, points are drawn with ``rng.sample`` from the
+    spec's cached :func:`_packing`.  At a coordinate point every frame row is
+    a unit vector with entry 1, on the columns ``_coordinate_supports``
+    lists (the frame invariant of :mod:`grasec.varieties`), so packing
+    points have unit rows on disjoint columns C.  When the packing holds s
+    points, all s are drawn and the rank is s(n+1) over every prime: no
+    frame is built.  Otherwise min(floor(3s/4), len(packing)) are drawn and
+    the rank is |C| plus that of the other frames without C.
     """
     packing = _packing(spec) if coordinates else ()
+    if len(packing) >= s:
+        field._check_modulus(p)
+        rng.sample(packing, s)
+        return s * (spec.dim + 1) - 1
     chosen = rng.sample(packing, min(3 * s // 4, len(packing)))
     keep = np.ones(spec.ambient_dim + 1, dtype=bool)
     keep[varieties._coordinate_supports(spec)[chosen]] = False

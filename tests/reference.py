@@ -25,7 +25,8 @@
   one :func:`grasec.secant.secant_dim` call per order until one fills.
 * :func:`coordinate_terracini_rank` ranks the whole Terracini matrix at the
   point set of the coordinate attempt, coordinate points from the spec's
-  packing included, with no column deleted.
+  packing included, with no column deleted, also where the attempt
+  ranks nothing because the packing holds all s points.
 """
 
 from __future__ import annotations
@@ -246,12 +247,13 @@ def coordinate_terracini_rank(spec: varieties.SegreVeroneseSpec, s: int, rng: ra
                               p: int) -> int:
     """``terracini_rank(spec, s, rng, p, coordinates=True)`` without deleting any column.
 
-    The same draws from ``rng``: min(floor(3s/4), len(packing)) points of the
-    spec's coordinate packing, then the other points.  All s frames are
-    stacked and ranked whole.
+    The same draws from ``rng``: s points of the spec's coordinate packing
+    when it holds s, else min(floor(3s/4), len(packing)) of them, then the
+    other points.  All s frames are stacked and ranked whole.
     """
     points = coordinate_points(spec)
     packing = secant._packing(spec)
-    kept = [points[i] for i in rng.sample(packing, min(3 * s // 4, len(packing)))]
+    size = s if len(packing) >= s else min(3 * s // 4, len(packing))
+    kept = [points[i] for i in rng.sample(packing, size)]
     kept += [varieties.random_parameter_point(spec, rng, p) for _ in range(s - len(kept))]
     return rank([row for point in kept for row in frame(spec, point, p)], p) - 1

@@ -226,14 +226,23 @@ class TestNeverDefective:
             _classify_to_generic_rank(spec, seed=5)
 
     def test_defect_message_matches_generic_rank_search(self):
-        # over F_2 the frames of Seg(P^1 x P^1 x P^1) lose rank at s = 2, both
-        # in the coordinate attempt and in the random trial
-        spec, budget = SegreVeroneseSpec.parse("1,1"), {"trials": 1, "primes": (2,)}
+        # over F_2 the frames of Seg(P^2 x P^1 x P^2) lose rank at s = 3, both
+        # in the coordinate attempt's residual and in the random trial
+        spec, budget = SegreVeroneseSpec.parse("1,2"), {"trials": 1, "primes": (2,)}
         with pytest.raises(InconsistencyError) as old:
             _classify_to_generic_rank(spec, **budget)
         with pytest.raises(InconsistencyError, match="defect") as new:
             criteria.never_defective_check(spec, **budget)
-        assert str(new.value) == str(old.value)
+        assert str(new.value) == str(old.value) == \
+            "defect 3 at s = 3 on 2,1,2, expected none for k = r - n"
+
+    def test_packing_certifies_over_the_smallest_prime(self):
+        # sigma_2(P^1 x P^1 x P^1) fills P^7; the packing of Seg(P^1 x P^1 x P^1)
+        # holds 2 points, whose unit frame rows certify that over F_2 too
+        spec, budget = SegreVeroneseSpec.parse("1,1"), {"trials": 1, "primes": (2,)}
+        reports = criteria.never_defective_check(spec, **budget)
+        assert reports == _classify_to_generic_rank(spec, **budget)
+        assert [rep.defect for rep in reports] == [0, 0] and reports[-1].fills_ambient
 
 
 class TestCatalog:

@@ -44,8 +44,11 @@ class TestPhi:
         tensor = phimap.assemble_tensor(lambdas, embedded, P)
         assert tensor.slices == ((1, 3, 5, 0), (2, 4, 6, 0))
         # the row space is spanned by the first s coordinates only
-        for row in phimap.phi(tensor).basis:
+        basis = phimap.phi(tensor).basis
+        for row in basis:
             assert row[3] == 0
+        # both hold plain Python ints, not numpy scalars
+        assert {type(v) for row in tensor.slices + basis for v in row} == {int}
 
     def test_scale_invariance(self):
         rng = random.Random(21)

@@ -41,24 +41,34 @@ def test_slice_map_checks_assemble_each_witness_tensor_once(monkeypatch):
 
 def test_grid_and_soundness_checks_compute_each_rank_once(monkeypatch):
     # the direct route depends on k only through w = min(k, s - 1): 24 distinct
-    # (spec, w, s) among the grid's 36 cells; the soundness draws repeat (spec, s)
-    direct, secants = [], []
-    real_direct, real_secant = grassec.gs_dim_direct, secant.secant_dim
+    # (spec, w, s) among the grid's 36 cells; the Segre side is one walk per
+    # (X, k) over s = 2..4, which computes 18 of its 36 reports at seed 0 and
+    # propagates the rest; the soundness draws repeat (spec, s)
+    direct, walks, secants = [], [], []
+    real_direct, real_walk, real_secant = (
+        grassec.gs_dim_direct, secant.classify_secant_range, secant.secant_dim)
 
     def counting_direct(spec, k, s, **kwargs):
         direct.append((spec, min(k, s - 1), s))
         return real_direct(spec, k, s, **kwargs)
+
+    def counting_walk(spec, orders, **kwargs):
+        walks.append((spec, orders))
+        return real_walk(spec, orders, **kwargs)
 
     def counting_secant(spec, s, **kwargs):
         secants.append((spec, s))
         return real_secant(spec, s, **kwargs)
 
     monkeypatch.setattr(grassec, "gs_dim_direct", counting_direct)
+    monkeypatch.setattr(secant, "classify_secant_range", counting_walk)
     monkeypatch.setattr(secant, "secant_dim", counting_secant)
     checks = reproduce._grid_checks(0, field.DEFAULT_PRIMES)
     assert all(check["status"] == "PASS" for check in checks)
     assert len(direct) == len(set(direct)) == 24
-    assert len(secants) == 36
+    assert len(walks) == len(set(walks)) == 12
+    assert {orders for _, orders in walks} == {range(2, 5)}
+    assert len(secants) == len(set(secants)) == 18
     secants.clear()
     check = reproduce._soundness_check(0, field.DEFAULT_PRIMES)
     assert check["status"] == "PASS"

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import reference
+from test_criteria import CENSUS_SPECS
 from grasec import field, reproduce, secant, varieties
 from grasec.errors import InconsistencyError
 from grasec.varieties import SegreVeroneseSpec, prepend_projective_factor
@@ -240,11 +241,11 @@ class TestDefectivityOracle:
         assert secant.secant_dim(SegreVeroneseSpec.parse(text), s).defect == 1
 
 
-def _random_only(spec, s, seed=0):
+def _random_only(spec, s, seed=0, primes=field.DEFAULT_PRIMES):
     """dim sigma_s from the random trials alone, without the coordinate attempt."""
     return secant._max_rank(lambda rng, p: secant.terracini_rank(spec, s, rng, p),
                             secant.expected_secant_dim(spec, s), secant.DEFAULT_TRIALS, seed,
-                            field.DEFAULT_PRIMES)[0]
+                            primes)[0]
 
 
 # the benchmark's secant_dim rows, r = 124, 241, 511, 611
@@ -319,6 +320,32 @@ class TestCoordinateAttempt:
         spec = SegreVeroneseSpec.parse(text)
         fast = secant.terracini_rank(spec, s, random.Random(seed), 101, coordinates=True)
         assert fast == reference.coordinate_terracini_rank(spec, s, random.Random(seed), 101)
+
+    # packings of 2, 9, 2 and 2 points: the first two hold s and rank
+    # nothing, the others rank a residual
+    @pytest.mark.parametrize("text,s", [("1,1,1", 2), ("3,2,2,2", 5), ("1,1,1,1", 3),
+                                        ("2:2,1", 5)])
+    @pytest.mark.parametrize("p", [2, 3, 101, field.DEFAULT_PRIME])
+    def test_matches_the_whole_matrix_on_every_prime(self, text, s, p, monkeypatch):
+        spec = SegreVeroneseSpec.parse(text)
+        ranks = []
+        monkeypatch.setattr(field, "matrix_rank",
+                            lambda rows, p, real=field.matrix_rank: ranks.append(p) or real(rows, p))
+        fast = secant.terracini_rank(spec, s, random.Random(7), p, coordinates=True)
+        assert fast == reference.coordinate_terracini_rank(spec, s, random.Random(7), p)
+        assert bool(ranks) == (len(secant._packing(spec)) < s)
+
+    @pytest.mark.parametrize("text", CENSUS_SPECS)
+    def test_packing_never_claims_more_than_random_points(self, text):
+        # every s the packing holds is certified by the attempt alone, and the
+        # random trials reach the same dimension
+        spec = SegreVeroneseSpec.parse(text)
+        primes = (field.DEFAULT_PRIME,)
+        for s in range(1, len(secant._packing(spec)) + 1):
+            rep = secant.secant_dim(spec, s, primes=primes)
+            assert rep.trials_used == 1, s
+            expected = secant.expected_secant_dim(spec, s)
+            assert rep.dim == expected == _random_only(spec, s, primes=primes), s
 
     @pytest.mark.parametrize("text,s", SECANT_SCALE)
     def test_certifies_the_benchmark_rows_alone(self, text, s):

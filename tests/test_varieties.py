@@ -134,7 +134,8 @@ class TestTangentFrames:
         varieties.random_frames(SegreVeroneseSpec.parse("1,2"), 3, random.Random(0), P)
         phimap.enumerate_variety_points.cache_clear()  # an earlier call would leave nothing to build
         phimap.enumerate_variety_points(SegreVeroneseSpec.parse("1:2,1,2"), 3)
-        secant.secant_dim(SegreVeroneseSpec.parse("1,1,1"), 2)
+        # the packing of 1,1,1 holds 2 points: s = 3 still builds a residual stack
+        secant.secant_dim(SegreVeroneseSpec.parse("1,1,1"), 3)
         assert stacks["frames"][:3] == [0, 3, 4 * 4 * 13]
         assert stacks["frames"] == stacks["evaluations"]
         assert len(stacks["frames"]) > 3
