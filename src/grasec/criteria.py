@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 from . import field, secant, varieties
@@ -36,17 +36,11 @@ class CriterionStep:
     name: str
     inputs: dict
     outcome: str
-    anchor: str
+    anchor_quote: str
     provenance: str  # "computed" or "recorded-from-literature"
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "inputs": self.inputs,
-            "outcome": self.outcome,
-            "anchor_quote": self.anchor,
-            "provenance": self.provenance,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -122,13 +116,15 @@ def _computed_step(name: str, **facts) -> CriterionStep:
 def theorem_tre(sigma: secant.SecantReport, k: int) -> CriterionStep:
     """The ``rank-defect-criterion`` for (k, s)-identifiability of X, judged on sigma_s(X).
 
-    X and s are read off the report ``sigma``, and non-defectivity off its defect.
+    X and s are read off the report ``sigma``, and non-defectivity off its defect;
+    ``defectivity_source`` is "propagated" when that report ran no rank.
     """
     spec, s = sigma.spec, sigma.s
     secant._check_order(spec, k, s)
     return _computed_step(
         "rank-defect-criterion", n=spec.dim, r=spec.ambient_dim, s=s, k=k,
-        s_defective=sigma.defect > 0, defectivity_source="computed",
+        s_defective=sigma.defect > 0,
+        defectivity_source="propagated" if sigma.propagated else "computed",
     )
 
 
@@ -254,7 +250,7 @@ def recorded_facts(format_dims: tuple[int, ...], k: int, s: int) -> list[Criteri
                 name=entry["id"],
                 inputs=inputs,
                 outcome=outcome,
-                anchor=entry["statement"],
+                anchor_quote=entry["statement"],
                 provenance="recorded-from-literature",
             )
         )

@@ -9,10 +9,10 @@ tangent frame (:func:`dual_evaluate`).  :func:`quotient` is the one map
 V -> V/L by a span L: the subspace test, the direct Grassmann-secant
 route's Hom(L, V/L) and the decomposition count all reduce through it,
 and its image of the identity is a kernel basis of the span.  Every
-modulus is checked to be a prime below 2**31.  :func:`rref` and
-:func:`maximal_minors`, like ``varieties.embed``, have no caller in the
-package; they stay only because the benchmark's per-layer metrics name
-them.
+modulus is checked once, by trial division, to be a prime below 2**31.
+:func:`rref` and :func:`maximal_minors`, like ``varieties.embed``, have
+no caller in the package; they stay only because the benchmark's
+per-layer metrics name them.
 
 Matrices are numpy int64 arrays.  With p < 2**31 every product of two
 reduced entries, and every difference of two such products, stays inside
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -62,29 +63,8 @@ _DELAY = 7             # 2**31 + 7 * 2**60 < 2**63: updates between reductions o
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; bases 2, 3, 5, 7 are exact below 3.2e9."""
-    bases = (2, 3, 5, 7)
-    if n < 2:
-        return False
-    if n in bases:
-        return True
-    if any(n % b == 0 for b in bases):
-        return False
-    d, twos = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        twos += 1
-    for b in bases:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(twos - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division by every d in [2, isqrt(n)]: exact, and at most 46340 divisors below 2**31."""
+    return n >= 2 and bool(np.all(n % np.arange(2, math.isqrt(n) + 1)))
 
 
 # Cached: matrix construction checks its modulus on every call.

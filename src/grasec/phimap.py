@@ -90,9 +90,7 @@ def phi(tensor: SlicedTensor) -> PluckerPoint:
 
 def assemble_tensor(lambdas, embedded_points, p: int) -> SlicedTensor:
     """Slice j is sum_i lambda_{i,j} * P_i, computed exactly."""
-    P = field.as_matrix(embedded_points, p)
-    lam = field.as_matrix(lambdas, p)            # s x (k+1)
-    slices = field.matmul_mod(lam.T, P, p)       # (k+1) x (r+1)
+    slices = field.matmul_mod(np.transpose(lambdas), embedded_points, p)  # (k+1) x (r+1)
     return SlicedTensor(p, tuple(map(tuple, slices.tolist())))
 
 

@@ -8,6 +8,7 @@ serialized output.
 
 from __future__ import annotations
 
+import functools
 import random
 
 from . import criteria, field, grassec, phimap, secant, varieties
@@ -64,24 +65,24 @@ def _grid_checks(seed: int, primes: tuple[int, ...]) -> list[dict]:
     cases = [(spec, k, s) for spec in map(varieties.SegreVeroneseSpec.parse, PHI_GRID_SPECS)
              for k in PHI_GRID_K for s in PHI_GRID_S if s - 1 <= spec.ambient_dim]
     total, transfers = len(cases), sum(grassec._transfers(*case) for case in cases)
-    direct: dict[tuple, int] = {}  # the direct route depends on k only through w = min(k, s - 1)
+
+    @functools.cache  # the direct route depends on k only through w = min(k, s - 1)
+    def direct(spec: varieties.SegreVeroneseSpec, w: int, s: int) -> int:
+        return grassec.gs_dim_direct(spec, w, s, trials=1, seed=seed, primes=primes)
+
     # sigma_s(Seg(P^k x X)) from one walk per (X, k) over the grid's s-range:
     # computed reports are the secant_dim calls a cell would make, and the
     # monotonicity rules fill in the others exactly
-    orders = range(min(PHI_GRID_S), max(PHI_GRID_S) + 1)
-    walks: dict[tuple, dict[int, secant.SecantReport]] = {}
-    reports = []
+    @functools.cache
+    def walk(spec: varieties.SegreVeroneseSpec, k: int) -> dict[int, secant.SecantReport]:
+        seg = varieties.prepend_projective_factor(spec, k)
+        orders = range(min(PHI_GRID_S), max(PHI_GRID_S) + 1)
+        return {rep.s: rep for rep in secant.classify_secant_range(
+            seg, orders, trials=1, seed=seed, primes=primes)}
+
     try:
-        for spec, k, s in cases:
-            key = (spec, min(k, s - 1), s)
-            if key not in direct:
-                direct[key] = grassec.gs_dim_direct(spec, k, s, trials=1, seed=seed, primes=primes)
-            if (spec, k) not in walks:
-                seg = varieties.prepend_projective_factor(spec, k)
-                walks[spec, k] = {rep.s: rep for rep in secant.classify_secant_range(
-                    seg, orders, trials=1, seed=seed, primes=primes)}
-            seg_report = walks[spec, k][s]
-            reports.append(grassec.GrassmannSecantReport(spec, k, s, direct[key], seg_report, seed))
+        reports = [grassec.GrassmannSecantReport(spec, k, s, direct(spec, min(k, s - 1), s),
+                                                 walk(spec, k)[s], seed) for spec, k, s in cases]
     except SamplingError as exc:
         identity = transfer = {"error": str(exc)}
     else:
@@ -197,12 +198,10 @@ def _soundness_check(seed: int, primes: tuple[int, ...]) -> dict:
     specs = ["1,1", "2:2", "1:4", "2:3", "1,2"]
     violations = 0
     holds_seen = 0
-    secants: dict[tuple, secant.SecantReport] = {}  # the draws repeat (spec, s) pairs
 
+    @functools.cache  # the draws repeat (spec, s) pairs
     def secant_dim(spec: varieties.SegreVeroneseSpec, s: int) -> secant.SecantReport:
-        if (spec, s) not in secants:
-            secants[spec, s] = secant.secant_dim(spec, s, trials=1, seed=seed, primes=primes)
-        return secants[spec, s]
+        return secant.secant_dim(spec, s, trials=1, seed=seed, primes=primes)
 
     for _ in range(12):
         spec = varieties.SegreVeroneseSpec.parse(rng.choice(specs))

@@ -196,14 +196,13 @@ def terracini_rank(
     a unit vector with entry 1, on the columns ``_coordinate_supports``
     lists (the frame invariant of :mod:`grasec.varieties`), so packing
     points have unit rows on disjoint columns C.  When the packing holds s
-    points, all s are drawn and the rank is s(n+1) over every prime: no
-    frame is built.  Otherwise min(floor(3s/4), len(packing)) are drawn and
-    the rank is |C| plus that of the other frames without C.
+    points, s of them give rank s(n+1) over every prime, so none is drawn
+    and no frame is built.  Otherwise min(floor(3s/4), len(packing)) are
+    drawn and the rank is |C| plus that of the other frames without C.
     """
     packing = _packing(spec) if coordinates else ()
     if len(packing) >= s:
         field._check_modulus(p)
-        rng.sample(packing, s)
         return s * (spec.dim + 1) - 1
     chosen = rng.sample(packing, min(3 * s // 4, len(packing)))
     keep = np.ones(spec.ambient_dim + 1, dtype=bool)

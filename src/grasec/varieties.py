@@ -218,6 +218,7 @@ def _nonzero_vector(length: int, rng: random.Random, p: int) -> tuple[int, ...]:
 
 def random_parameter_point(spec: SegreVeroneseSpec, rng: random.Random, p: int) -> ParameterPoint:
     """Uniform parameter point with every factor vector nonzero."""
+    field._check_modulus(p)  # before any draw: over p < 2 no nonzero vector exists
     return tuple(_nonzero_vector(n + 1, rng, p) for n, _ in spec.factors)
 
 

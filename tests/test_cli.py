@@ -3,12 +3,18 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from grasec import cli, field, secant
 from grasec.errors import BudgetExceededError, InconsistencyError, SamplingError
+
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -182,6 +188,24 @@ class TestExitCodes:
         code, out, err = run(capsys, "secant", "--spec", "1,1", "--s", "1", "--prime", "4")
         assert code == 1 and out == ""
         assert "modulus 4 is not prime" in err
+
+    @pytest.mark.parametrize("p,argv", [
+        (1, ("-m", "grasec.cli", "secant", "--spec", "1,1", "--s", "2", "--prime", "1")),
+        (0, ("-m", "grasec.cli", "secant", "--spec", "1,1", "--s", "2", "--prime", "0")),
+        (1, ("-m", "grasec.cli", "grassmann", "--spec", "1,1", "--k", "1", "--s", "2", "--prime", "1")),
+        (1, ("-m", "grasec.cli", "identifiability", "--format", "4,4", "--k", "3", "--s", "5",
+             "--prime", "1")),
+        (1, ("-m", "grasec.cli", "reproduce", "--prime", "1")),
+        (1, ("-c", "import random; from grasec import SegreVeroneseSpec, random_secant_point; "
+                   "random_secant_point(SegreVeroneseSpec.parse('1,1'), 1, 2, random.Random(0), 1)")),
+    ])
+    def test_modulus_below_two_is_one_before_any_draw(self, p, argv):
+        # over p < 2 no nonzero vector exists, so a draw would never end; in a
+        # subprocess with a timeout that is a failure, not a hung test run
+        run = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                             timeout=30, env=dict(os.environ, PYTHONPATH=SRC))
+        assert (run.returncode, run.stdout) == (1, "")
+        assert run.stderr.endswith(f"modulus {p} outside the supported range [2, 2**31)\n")
 
     @pytest.mark.parametrize("error,label", [
         (InconsistencyError, "inconsistency"),

@@ -154,6 +154,27 @@ class TestRecheck:
             assert criteria.recheck_step(step) == entry["outcome"], entry["name"]
 
 
+    def test_steps_rebuild_from_their_dicts(self):
+        # every attribute of a step is named as its JSON key, so a printed
+        # step rebuilds by keyword, and a rebuilt computed step still replays
+        chain = criteria.identifiability_report(SegreVeroneseSpec.parse("3,3"), 3, 5).chain
+        assert {st.provenance for st in chain} == {"computed", "recorded-from-literature"}
+        for step in chain:
+            rebuilt = criteria.CriterionStep(**step.to_dict())
+            assert rebuilt == step, step.name
+            if rebuilt.provenance == "computed":
+                assert criteria.recheck_step(rebuilt) == step.outcome, step.name
+
+    def test_theorem_tre_names_the_kind_of_report_it_judged(self):
+        reports = secant.classify_secant_range(CURVE_10, range(2, 5), trials=1)
+        assert [rep.propagated for rep in reports] == [True, True, False]
+        for rep in reports:
+            step = criteria.theorem_tre(rep, 1)
+            expected = "propagated" if rep.propagated else "computed"
+            assert step.inputs["defectivity_source"] == expected
+            assert criteria.recheck_step(step) == step.outcome == HOLDS
+
+
 class TestDimsegreClassify:
     def test_case_i(self):
         case = criteria.dimsegre_classify(n=1, r=3, k=2, s=5)
@@ -421,18 +442,24 @@ CENSUS_SPECS = ("2:2", "1,1,1", "1:4", "2:3", "1,2", "1,1,1,1", "3:2", "2,2", "1
 def test_census_theorem_tre_judges_one_walk_per_spec():
     # every 0 < k <= min(3, s-1), s <= r: 3r - 6 cells per spec.  theorem_tre on
     # the reports of one classify_secant_range walk, propagated ones included,
-    # gives the step of the single-cell verdict, which computes its own sigma_s(X)
+    # gives the step of the single-cell verdict, which computes its own sigma_s(X),
+    # except that the step names the kind of report it judged
     tre_holds, propagated, verdicts, failing = 0, 0, {HOLDS: 0, FAILS: 0, NOT_DECIDED: 0}, []
     for text in CENSUS_SPECS:
         spec = SegreVeroneseSpec.parse(text)
         r = spec.ambient_dim
         for sigma in secant.classify_secant_range(spec, range(2, r + 1)):
             propagated += sigma.propagated
+            source = "propagated" if sigma.propagated else "computed"
             for k in range(1, min(3, sigma.s - 1) + 1):
                 step = criteria.theorem_tre(sigma, k)
                 verdict = criteria.identifiability_report(spec, k, sigma.s)
                 (single,) = [st for st in verdict.chain if st.name == "rank-defect-criterion"]
-                assert step.to_dict() == single.to_dict(), (text, k, sigma.s)
+                assert step.inputs["defectivity_source"] == source, (text, k, sigma.s)
+                assert single.inputs["defectivity_source"] == "computed", (text, k, sigma.s)
+                rebuilt = dataclasses.replace(
+                    step, inputs={**step.inputs, "defectivity_source": "computed"})
+                assert rebuilt == single, (text, k, sigma.s)
                 outcomes = {st.outcome for st in verdict.chain}
                 assert not {HOLDS, FAILS} <= outcomes, (text, k, sigma.s)
                 verdicts[verdict.verdict] += 1

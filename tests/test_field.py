@@ -568,8 +568,9 @@ def test_modulus_range_is_enforced():
 
 def test_composite_modulus_rejected():
     # 561 is a Carmichael number; 2047 and 25326001 are strong pseudoprimes
-    # to base 2 and to bases 2, 3, 5
-    for n in (4, 9, 561, 2047, 25326001, 46337**2):
+    # to base 2 and to bases 2, 3, 5; 46327 * 46337 is a product of two primes
+    # next to sqrt(2**31), the largest divisors trial division must reach
+    for n in (4, 9, 561, 2047, 25326001, 46337**2, 46327 * 46337, 2**31 - 2):
         with pytest.raises(ValueError, match=f"modulus {n} is not prime"):
             field.as_matrix([[1]], n)
     for p in (2, 3, 5, 7, 101, field.DEFAULT_PRIME, field.CONFIRMATION_PRIME):
@@ -582,3 +583,14 @@ def test_primality_matches_trial_division():
 
     for n in range(3000):
         assert field._is_prime(n) == trial(n), n
+
+
+def test_primality_matches_a_sieve():
+    limit = 2**15
+    sieve = np.ones(limit, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, math.isqrt(limit) + 1):
+        sieve[d * d::d] = False
+    assert [field._is_prime(n) for n in range(limit)] == sieve.tolist()
+    assert field._is_prime(field.DEFAULT_PRIME) and field._is_prime(field.CONFIRMATION_PRIME)
+    assert not field._is_prime(46327 * 46337) and not field._is_prime(2**31 - 2)
