@@ -116,16 +116,12 @@ def _computed_step(name: str, **facts) -> CriterionStep:
 def theorem_tre(sigma: secant.SecantReport, k: int) -> CriterionStep:
     """The ``rank-defect-criterion`` for (k, s)-identifiability of X, judged on sigma_s(X).
 
-    X and s are read off the report ``sigma``, and non-defectivity off its defect;
-    ``defectivity_source`` is "propagated" when that report ran no rank.
+    X and s are read off the report ``sigma``, and non-defectivity off its defect.
     """
     spec, s = sigma.spec, sigma.s
     secant._check_order(spec, k, s)
-    return _computed_step(
-        "rank-defect-criterion", n=spec.dim, r=spec.ambient_dim, s=s, k=k,
-        s_defective=sigma.defect > 0,
-        defectivity_source="propagated" if sigma.propagated else "computed",
-    )
+    return _computed_step("rank-defect-criterion", n=spec.dim, r=spec.ambient_dim, s=s, k=k,
+                          s_defective=sigma.defect > 0)
 
 
 def codimension_criterion(spec: varieties.SegreVeroneseSpec, s: int) -> CriterionStep:

@@ -2,10 +2,10 @@
 
 Everything downstream reduces to matrix ranks over F_p, so this module is
 deliberately small: dense integer matrices reduced mod p, one elimination
-kernel (:func:`_echelon`) behind every rank, echelon form and row-space
-basis, a stacked elimination (:func:`_stacked_pivots`) behind the
-decomposition count, and the monomial-table evaluator that builds every
-tangent frame (:func:`dual_evaluate`).  :func:`quotient` is the one map
+kernel (:func:`_echelon`) behind every rank, row rank profile, echelon
+form and row-space basis, a stacked elimination (:func:`_stacked_pivots`)
+behind the decomposition count, and the monomial-table evaluator that
+builds every tangent frame (:func:`dual_evaluate`).  :func:`quotient` is the one map
 V -> V/L by a span L: the subspace test, the direct Grassmann-secant
 route's Hom(L, V/L) and the decomposition count all reduce through it,
 and its image of the identity is a kernel basis of the span.  Every
@@ -31,7 +31,7 @@ after every 7th.  Wider than 128 columns and larger than 256 in some
 dimension, :func:`_echelon` is blocked: each 64-column panel finds its
 pivots with the per-column loop on a 128-row head, inverts its pivot block
 by halving through the Schur complement (:func:`_inverse`), and clears the
-pivot columns with one limb product.  A rank (:func:`matrix_rank`) only
+pivot columns with one limb product.  A rank or row rank profile only
 clears the rows below each pivot; bases get the full reduced echelon form.
 
 :func:`_stacked_pivots` ranks a stack of small matrices, such as the
@@ -248,6 +248,15 @@ def _echelon(rows, p: int, jordan: bool = True) -> tuple[np.ndarray, list[int]]:
 def matrix_rank(rows, p: int) -> int:
     """Rank of a matrix over F_p, by forward elimination only (see :func:`_echelon`)."""
     return len(_echelon(rows, p, jordan=False)[1])
+
+
+def rank_profile(rows, p: int) -> list[int]:
+    """Indices of the rows that lie outside the span of the rows before them, increasing.
+
+    They are the pivot columns of the forward elimination of the transpose,
+    so the number of them below t is the rank of the first t rows.
+    """
+    return _echelon(np.ascontiguousarray(np.atleast_2d(rows).T), p, jordan=False)[1]
 
 
 def rref(rows, p: int) -> np.ndarray:

@@ -32,8 +32,8 @@ def _check(name: str, anchor: str, computed, expected) -> dict:
 
 
 def _secant_checks(seed: int, primes: tuple[int, ...], trials: int) -> list[dict]:
-    # each range computes sigma_top and sigma_{top - 1}; propagation fills
-    # in the rest, and the generic rank is read off the same reports
+    # each range reads sigma_1 .. sigma_top off one evaluation sequence at
+    # s = top, and the generic rank is read off the same reports
     table = (  # spec, top; (name, expected, anchor) of sigma_top, sigma_{top-1}, generic rank
         ("1,1,1,1,1", 6, (
             ("pencil-2x2x2x2-sigma6", {"dim": 31, "fills": True},
@@ -71,8 +71,8 @@ def _grid_checks(seed: int, primes: tuple[int, ...]) -> list[dict]:
         return grassec.gs_dim_direct(spec, w, s, trials=1, seed=seed, primes=primes)
 
     # sigma_s(Seg(P^k x X)) from one walk per (X, k) over the grid's s-range:
-    # computed reports are the secant_dim calls a cell would make, and the
-    # monotonicity rules fill in the others exactly
+    # every order is read off one evaluation sequence at the top order, so
+    # the cells of lower orders rank prefixes of the same point sets
     @functools.cache
     def walk(spec: varieties.SegreVeroneseSpec, k: int) -> dict[int, secant.SecantReport]:
         seg = varieties.prepend_projective_factor(spec, k)

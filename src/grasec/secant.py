@@ -12,7 +12,9 @@ coordinate points (Draisma, JPAA 2008), which only ranks a small residual;
 they are drawn from one cached packing per spec, found by a local search.
 When the packing holds s points the attempt ranks nothing: coordinate
 frames are unit rows, so s points with disjoint supports give rank s(n+1)
-over every prime, an exact certificate.
+over every prime, an exact certificate.  One evaluation gives every
+sigma_t, t <= s: the rank of the first t frames of a stack is a prefix
+count of its row rank profile.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ class SecantReport:
     spec: varieties.SegreVeroneseSpec
     s: int
     dim: int
-    trials_used: int                # rank evaluations that ran; 0 when propagated
+    trials_used: int                # rank evaluations that ran
     primes_used: tuple[int, ...]    # distinct primes they ran on, in order
     seed: int
 
@@ -54,10 +56,6 @@ class SecantReport:
     @property
     def fills_ambient(self) -> bool:
         return self.dim == self.spec.ambient_dim
-
-    @property
-    def propagated(self) -> bool:  # filled in by monotonicity, no rank evaluation ran
-        return self.trials_used == 0
 
     @property
     def defect(self) -> int:
@@ -80,7 +78,6 @@ class SecantReport:
             "trials_used": self.trials_used,
             "primes_used": list(self.primes_used),
             "seed": self.seed,
-            "propagated": self.propagated,
             "certification": self.certification,
         }
 
@@ -188,44 +185,52 @@ def _packing(spec: varieties.SegreVeroneseSpec) -> tuple[int, ...]:
 def terracini_rank(
     spec: varieties.SegreVeroneseSpec, s: int, rng: random.Random, p: int,
     coordinates: bool = False,
-) -> int:
-    """Rank of the s stacked tangent frames at random points, minus one.
+) -> np.ndarray:
+    """dim sigma_t at the first t of s drawn points, t = 1 .. s, as an int array.
 
-    With ``coordinates``, points are drawn with ``rng.sample`` from the
+    Entry t - 1 is the rank of the first t stacked tangent frames, minus one.
+    With ``coordinates``, points are first drawn with ``rng.sample`` from the
     spec's cached :func:`_packing`.  At a coordinate point every frame row is
-    a unit vector with entry 1, on the columns ``_coordinate_supports``
-    lists (the frame invariant of :mod:`grasec.varieties`), so packing
-    points have unit rows on disjoint columns C.  When the packing holds s
-    points, s of them give rank s(n+1) over every prime, so none is drawn
-    and no frame is built.  Otherwise min(floor(3s/4), len(packing)) are
-    drawn and the rank is |C| plus that of the other frames without C.
+    a unit vector with entry 1, on the columns ``_coordinate_supports`` lists
+    (the frame invariant of :mod:`grasec.varieties`), so packing points have
+    unit rows on disjoint columns C.  When the packing holds s points, t of
+    them give rank t(n+1) over every prime, so nothing is drawn or built.
+    Otherwise c = min(floor(3s/4), len(packing)) are drawn, then s - c random
+    points; past t = c the rank is |C| = c(n+1) plus the number of entries
+    below (t - c)(n+1) in the row rank profile (:func:`field.rank_profile`)
+    of the other frames without C.
     """
     packing = _packing(spec) if coordinates else ()
+    n1, t = spec.dim + 1, np.arange(1, s + 1)
     if len(packing) >= s:
         field._check_modulus(p)
-        return s * (spec.dim + 1) - 1
+        return t * n1 - 1
     chosen = rng.sample(packing, min(3 * s // 4, len(packing)))
     keep = np.ones(spec.ambient_dim + 1, dtype=bool)
     keep[varieties._coordinate_supports(spec)[chosen]] = False
     rows = varieties.random_frames(spec, s - len(chosen), rng, p).reshape(-1, len(keep))
-    return len(chosen) * (spec.dim + 1) + field.matrix_rank(rows[:, keep], p) - 1
+    profile, c = field.rank_profile(rows[:, keep], p), len(chosen)
+    return np.minimum(t, c) * n1 + np.searchsorted(profile, np.maximum(t - c, 0) * n1) - 1
 
 
 def _max_rank(
-    rank_at: Callable[[random.Random, int], int],
-    bound: int,
+    rank_at: Callable[[random.Random, int], int | np.ndarray],
+    bound: int | list[int],
     trials: int,
     seed: int,
     primes: tuple[int, ...],
-    attempt: Callable[[random.Random, int], int] | None = None,
-) -> tuple[int, tuple[int, ...]]:
+    attempt: Callable[[random.Random, int], int | np.ndarray] | None = None,
+) -> tuple[int | list[int], tuple[int, ...]]:
     """Largest ``rank_at(rng, p)`` over primes x trials, stopping once it reaches ``bound``.
 
-    Returns the value and the prime of every rank evaluation that ran, in
-    order.  Trial t on prime p draws from ``Random(subseed(seed, t, p))``,
-    so a repeated prime would only rerun the same evaluations and is rejected,
-    and so is a budget of more than MAX_EVALUATIONS evaluations; an ``attempt``
-    runs first, as trial -1 on primes[0].  A value above ``bound`` raises.
+    Values and ``bound`` may be arrays of one shape: the maximum is taken
+    entrywise, and the search stops once every entry reaches its bound.
+    Returns the value (Python ints) and the prime of every rank evaluation
+    that ran, in order.  Trial t on prime p draws from
+    ``Random(subseed(seed, t, p))``, so a repeated prime would only rerun
+    the same evaluations and is rejected, and so is a budget of more than
+    MAX_EVALUATIONS evaluations; an ``attempt`` runs first, as trial -1 on
+    primes[0].  An entry above its bound raises.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -238,18 +243,18 @@ def _max_rank(
                          f"above the cap of {MAX_EVALUATIONS}")
     runs = [(attempt, -1, primes[0])] if attempt else []
     runs += [(rank_at, t, p) for p in primes for t in range(trials)]
-    best, ran = -1, []
+    bound = np.asarray(bound)
+    best, ran = np.full(bound.shape, -1), []
     for rank, t, p in runs:
-        value = rank(random.Random(subseed(seed, t, p)), p)
+        value = np.asarray(rank(random.Random(subseed(seed, t, p)), p))
         ran.append(p)
-        if value > bound:
-            raise InconsistencyError(
-                f"computed dimension {value} exceeds the expected dimension {bound}"
-            )
-        best = max(best, value)
-        if best == bound:
+        if (over := value > bound).any():
+            raise InconsistencyError(f"computed dimension {value[over][0]} exceeds "
+                                     f"the expected dimension {bound[over][0]}")
+        best = np.maximum(best, value)
+        if (best == bound).all():
             break
-    return best, tuple(ran)
+    return best.tolist(), tuple(ran)
 
 
 def secant_dim(
@@ -262,21 +267,10 @@ def secant_dim(
     """Dimension of the s-th secant variety: max over a coordinate attempt, trials and primes.
 
     The maximum is sound because the rank at any special point set only
-    under-estimates the generic rank.
+    under-estimates the generic rank.  This is the one-order case of
+    :func:`classify_secant_range`.
     """
-    expected = expected_secant_dim(spec, s)
-    dim, ran = _max_rank(
-        lambda rng, p: terracini_rank(spec, s, rng, p), expected, trials, seed, primes,
-        attempt=lambda rng, p: terracini_rank(spec, s, rng, p, coordinates=True),
-    )
-    return _report(spec, s, dim, seed, ran)
-
-
-def _report(
-    spec: varieties.SegreVeroneseSpec, s: int, dim: int, seed: int, ran: tuple[int, ...]
-) -> SecantReport:
-    """The report of dim sigma_s = ``dim``; ``ran`` holds the prime of each rank evaluation."""
-    return SecantReport(spec, s, dim, len(ran), tuple(dict.fromkeys(ran)), seed)
+    return classify_secant_range(spec, range(s, s + 1), trials=trials, seed=seed, primes=primes)[0]
 
 
 def _filling_order(reports: list[SecantReport]) -> int | None:
@@ -292,13 +286,16 @@ def generic_rank(
 ) -> int:
     """Least s with the s-th secant variety filling the ambient space.
 
-    One :func:`classify_secant_range` walk over ceil((r+1)/(n+1)) .. r + 1;
-    sigma_{r+1} always fills, so some report does.
+    :func:`classify_secant_range` over f .. S, where no order below
+    f = ceil((r+1)/(n+1)) fills, for S = f, 2f, 4f, ... capped at r + 1,
+    until some order fills; sigma_{r+1} always does.
     """
-    orders = range(_fill_floor(spec), spec.ambient_dim + 2)
-    s = _filling_order(classify_secant_range(spec, orders, trials=trials, seed=seed, primes=primes))
-    if s is None:
-        raise InconsistencyError(f"no filling secant variety found for {spec} up to s = r + 1")
+    low = high = _fill_floor(spec)
+    while (s := _filling_order(classify_secant_range(
+            spec, range(low, high + 1), trials=trials, seed=seed, primes=primes))) is None:
+        if high > spec.ambient_dim:
+            raise InconsistencyError(f"no filling secant variety found for {spec} up to s = r + 1")
+        high = min(2 * high, spec.ambient_dim + 1)
     return s
 
 
@@ -309,39 +306,20 @@ def classify_secant_range(
     seed: int = 0,
     primes: tuple[int, ...] = field.DEFAULT_PRIMES,
 ) -> list[SecantReport]:
-    """Reports for each s in ``orders``, computing only what monotonicity cannot fill in.
+    """Reports for each s in ``orders``, all read off one :func:`_max_rank` at s = max(orders).
 
-    Two propagation rules: once some secant variety fills the ambient
-    space, all larger ones fill; once some secant variety attains the
-    unconstrained maximum s*(n+1) - 1, all smaller ones do too.  The walk
-    from s = min(max(orders), ceil((r+1)/(n+1))) stops at min(orders).
+    Each evaluation gives dim sigma_t at the first t of max(orders) points
+    for every t (:func:`terracini_rank`), and the maximum runs entrywise until
+    each order reaches its expected dimension.  Only the coordinate attempt
+    draws packing points.  Every report records all evaluations that ran.
     """
-    lo, hi = min(orders), max(orders)
-    _check_order(spec, 0, lo)
-    _check_order(spec, 0, hi)
-    n, r = spec.dim, spec.ambient_dim
-    reports: dict[int, SecantReport] = {}
-
-    def compute(s: int) -> SecantReport:
-        rep = secant_dim(spec, s, trials=trials, seed=seed, primes=primes)
-        reports[s] = rep
-        return rep
-
-    s_pivot = min(hi, _fill_floor(spec))
-    pivot = compute(s_pivot)
-
-    propagate_down = pivot.dim == s_pivot * (n + 1) - 1
-    for t in range(s_pivot - 1, lo - 1, -1):
-        if propagate_down:
-            reports[t] = _report(spec, t, t * (n + 1) - 1, seed, ())
-        else:
-            propagate_down = compute(t).dim == t * (n + 1) - 1
-
-    fills = pivot.fills_ambient
-    for t in range(s_pivot + 1, hi + 1):
-        if fills:
-            reports[t] = _report(spec, t, r, seed, ())
-        else:
-            fills = compute(t).fills_ambient
-
-    return [reports[s] for s in orders]
+    for s in (orders[0], orders[-1]):  # not min(orders): that iterates the whole range
+        _check_order(spec, 0, s)
+    top, index = max(orders[0], orders[-1]), np.array(orders) - 1
+    dims, ran = _max_rank(
+        lambda rng, p: terracini_rank(spec, top, rng, p)[index],
+        [expected_secant_dim(spec, s) for s in orders], trials, seed, primes,
+        attempt=lambda rng, p: terracini_rank(spec, top, rng, p, coordinates=True)[index],
+    )
+    used = tuple(dict.fromkeys(ran))  # the distinct primes, in order
+    return [SecantReport(spec, s, dim, len(ran), used, seed) for s, dim in zip(orders, dims)]

@@ -12,7 +12,9 @@
   (d det M = sum_a det(M with row a replaced by dM_a)).
 * :func:`rref` is textbook Gauss-Jordan elimination on Python integers,
   the oracle for every rank and echelon form, the kernel in
-  :mod:`grasec.field` included.
+  :mod:`grasec.field` included.  :func:`prefix_ranks` inserts rows one at
+  a time into an echelon basis, which gives the rank of every prefix of a
+  matrix too large to rank prefix by prefix.
 * :func:`variety_points` lists X(F_q) by embedding every nonzero
   parameter vector, scaling each row to first nonzero coordinate 1 and
   removing duplicates.
@@ -23,10 +25,11 @@
   coefficient points lambda_i are all nonzero.
 * :func:`generic_rank` is the plain ascending loop over secant orders,
   one :func:`grasec.secant.secant_dim` call per order until one fills.
-* :func:`coordinate_terracini_rank` ranks the whole Terracini matrix at the
-  point set of the coordinate attempt, coordinate points from the spec's
-  packing included, with no column deleted, also where the attempt
-  ranks nothing because the packing holds all s points.
+* :func:`coordinate_terracini_rank` ranks the whole Terracini matrix of
+  the first t points, for every t, at the point set of the coordinate
+  attempt, coordinate points from the spec's packing included, with no
+  column deleted, also where the attempt ranks nothing because the
+  packing holds all s points.
 """
 
 from __future__ import annotations
@@ -61,6 +64,28 @@ def rref(rows, p: int) -> tuple[list[list[int]], list[int]]:
 
 def rank(rows, p: int) -> int:
     return len(rref(rows, p)[1])
+
+
+def prefix_ranks(rows, p: int) -> list[int]:
+    """Rank of the first t rows for t = 0 .. len(rows), adding one row at a time.
+
+    Each row is reduced by the basis rows in increasing pivot order; a
+    nonzero remainder joins the basis, scaled to 1 at its first nonzero entry.
+    """
+    basis: dict[int, list[int]] = {}  # pivot column -> row, zero before it and 1 at it
+    ranks = [0]
+    for row in rows:
+        v = [int(x) % p for x in row]
+        for c in sorted(basis):
+            if v[c]:
+                f = v[c]
+                v[c:] = [(a - f * b) % p for a, b in zip(v[c:], basis[c][c:])]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is not None:
+            inv = pow(v[lead], -1, p)
+            basis[lead] = [x * inv % p for x in v]
+        ranks.append(len(basis))
+    return ranks
 
 
 def monomials(spec: varieties.SegreVeroneseSpec) -> list[tuple[int, ...]]:
@@ -244,16 +269,18 @@ def coordinate_points(spec: varieties.SegreVeroneseSpec) -> list[varieties.Param
 
 
 def coordinate_terracini_rank(spec: varieties.SegreVeroneseSpec, s: int, rng: random.Random,
-                              p: int) -> int:
+                              p: int) -> list[int]:
     """``terracini_rank(spec, s, rng, p, coordinates=True)`` without deleting any column.
 
     The same draws from ``rng``: s points of the spec's coordinate packing
     when it holds s, else min(floor(3s/4), len(packing)) of them, then the
-    other points.  All s frames are stacked and ranked whole.
+    other points.  The frames of the first t points are stacked and ranked
+    whole, for t = 1 .. s.
     """
     points = coordinate_points(spec)
     packing = secant._packing(spec)
     size = s if len(packing) >= s else min(3 * s // 4, len(packing))
     kept = [points[i] for i in rng.sample(packing, size)]
     kept += [varieties.random_parameter_point(spec, rng, p) for _ in range(s - len(kept))]
-    return rank([row for point in kept for row in frame(spec, point, p)], p) - 1
+    rows = [row for point in kept for row in frame(spec, point, p)]
+    return [rank(rows[:t * (spec.dim + 1)], p) - 1 for t in range(1, s + 1)]

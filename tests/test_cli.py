@@ -49,22 +49,20 @@ class TestSecantCommand:
         dims = [rep["dim"] for rep in payload["results"]]
         assert dims == [4, 7, 8]
 
-    def test_s_range_walks_up_from_an_order_below_it(self, capsys, monkeypatch):
-        # the walk starts at s = 2 on 2,2 (r = 8, n = 4), below the range
-        # 4..5; s = 3 fills, so s = 4, 5 are propagated, s = 1 is never
-        # needed, and the rows are those of the full range
-        full = run_json(capsys, "secant", "--spec", "2,2", "--s", "1..5")["results"]
+    @pytest.mark.parametrize("orders", ["4..5", "1..5"])
+    def test_s_range_rows_match_single_orders(self, orders, capsys, monkeypatch):
+        # each range draws 5 points per evaluation on 2,2 (r = 8, n = 4); sigma_2
+        # is defective, so 1..5 runs the whole budget and 4..5 stops at the attempt
         calls = []
-        real = secant.secant_dim
-
-        def counting(spec, s, **kwargs):
-            calls.append(s)
-            return real(spec, s, **kwargs)
-
-        monkeypatch.setattr(secant, "secant_dim", counting)
-        payload = run_json(capsys, "secant", "--spec", "2,2", "--s", "4..5")
-        assert calls == [2, 3]
-        assert payload["results"] == full[3:]
+        real = secant.terracini_rank
+        monkeypatch.setattr(secant, "terracini_rank",
+                            lambda spec, s, *args, **kw: calls.append(s) or real(spec, s, *args, **kw))
+        rows = run_json(capsys, "secant", "--spec", "2,2", "--s", orders)["results"]
+        assert calls == [5] * (1 if orders == "4..5" else 7)
+        monkeypatch.undo()
+        for row in rows:
+            single = run_json(capsys, "secant", "--spec", "2,2", "--s", str(row["s"]))["results"][0]
+            assert row["dim"] == single["dim"] and row["trials_used"] == len(calls)
 
     def test_schema_fields(self, capsys):
         payload = run_json(capsys, "secant", "--spec", "1,1", "--s", "2")

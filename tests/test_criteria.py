@@ -59,7 +59,7 @@ class TestTheoremTre:
         spec = SegreVeroneseSpec.parse("2:4")  # n=2, r=14
         step = _tre(spec, s=4, k=1)
         assert step.outcome == HOLDS
-        assert step.inputs["defectivity_source"] == "computed"
+        assert step.inputs["s_defective"] is False and "defectivity_source" not in step.inputs
 
     def test_reads_only_its_report(self, monkeypatch):
         computed = secant.secant_dim(CURVE_10, 3)
@@ -164,15 +164,6 @@ class TestRecheck:
             assert rebuilt == step, step.name
             if rebuilt.provenance == "computed":
                 assert criteria.recheck_step(rebuilt) == step.outcome, step.name
-
-    def test_theorem_tre_names_the_kind_of_report_it_judged(self):
-        reports = secant.classify_secant_range(CURVE_10, range(2, 5), trials=1)
-        assert [rep.propagated for rep in reports] == [True, True, False]
-        for rep in reports:
-            step = criteria.theorem_tre(rep, 1)
-            expected = "propagated" if rep.propagated else "computed"
-            assert step.inputs["defectivity_source"] == expected
-            assert criteria.recheck_step(step) == step.outcome == HOLDS
 
 
 class TestDimsegreClassify:
@@ -441,25 +432,18 @@ CENSUS_SPECS = ("2:2", "1,1,1", "1:4", "2:3", "1,2", "1,1,1,1", "3:2", "2,2", "1
 
 def test_census_theorem_tre_judges_one_walk_per_spec():
     # every 0 < k <= min(3, s-1), s <= r: 3r - 6 cells per spec.  theorem_tre on
-    # the reports of one classify_secant_range walk, propagated ones included,
-    # gives the step of the single-cell verdict, which computes its own sigma_s(X),
-    # except that the step names the kind of report it judged
-    tre_holds, propagated, verdicts, failing = 0, 0, {HOLDS: 0, FAILS: 0, NOT_DECIDED: 0}, []
+    # the reports of one classify_secant_range walk gives the step of the
+    # single-cell verdict, which computes its own sigma_s(X)
+    tre_holds, verdicts, failing = 0, {HOLDS: 0, FAILS: 0, NOT_DECIDED: 0}, []
     for text in CENSUS_SPECS:
         spec = SegreVeroneseSpec.parse(text)
         r = spec.ambient_dim
         for sigma in secant.classify_secant_range(spec, range(2, r + 1)):
-            propagated += sigma.propagated
-            source = "propagated" if sigma.propagated else "computed"
             for k in range(1, min(3, sigma.s - 1) + 1):
                 step = criteria.theorem_tre(sigma, k)
                 verdict = criteria.identifiability_report(spec, k, sigma.s)
                 (single,) = [st for st in verdict.chain if st.name == "rank-defect-criterion"]
-                assert step.inputs["defectivity_source"] == source, (text, k, sigma.s)
-                assert single.inputs["defectivity_source"] == "computed", (text, k, sigma.s)
-                rebuilt = dataclasses.replace(
-                    step, inputs={**step.inputs, "defectivity_source": "computed"})
-                assert rebuilt == single, (text, k, sigma.s)
+                assert step == single, (text, k, sigma.s)
                 outcomes = {st.outcome for st in verdict.chain}
                 assert not {HOLDS, FAILS} <= outcomes, (text, k, sigma.s)
                 verdicts[verdict.verdict] += 1
@@ -472,7 +456,6 @@ def test_census_theorem_tre_judges_one_walk_per_spec():
                         (text, k, sigma.s)
     assert sum(verdicts.values()) == sum(
         3 * SegreVeroneseSpec.parse(text).ambient_dim - 6 for text in CENSUS_SPECS) == 660
-    assert propagated == 202  # of the 235 walk reports; 33 ran a rank
     assert tre_holds == 42
     assert verdicts == {HOLDS: 61, FAILS: 1, NOT_DECIDED: 598}
     # the one "fails" is recorded: rank-5 pencils of 2x2x2x2 tensors have two decompositions

@@ -1,6 +1,7 @@
 """Exact linear algebra over F_p: ranks, canonical bases, minors, moduli."""
 
 import contextlib
+import functools
 import itertools
 import math
 import random
@@ -443,6 +444,56 @@ class TestDelayedReduction:
         upper[:, 24::2] = 1
         m = field.matmul_mod(lower, upper, P)
         self._check(m, P, lazy=True)
+
+
+@functools.cache
+def _blocked_residual() -> np.ndarray:
+    """The 264 x 254 residual that the coordinate attempt of 1^10 at s = 94 ranks."""
+    spec = varieties.SegreVeroneseSpec.parse("1,1,1,1,1,1,1,1,1,1")
+    residuals, profile = [], field.rank_profile
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "rank_profile", lambda rows, p: residuals.append(rows) or profile(rows, p))
+        secant.terracini_rank(spec, 94, random.Random(secant.subseed(0, -1, P)), P, coordinates=True)
+    (rows,) = residuals
+    assert rows.shape == (264, 254)
+    return rows
+
+
+def _profile_matrices(q: int) -> dict[str, np.ndarray]:
+    """One-panel matrices over F_q: of rank 20, with zero rows, with repeated rows, and empty."""
+    rng = np.random.default_rng(q % 1000)
+    low = field.matmul_mod(rng.integers(0, q, (40, 20)), rng.integers(0, q, (20, 35)), q)
+    zeros = rng.integers(0, q, (30, 12))
+    zeros[[0, 3, 4, 17, 29]] = 0
+    repeated = rng.integers(0, q, (25, 18))[[0, 1, 0, 2, 2, 3, 1, 4, 5, 5, 6] + list(range(7, 21))]
+    return {"rank-20": low, "zero-rows": zeros, "repeated-rows": repeated,
+            "no-rows": np.zeros((0, 5), dtype=np.int64), "no-columns": np.zeros((5, 0), dtype=np.int64)}
+
+
+class TestRankProfile:
+    """The rows outside the span of the rows before them: prefix counts are prefix ranks."""
+
+    @staticmethod
+    def _counts(rows, q) -> list[int]:
+        profile = field.rank_profile(rows, q)
+        assert profile == sorted(set(profile))
+        return [int(np.searchsorted(profile, t)) for t in range(len(rows) + 1)]
+
+    @_REFERENCE_PRIMES
+    @pytest.mark.parametrize("name", ["rank-20", "zero-rows", "repeated-rows", "no-rows", "no-columns"])
+    def test_prefix_counts_are_reference_ranks(self, name, q):
+        rows = _profile_matrices(q)[name]
+        assert self._counts(rows, q) == [reference.rank(rows[:t].tolist(), q) for t in range(len(rows) + 1)]
+
+    @_REFERENCE_PRIMES
+    def test_blocked_residual(self, q):
+        # its transpose, 254 x 264, is wider than 128 columns and larger than 256
+        rows = _blocked_residual()
+        with _blocked_route(force=False) as inverted:
+            counts = self._counts(rows, q)
+        assert inverted
+        assert counts == reference.prefix_ranks(rows.tolist(), q)
+        assert counts[-1] == field.matrix_rank(rows, q)
 
 
 class TestQuotient:

@@ -46,6 +46,16 @@ _ELIMINATION_PRIMES = st.sampled_from([2, 3, 5, 7, P])
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
+def test_prefix_ranks_and_rank_profile_match_reference(data):
+    q = data.draw(_ELIMINATION_PRIMES)
+    rows = data.draw(_matrices(q))
+    ranks = [reference.rank(rows[:t], q) for t in range(len(rows) + 1)]
+    assert reference.prefix_ranks(rows, q) == ranks
+    assert [i for i in range(len(rows)) if ranks[i + 1] > ranks[i]] == field.rank_profile(rows, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
 def test_elimination_matches_reference(data):
     q = data.draw(_ELIMINATION_PRIMES)
     rows = data.draw(_matrices(q))

@@ -1,6 +1,7 @@
 """Secant dimensions, defects, generic ranks and range classification."""
 
 import dataclasses
+import itertools
 import math
 import os
 import random
@@ -79,6 +80,11 @@ class TestSecantDim:
         with pytest.raises(ValueError, match="need k >= 0, s >= 1 and s - 1 <= r, got k=0, s=5, r=3"):
             route(matrices, 5)
 
+    def test_huge_range_rejected_without_iterating_it(self):
+        # min() and max() of range(1, 10**9) take a minute; its ends are read directly
+        with pytest.raises(ValueError, match="got k=0, s=999999999, r=3$"):
+            secant.classify_secant_range(SegreVeroneseSpec.parse("1,1"), range(1, 10**9))
+
     def test_repeated_prime_rejected(self):
         # trial t on prime p always draws the same points, so p twice reruns them
         p = field.DEFAULT_PRIMES[0]
@@ -126,6 +132,17 @@ class TestTrialLedger:
         with pytest.raises(InconsistencyError, match="exceeds the expected dimension 3"):
             secant._max_rank(lambda rng, p: 4, 3, 1, 0, (7,))
 
+    def test_arrays_take_the_entrywise_maximum_until_every_bound_is_met(self):
+        values = iter([[1, 5, 2], [3, 4, 2], [2, 5, 6], [9, 9, 9]])
+        dim, ran = secant._max_rank(lambda rng, p: np.array(next(values)), [3, 5, 6], 2, 0, (7, 11))
+        assert dim == [3, 5, 6] and ran == (7, 7, 11)
+        assert all(type(value) is int for value in dim)
+
+    def test_array_entry_above_its_bound_raises_naming_it(self):
+        with pytest.raises(InconsistencyError,
+                           match="^computed dimension 7 exceeds the expected dimension 6$"):
+            secant._max_rank(lambda rng, p: np.array([1, 7, 2]), [3, 6, 1], 1, 0, (7,))
+
 
 class TestGenericRank:
     def test_pencils(self):
@@ -137,78 +154,111 @@ class TestGenericRank:
     def test_two_by_two_matrices(self):
         assert secant.generic_rank(SegreVeroneseSpec.parse("1,1")) == 2
 
-    @staticmethod
-    def _spy(monkeypatch, short=False) -> list:
-        """Record every secant_dim call; ``short`` makes each report's dim r - 1, so none fills."""
-        real, calls = secant.secant_dim, []
-
-        def spy(*args, **kwargs):
-            calls.append((args, kwargs))
-            rep = real(*args, **kwargs)
-            return dataclasses.replace(rep, dim=rep.spec.ambient_dim - 1) if short else rep
-
-        monkeypatch.setattr(secant, "secant_dim", spy)
-        return calls
-
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("text", ["1,1,1,1,1", "3,3,3", "1,1", "2:2", "1,3,3", "2,2"])
-    def test_walk_matches_ascending_loop(self, text, seed, monkeypatch):
+    def test_walk_matches_ascending_loop(self, text, seed):
         spec = SegreVeroneseSpec.parse(text)
-        calls = self._spy(monkeypatch)
-        rank = secant.generic_rank(spec, seed=seed)
-        walk = calls[:]
-        calls.clear()
-        assert rank == reference.generic_rank(spec, seed=seed)
-        assert walk == calls
+        assert secant.generic_rank(spec, seed=seed) == reference.generic_rank(spec, seed=seed)
 
     def test_none_filling_raises(self, monkeypatch):
-        spec = SegreVeroneseSpec.parse("1,1")
-        calls = self._spy(monkeypatch, short=True)
-        message = "^no filling secant variety found for 1,1 up to s = r \\+ 1$"
-        with pytest.raises(InconsistencyError, match=message):
-            secant.generic_rank(spec)
-        walk = calls[:]
-        calls.clear()
-        with pytest.raises(InconsistencyError, match=message):
-            reference.generic_rank(spec)
-        assert walk == calls and [args[1] for args, _ in calls] == [2, 3, 4]
+        # every report's dim made r - 1, so none fills: the top order doubles up to r + 1
+        real, calls = secant.classify_secant_range, []
+
+        def short(spec, orders, **kwargs):
+            calls.append((orders[0], orders[-1]))
+            return [dataclasses.replace(rep, dim=spec.ambient_dim - 1)
+                    for rep in real(spec, orders, **kwargs)]
+
+        monkeypatch.setattr(secant, "classify_secant_range", short)
+        for text, ranges in (("1,1", [(2, 2), (2, 4)]),  # f = 2, r + 1 = 4
+                             ("1,1,1,1,1", [(6, 6), (6, 12), (6, 24), (6, 32)])):  # f = 6, r + 1 = 32
+            calls.clear()
+            message = f"^no filling secant variety found for {text} up to s = r \\+ 1$"
+            with pytest.raises(InconsistencyError, match=message):
+                secant.generic_rank(SegreVeroneseSpec.parse(text), trials=1)
+            assert calls == ranges, text
 
 
 class TestClassifyRange:
-    def test_fill_propagates_upward(self):
-        reports = secant.classify_secant_range(PENCILS, range(1, 9))
-        assert [rep.s for rep in reports] == list(range(1, 9))
-        assert reports[6].propagated and reports[7].propagated
-        assert reports[6].dim == reports[7].dim == 31
-        assert reports[6].trials_used == 0 and reports[6].primes_used == ()
+    """A range is read off one evaluation sequence at its top order."""
 
-    def test_nondefective_propagates_downward(self):
-        reports = secant.classify_secant_range(PENCILS, range(1, 9))
-        for rep in reports[:5]:
-            assert rep.defect == 0
-        # s <= 4 are filled in by monotonicity from the computed s = 5
-        assert all(rep.propagated for rep in reports[:4])
+    @staticmethod
+    def _spy(monkeypatch) -> list:
+        """Record the (s, coordinates) of every terracini_rank call."""
+        real, calls = secant.terracini_rank, []
 
-    def test_defective_entry_forces_computation(self):
-        reports = secant.classify_secant_range(SegreVeroneseSpec.parse("2,2"), range(1, 4))
-        assert [rep.defect for rep in reports] == [0, 1, 0]
-        assert not any(rep.propagated for rep in reports)
+        def spy(spec, s, rng, p, coordinates=False):
+            calls.append((s, coordinates))
+            return real(spec, s, rng, p, coordinates)
+
+        monkeypatch.setattr(secant, "terracini_rank", spy)
+        return calls
 
     @pytest.mark.parametrize("text,orders", [
         ("1,1,1,1,1", range(1, 9)), ("2,2", range(1, 6)), ("2:2", range(1, 7)),
+        ("1,1,1", range(1, 5)), ("2,2", range(4, 6)), ("1,1,1,1", range(2, 5)),
     ])
-    def test_propagated_reports_ran_nothing(self, text, orders):
-        reports = secant.classify_secant_range(SegreVeroneseSpec.parse(text), orders)
-        assert any(rep.propagated for rep in reports)
+    def test_dims_match_single_orders(self, text, orders, monkeypatch):
+        spec = SegreVeroneseSpec.parse(text)
+        calls = self._spy(monkeypatch)
+        reports = secant.classify_secant_range(spec, orders)
+        ran, top = calls[:], max(orders)
+        # the attempt first, then random trials only, every one at the top order
+        assert ran[0] == (top, True) and set(ran[1:]) <= {(top, False)}
+        assert [rep.s for rep in reports] == list(orders)
         for rep in reports:
-            assert rep.propagated == (rep.trials_used == 0) == rep.to_dict()["propagated"]
-            assert (rep.primes_used == ()) == rep.propagated
+            assert rep.trials_used == len(ran) and rep.to_dict()["trials_used"] == len(ran)
+            assert rep.primes_used == field.DEFAULT_PRIMES[:1 + (len(ran) > 4)]
+            assert "propagated" not in rep.to_dict()
+            assert rep.dim == secant.secant_dim(spec, rep.s).dim, rep.s
 
-    def test_propagated_dims_match_direct_computation(self):
-        spec = SegreVeroneseSpec.parse("1,1,1")
-        for rep in secant.classify_secant_range(spec, range(1, 5)):
-            direct = secant.secant_dim(spec, rep.s)
-            assert rep.dim == direct.dim
+    # the walk's two monotonicity rules are properties of prefixes, so every
+    # profile, and the entrywise maximum of profiles, obeys them unasked
+    MONOTONE = ("1,1,1,1,1", "3,3,3", "2:2", "2,2", "1,1,1,1", "2:3,1")
+
+    def test_fill_propagates_upward(self):
+        for text in self.MONOTONE:
+            spec = SegreVeroneseSpec.parse(text)
+            top = secant._fill_floor(spec) + 2
+            for seed, coordinates in itertools.product(range(3), (False, True)):
+                dims = secant.terracini_rank(spec, top, random.Random(seed), 101, coordinates)
+                fills = dims == spec.ambient_dim
+                assert not (fills[:-1] & ~fills[1:]).any(), (text, seed, coordinates)
+            fills = [rep.fills_ambient for rep in secant.classify_secant_range(spec, range(1, top + 1))]
+            assert fills == sorted(fills) and fills[-1], text
+
+    def test_nondefective_propagates_downward(self):
+        for text in self.MONOTONE:
+            spec = SegreVeroneseSpec.parse(text)
+            top, n1 = secant._fill_floor(spec) + 2, spec.dim + 1
+            for seed, coordinates in itertools.product(range(3), (False, True)):
+                dims = secant.terracini_rank(spec, top, random.Random(seed), 101, coordinates)
+                free = dims == np.arange(1, top + 1) * n1 - 1  # no relation among the frames yet
+                assert not (~free[:-1] & free[1:]).any(), (text, seed, coordinates)
+            reports = secant.classify_secant_range(spec, range(1, top + 1))
+            free = [rep.dim == rep.s * n1 - 1 for rep in reports]
+            assert free == sorted(free, reverse=True) and free[0], text
+
+    @pytest.mark.parametrize("spec,orders,ran,dims", [
+        # the attempt's four packing points and one random point give sigma_5 = 27 < 29
+        (PENCILS, range(1, 9), 2, [5, 11, 17, 23, 29, 31, 31, 31]),
+        (CUBES, range(1, 10), 1, [9, 19, 29, 39, 49, 59, 63, 63, 63]),
+    ])
+    def test_stops_once_every_order_is_certified(self, spec, orders, ran, dims, monkeypatch):
+        calls = self._spy(monkeypatch)
+        reports = secant.classify_secant_range(spec, orders)
+        assert calls == [(max(orders), True)] + [(max(orders), False)] * (ran - 1)
+        assert [rep.dim for rep in reports] == dims
+        assert all(rep.defect == 0 and rep.trials_used == ran for rep in reports)
+
+    def test_defective_entry_forces_computation(self, monkeypatch):
+        # sigma_2 of 3x3 matrices is defective, so no evaluation meets every bound
+        calls = self._spy(monkeypatch)
+        reports = secant.classify_secant_range(SegreVeroneseSpec.parse("2,2"), range(1, 4))
+        assert [rep.defect for rep in reports] == [0, 1, 0]
+        assert calls == [(3, True)] + [(3, False)] * (2 * secant.DEFAULT_TRIALS)
+        assert all(rep.trials_used == 7 and rep.primes_used == field.DEFAULT_PRIMES
+                   for rep in reports)
 
 
 def _veronese_specs(max_r: int) -> list[str]:
@@ -220,6 +270,54 @@ def _veronese_specs(max_r: int) -> list[str]:
 def _alexander_hirschowitz_defective(n: int, d: int, s: int) -> bool:
     """Alexander-Hirschowitz (1995): when sigma_s(v_d(P^n)) is defective."""
     return (d == 2 and 2 <= s <= n) or (n, d, s) in {(2, 4, 5), (3, 4, 9), (4, 4, 14), (4, 3, 7)}
+
+
+def _segre_formats(max_size: int, prefix: tuple[int, ...] = (), size: int = 1):
+    """Every n_1 <= ... <= n_t with t >= 3, each n_i >= 1 and prod(n_i + 1) <= max_size."""
+    if len(prefix) >= 3:
+        yield prefix
+    n = prefix[-1] if prefix else 1
+    while size * (n + 1) <= max_size:
+        yield from _segre_formats(max_size, prefix + (n,), size * (n + 1))
+        n += 1
+
+
+def _abo_ottaviani_peterson_defective(dims: tuple[int, ...], s: int) -> bool:
+    """When sigma_s(P^n_1 x ... x P^n_t), t >= 3 and n_1 <= ... <= n_t, is defective.
+
+    The list of Abo, Ottaviani & Peterson (Trans. AMS 2009), with (P^1)^4 at
+    s = 3 from Catalisano, Geramita & Gimigliano (2011): the unbalanced
+    case, a - b < s < min(n_t + 1, a) with a = prod(n_i + 1) and
+    b = sum(n_i) over i < t; P^2 x P^n x P^n, n even, at s = 3n/2 + 1;
+    P^2 x P^3 x P^3 at s = 5; and P^1 x P^1 x P^n x P^n at s = 2n + 1.
+    """
+    *rest, top = dims
+    a, b = math.prod(n + 1 for n in rest), sum(rest)
+    return (a - b < s < min(top + 1, a)
+            or (len(dims) == 3 and dims[0] == 2 and dims[1] == top and top % 2 == 0
+                and s == 3 * top // 2 + 1)
+            or (dims == (2, 3, 3) and s == 5)
+            or (len(dims) == 4 and dims[:2] == (1, 1) and dims[2] == top and s == 2 * top + 1))
+
+
+def segre_oracle(max_size: int) -> tuple[int, int, int, list]:
+    """Formats, cells, defective cells and oracle mismatches of every Segre format up to max_size.
+
+    Each format is classified from s = 1 up to its generic rank, one trial
+    per prime; run from the repository root as
+    ``PYTHONPATH=src:tests python -c 'from test_secant import segre_oracle; print(segre_oracle(256))'``.
+    """
+    formats, cells, defective, mismatches = 0, 0, 0, []
+    for dims in _segre_formats(max_size):
+        spec = SegreVeroneseSpec.parse(",".join(map(str, dims)))
+        rank = secant.generic_rank(spec, trials=1)
+        formats += 1
+        for rep in secant.classify_secant_range(spec, range(1, rank + 1), trials=1):
+            cells += 1
+            defective += rep.defect > 0
+            if (rep.defect > 0) != _abo_ottaviani_peterson_defective(dims, rep.s):
+                mismatches.append((dims, rep.s, rep.defect))
+    return formats, cells, defective, mismatches
 
 
 class TestDefectivityOracle:
@@ -240,10 +338,15 @@ class TestDefectivityOracle:
         # Abo, Ottaviani & Peterson, Trans. AMS 2009
         assert secant.secant_dim(SegreVeroneseSpec.parse(text), s).defect == 1
 
+    def test_segre_products_match_abo_ottaviani_peterson(self):
+        # every format with at least three factors and r + 1 <= 128, walked up
+        # to its generic rank; CI runs the same census up to r + 1 <= 256
+        assert segre_oracle(128) == (169, 1226, 168, [])
+
 
 def _random_only(spec, s, seed=0, primes=field.DEFAULT_PRIMES):
     """dim sigma_s from the random trials alone, without the coordinate attempt."""
-    return secant._max_rank(lambda rng, p: secant.terracini_rank(spec, s, rng, p),
+    return secant._max_rank(lambda rng, p: secant.terracini_rank(spec, s, rng, p)[-1],
                             secant.expected_secant_dim(spec, s), secant.DEFAULT_TRIALS, seed,
                             primes)[0]
 
@@ -319,7 +422,7 @@ class TestCoordinateAttempt:
     def test_residual_rank_matches_the_whole_matrix(self, text, s, seed):
         spec = SegreVeroneseSpec.parse(text)
         fast = secant.terracini_rank(spec, s, random.Random(seed), 101, coordinates=True)
-        assert fast == reference.coordinate_terracini_rank(spec, s, random.Random(seed), 101)
+        assert fast.tolist() == reference.coordinate_terracini_rank(spec, s, random.Random(seed), 101)
 
     # packings of 2, 9, 2 and 2 points: the first two hold s and rank
     # nothing, the others rank a residual
@@ -329,10 +432,10 @@ class TestCoordinateAttempt:
     def test_matches_the_whole_matrix_on_every_prime(self, text, s, p, monkeypatch):
         spec = SegreVeroneseSpec.parse(text)
         ranks = []
-        monkeypatch.setattr(field, "matrix_rank",
-                            lambda rows, p, real=field.matrix_rank: ranks.append(p) or real(rows, p))
+        monkeypatch.setattr(field, "rank_profile",
+                            lambda rows, p, real=field.rank_profile: ranks.append(p) or real(rows, p))
         fast = secant.terracini_rank(spec, s, random.Random(7), p, coordinates=True)
-        assert fast == reference.coordinate_terracini_rank(spec, s, random.Random(7), p)
+        assert fast.tolist() == reference.coordinate_terracini_rank(spec, s, random.Random(7), p)
         assert bool(ranks) == (len(secant._packing(spec)) < s)
 
     @pytest.mark.parametrize("text", CENSUS_SPECS)
@@ -353,6 +456,23 @@ class TestCoordinateAttempt:
         rep = secant.secant_dim(spec, s, trials=1, primes=(field.DEFAULT_PRIME,))
         assert rep.trials_used == 1 and rep.primes_used == (field.DEFAULT_PRIME,)
         assert rep.dim == rep.expected_dim == _random_only(spec, s)
+
+    @pytest.mark.parametrize("text,s", SECANT_SCALE)
+    def test_profile_is_packing_plus_residual_prefix_ranks(self, text, s, monkeypatch):
+        # entry t - 1 is min(t, c)(n+1) - 1 plus the rank of the residual's first
+        # (t - c)(n+1) rows; the last entry is c(n+1) + rank(residual) - 1
+        spec, p = SegreVeroneseSpec.parse(text), field.DEFAULT_PRIME
+        residuals, profile = [], field.rank_profile
+        monkeypatch.setattr(field, "rank_profile",
+                            lambda rows, p: residuals.append(rows) or profile(rows, p))
+        dims = secant.terracini_rank(spec, s, random.Random(secant.subseed(0, -1, p)), p,
+                                     coordinates=True)
+        (rows,) = residuals
+        n1 = spec.dim + 1
+        c = s - len(rows) // n1
+        assert dims[-1] == c * n1 + field.matrix_rank(rows, p) - 1 == secant.expected_secant_dim(spec, s)
+        assert dims.tolist() == [min(t, c) * n1 - 1 + field.matrix_rank(rows[:max(t - c, 0) * n1], p)
+                                 for t in range(1, s + 1)]
 
     @pytest.mark.parametrize("text,s", SECANT_SCALE + (("1,1,1,1,1,1,1,1,1,1", 94),))
     def test_certifies_alone_on_ten_seeds(self, text, s):
