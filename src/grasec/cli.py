@@ -89,13 +89,9 @@ def build_parser() -> _Parser:
 def _cmd_secant(args) -> tuple[dict, int]:
     spec = varieties.SegreVeroneseSpec.parse(args.spec)
     lo, hi = _parse_s_range(args.s)
-    if lo == hi:
-        reports = [secant.secant_dim(spec, lo, trials=args.trials,
-                                     seed=args.seed, primes=args.primes)]
-    else:
-        reports = secant.classify_secant_range(
-            spec, range(lo, hi + 1), trials=args.trials, seed=args.seed, primes=args.primes
-        )
+    reports = secant.classify_secant_range(
+        spec, range(lo, hi + 1), trials=args.trials, seed=args.seed, primes=args.primes
+    )
     payload = {
         "results": [rep.to_dict() for rep in reports],
         "checks": [],

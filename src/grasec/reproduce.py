@@ -180,10 +180,16 @@ def _cardinality_check(seed: int) -> dict:
     equal = 0
     for i in range(pairs):
         rng = random.Random(secant.subseed(seed + i, 0, q))
-        tensor = phimap.random_secant_point(spec, 1, 2, rng, q).tensor
-        n_b = phimap.count_decompositions(spec, 2, tensor)
-        n_pi = phimap.count_decompositions(spec, 2, phimap.phi(tensor))
-        if n_b == n_pi:
+        # only d = dim phi(T) = s is the general point: for d < s the subset
+        # count is not the decomposition count, so proportional slices are redrawn
+        while (span := phimap.phi(tensor := phimap.random_secant_point(spec, 1, 2, rng, q).tensor)).w == 0:
+            pass
+        # with d = 2 both coefficients are nonzero, so T's decompositions are the pairs of
+        # singular members x*T_0 + y*T_1 of its slice pencil, read x0y0, x0y1, x1y0, x1y1
+        (a, b, c, d), (e, f, g, h) = tensor.slices
+        m = sum((x * a + y * e) * (x * d + y * h) % q == (x * b + y * f) * (x * c + y * g) % q
+                for x, y in [(0, 1)] + [(1, y) for y in range(q)])
+        if phimap.count_decompositions(spec, 2, span) == m * (m - 1) // 2:
             equal += 1
     return _check(
         "decomposition-count-pairs-f5",
@@ -196,8 +202,7 @@ def _soundness_check(seed: int, primes: tuple[int, ...]) -> dict:
     # parameter choices must not depend on the prime list, only on the seed
     rng = random.Random(secant.subseed(seed, 424242, 0))
     specs = ["1,1", "2:2", "1:4", "2:3", "1,2"]
-    violations = 0
-    holds_seen = 0
+    violations = holds_seen = 0
 
     @functools.cache  # the draws repeat (spec, s) pairs
     def secant_dim(spec: varieties.SegreVeroneseSpec, s: int) -> secant.SecantReport:
@@ -213,8 +218,9 @@ def _soundness_check(seed: int, primes: tuple[int, ...]) -> dict:
         holds_seen += 1
         if criteria.recheck_step(step) != criteria.HOLDS:
             violations += 1
+        # the rule's last hypothesis is s(n+k+1) < (k+1)(r+1): sigma_s(Seg(P^k x X)) expected below P^N
         seg = varieties.prepend_projective_factor(spec, k)
-        if secant_dim(seg, s).fills_ambient:
+        if secant.expected_secant_dim(seg, s) == seg.ambient_dim:
             violations += 1
     return _check(
         "identifiability-criterion-soundness",

@@ -241,6 +241,8 @@ def _max_rank(
     if trials * len(primes) > MAX_EVALUATIONS:
         raise ValueError(f"trials x primes = {trials * len(primes)} rank evaluations, "
                          f"above the cap of {MAX_EVALUATIONS}")
+    for p in primes:  # every prime, not only those evaluated before the bound is met
+        field._check_modulus(p)
     runs = [(attempt, -1, primes[0])] if attempt else []
     runs += [(rank_at, t, p) for p in primes for t in range(trials)]
     bound = np.asarray(bound)
@@ -313,6 +315,8 @@ def classify_secant_range(
     each order reaches its expected dimension.  Only the coordinate attempt
     draws packing points.  Every report records all evaluations that ran.
     """
+    if not orders:
+        raise ValueError("need at least one order s")
     for s in (orders[0], orders[-1]):  # not min(orders): that iterates the whole range
         _check_order(spec, 0, s)
     top, index = max(orders[0], orders[-1]), np.array(orders) - 1

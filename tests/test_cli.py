@@ -187,6 +187,28 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "modulus 4 is not prime" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (("secant", "--spec", "1,1", "--s", "2", "--prime", "2147483647", "--prime", "4"),
+         "modulus 4 is not prime"),
+        (("secant", "--spec", "1,1", "--s", "2", "--prime", "2147483647", "--prime", "1"),
+         "modulus 1 outside the supported range [2, 2**31)"),
+        (("secant", "--spec", "1,1", "--s", "2", "--prime", "2147483647", "--prime", "0"),
+         "modulus 0 outside the supported range [2, 2**31)"),
+        (("secant", "--spec", "1,1", "--s", "2", "--prime", "2147483647", "--prime", "4294967311"),
+         "modulus 4294967311 outside the supported range [2, 2**31)"),
+        (("grassmann", "--spec", "1,1", "--k", "1", "--s", "2", "--prime", "2147483647", "--prime", "9"),
+         "modulus 9 is not prime"),
+        (("identifiability", "--format", "2,2,2", "--k", "1", "--s", "2",
+          "--prime", "2147483647", "--prime", "0"),
+         "modulus 0 outside the supported range [2, 2**31)"),
+    ])
+    def test_invalid_prime_after_a_certifying_one_is_one(self, capsys, argv, message):
+        # the first prime meets every bound, so the second is never evaluated;
+        # it is still checked, before any draw
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("p,argv", [
         (1, ("-m", "grasec.cli", "secant", "--spec", "1,1", "--s", "2", "--prime", "1")),
         (0, ("-m", "grasec.cli", "secant", "--spec", "1,1", "--s", "2", "--prime", "0")),

@@ -1,6 +1,6 @@
 """The reproduction catalog computes each secant and direct rank it checks, and each witness tensor, once."""
 
-from grasec import field, grassec, phimap, reproduce, secant
+from grasec import criteria, field, grassec, phimap, reproduce, secant
 
 
 def _spy(monkeypatch, module, name) -> list:
@@ -48,14 +48,17 @@ def test_slice_map_checks_assemble_each_witness_tensor_once(monkeypatch):
     monkeypatch.setattr(phimap, "random_secant_point", recording)
     checks = [reproduce._slice_map_checks(0, field.DEFAULT_PRIMES), reproduce._cardinality_check(0)]
     assert all(check["status"] == "PASS" for check in checks)
-    assert len(witnesses) == 25 and len(built) == len(witnesses)
+    # 20 slice-map witnesses and 5 decomposition-count pairs, one of which
+    # redraws a witness whose slices are proportional (d = 1 < s = 2)
+    assert len(witnesses) == 26 and len(built) == len(witnesses)
 
 
 def test_grid_and_soundness_checks_compute_each_rank_once(monkeypatch):
     # the direct route depends on k only through w = min(k, s - 1): 24 distinct
     # (spec, w, s) among the grid's 36 cells; the Segre side is one walk per
     # (X, k) over s = 2..4, each one evaluation sequence at s = 4, and 14
-    # evaluations at seed 0; the soundness draws repeat (spec, s)
+    # evaluations at seed 0; the soundness draws repeat (spec, s), and rank
+    # sigma_s(X) only: sigma_s(Seg(P^k x X)) is judged by its expected dimension
     direct, real_direct = [], grassec.gs_dim_direct
 
     def counting_direct(spec, k, s, **kwargs):
@@ -74,5 +77,43 @@ def test_grid_and_soundness_checks_compute_each_rank_once(monkeypatch):
     assert len(ranks) == 14 and {s for _, s in ranks} == {4}
     assert secants == []
     check = reproduce._soundness_check(0, field.DEFAULT_PRIMES)
-    assert check["status"] == "PASS"
+    assert check["status"] == "PASS" and check["computed"]["holds_seen"] > 0
     assert secants and len(secants) == len(set(secants))
+    assert {str(spec) for spec, _ in secants} <= {"1,1", "2:2", "1:4", "2:3", "1,2"}
+
+
+def test_decomposition_count_row_fails_on_a_wrong_count(monkeypatch):
+    # the row compares the library count with a closed form that shares no code
+    # with it, so a count off by one turns it to FAIL
+    real = phimap.count_decompositions
+    monkeypatch.setattr(phimap, "count_decompositions", lambda *args: real(*args) + 1)
+    check = reproduce._cardinality_check(0)
+    assert (check["status"], check["computed"]) == ("FAIL", "0/5")
+
+
+def test_decomposition_count_row_closed_form_on_300_draws(monkeypatch):
+    # seeds 0, 5, ..., 295 run the row on streams 0 .. 299, each up to its first
+    # witness with d = 2; the pencil's pair count equals the library count on
+    # every one, and both of its values, 1 and 15, occur
+    counts = []
+    real = phimap.count_decompositions
+
+    def recording(*args):
+        counts.append(real(*args))
+        return counts[-1]
+
+    monkeypatch.setattr(phimap, "count_decompositions", recording)
+    for seed in range(0, 300, 5):
+        assert reproduce._cardinality_check(seed)["computed"] == "5/5", seed
+    assert len(counts) == 300 and set(counts) == {1, 15}
+
+
+def test_soundness_row_fails_when_the_rule_admits_every_cell(monkeypatch):
+    # with every hypothesis holding, cells whose sigma_s(Seg(P^k x X)) is
+    # expected to fill its ambient space are admitted and counted as violations
+    anchor, _ = criteria._RULES["rank-defect-criterion"]
+    monkeypatch.setitem(criteria._RULES, "rank-defect-criterion",
+                        (anchor, lambda **facts: {"always": True}))
+    check = reproduce._soundness_check(0, field.DEFAULT_PRIMES)
+    assert check["status"] == "FAIL" and check["computed"]["violations"] > 0
+

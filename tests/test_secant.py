@@ -128,6 +128,18 @@ class TestTrialLedger:
         assert calls == []
         assert secant._max_rank(rank_at, 3, 32, 0, (7, 11)) == (3, (7,))
 
+    def test_every_prime_is_checked_before_any_evaluation(self):
+        # the first prime would meet the bound at once; the composite second one still raises
+        calls = []
+
+        def rank_at(rng, p):
+            calls.append(p)
+            return 3
+
+        with pytest.raises(ValueError, match="modulus 4 is not prime"):
+            secant._max_rank(rank_at, 3, 1, 0, (7, 4))
+        assert calls == []
+
     def test_rank_above_bound_raises(self):
         with pytest.raises(InconsistencyError, match="exceeds the expected dimension 3"):
             secant._max_rank(lambda rng, p: 4, 3, 1, 0, (7,))
@@ -181,6 +193,12 @@ class TestGenericRank:
 
 class TestClassifyRange:
     """A range is read off one evaluation sequence at its top order."""
+
+    def test_empty_range_raises_before_any_evaluation(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        with pytest.raises(ValueError, match="need at least one order s"):
+            secant.classify_secant_range(SegreVeroneseSpec.parse("2,2"), range(3, 1))
+        assert calls == []
 
     @staticmethod
     def _spy(monkeypatch) -> list:
