@@ -8,10 +8,12 @@ Two kinds of evidence are kept strictly apart:
   One rule table maps each computed step name to its anchor and its named
   hypotheses as a function of the step's recorded inputs; it builds every
   step, and :func:`recheck_step` re-derives an outcome from ``name`` + ``inputs`` alone;
-* recorded-from-literature -- facts from the static catalog shipped with
-  the package (data/literature.json), never recomputed at full scale.
+* recorded-from-literature -- identifiability facts from the static catalog
+  shipped with the package (data/literature.json), which holds only what
+  the engine does not compute: generic ranks come from :mod:`grasec.secant`.
 
-Criteria are sufficient conditions, so apart from recorded
+Every step of a chain either decides the verdict or is a computed criterion
+that did not.  Criteria are sufficient conditions, so apart from recorded
 non-identifiability facts a criterion never answers "fails": the honest
 third verdict is "not decided".
 """
@@ -19,7 +21,6 @@ third verdict is "not decided".
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 from importlib import resources
 
@@ -62,9 +63,12 @@ class IdentifiabilityVerdict:
 
     @property
     def provenance(self) -> str:
-        """The provenances of the steps that hold or fail, sorted and joined by '+'."""
+        """The provenances of the deciding steps, sorted and joined by '+'.
+
+        Recorded steps all decide, so an undecided chain is "computed"; an empty one is "none".
+        """
         decisive = {st.provenance for st in self.chain if st.outcome in (HOLDS, FAILS)}
-        return "+".join(sorted(decisive)) or "computed"
+        return "+".join(sorted(decisive)) or ("computed" if self.chain else "none")
 
     def to_dict(self) -> dict:
         return {
@@ -197,28 +201,19 @@ def load_catalog() -> list[dict]:
 
 
 def recorded_facts(format_dims: tuple[int, ...], k: int, s: int) -> list[CriterionStep]:
-    """Catalog entries applying to dimension-k systems of the given format."""
+    """Catalog entries deciding (k, s)-identifiability of dimension-k systems of the format."""
     steps: list[CriterionStep] = []
     t = len(format_dims)
     for entry in load_catalog():
-        inputs = {"format": list(format_dims), "k": k, "s": s, "catalog_id": entry["id"]}
+        inputs, outcome = {"format": list(format_dims), "k": k, "s": s}, HOLDS
         if "format" in entry:
             if tuple(entry["format"]) != tuple(format_dims) or entry.get("k") != k:
                 continue
-            fact = entry["fact"]
-            if fact == "generic-rank":
-                outcome = "info"
-                inputs["generic_rank"] = entry["value"]
-            elif fact == "identifiable":
-                if s > entry["s_max"]:
-                    continue
-                outcome = HOLDS
-            elif fact == "not-identifiable":
+            if entry["fact"] == "not-identifiable":
                 if s != entry["s"]:
                     continue
-                outcome = FAILS
-                inputs["decomposition_count"] = entry["decomposition_count"]
-            else:
+                outcome, inputs["decomposition_count"] = FAILS, entry["decomposition_count"]
+            elif s > entry["s_max"]:  # identifiable
                 continue
         elif entry.get("family") == "matrix-systems":
             if t != 2:
@@ -226,30 +221,11 @@ def recorded_facts(format_dims: tuple[int, ...], k: int, s: int) -> list[Criteri
             a, b = sorted(format_dims)
             if not (16 * s <= a * b and b <= k + 1):
                 continue
-            outcome = HOLDS
-        elif entry.get("family") == "all-two-pencil":
-            if any(d != 2 for d in format_dims) or k != 1:
-                continue
-            if entry["fact"] == "generic-rank-formula":
-                if t < 4:
-                    continue
-                outcome = "info"
-                inputs["generic_rank"] = math.ceil(2 ** (t + 1) / (t + 2))
-            else:  # identifiable-if-rule
-                if t < 5 or s * (t + 1) > 2**t:
-                    continue
-                outcome = HOLDS
-        else:
-            continue
-        steps.append(
-            CriterionStep(
-                name=entry["id"],
-                inputs=inputs,
-                outcome=outcome,
-                anchor_quote=entry["statement"],
-                provenance="recorded-from-literature",
-            )
-        )
+        elif any(d != 2 for d in format_dims) or k != 1 or t < 5 or s * (t + 1) > 2**t:
+            continue  # all-two-pencil
+        steps.append(CriterionStep(name=entry["id"], inputs=inputs, outcome=outcome,
+                                   anchor_quote=entry["statement"],
+                                   provenance="recorded-from-literature"))
     return steps
 
 
@@ -312,24 +288,14 @@ def linear_system_report(
     """Generic rank and (k, s)-identifiability of dimension-k systems of a tensor format.
 
     The rank is the filling order of the secant varieties of the Segre
-    product with P^k prepended.  ``recorded_facts`` are the
-    recorded-from-literature steps of the identifiability chain.
+    product with P^k prepended; the verdict is :func:`identifiability_report`
+    on the Segre product, whose chain holds the recorded facts for the format.
     """
-    format_dims = tuple(int(d) for d in format_dims)
-    spec = format_to_spec(format_dims)
+    spec = format_to_spec(tuple(int(d) for d in format_dims))
     # the verdict comes first: it checks (k, s) before any secant is computed
     verdict = identifiability_report(spec, k, s, trials=trials, seed=seed, primes=primes)
     prepended = varieties.prepend_projective_factor(spec, k)
     return {
-        "format": list(format_dims),
-        "k": k,
         "generic_rank": secant.generic_rank(prepended, trials=trials, seed=seed, primes=primes),
-        "rank_rule": (
-            "minimal s whose s-th secant variety of the Segre product with "
-            "a prepended P^k fills the ambient space"
-        ),
-        "recorded_facts": [
-            st.to_dict() for st in verdict.chain if st.provenance == "recorded-from-literature"
-        ],
         "identifiability": verdict.to_dict(),
     }

@@ -10,4 +10,4 @@ class InconsistencyError(RuntimeError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A brute-force enumeration would exceed the configured budget."""
+    """A brute-force enumeration, or a secant computation's tables or frames, would exceed the budget."""

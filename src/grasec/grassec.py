@@ -152,6 +152,8 @@ def gs_dim_direct(
 ) -> int:
     """dim GS_X(w, s) as the rank of the parameterization's differential into Hom(L, V/L)."""
     w = _plane_dim(spec, k, s)
+    # the Jacobian is no larger than the s frames of Seg(P^w x X)
+    secant._check_size(varieties.prepend_projective_factor(spec, w), s)
     bound = expected_gs_dim(spec, k, s)
     return secant._max_rank(
         lambda rng, p: _direct_rank(spec, w, s, rng, p), bound, trials, seed, primes

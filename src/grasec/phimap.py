@@ -26,8 +26,8 @@ import numpy as np
 
 from . import field, secant, varieties
 from .errors import BudgetExceededError, SamplingError
+from .secant import DEFAULT_ENUMERATION_BUDGET
 
-DEFAULT_ENUMERATION_BUDGET = 10**8
 # int64 entries of one chunk's stack of subsets: from 2**15 to 2**18 count alike
 _CHUNK_ENTRIES = 2**17
 

@@ -30,9 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import field, varieties
-from .errors import InconsistencyError
+from .errors import BudgetExceededError, InconsistencyError
 
 DEFAULT_TRIALS = 3
+DEFAULT_ENUMERATION_BUDGET = 10**8  # entries built, or span tests run, by one computation
 MAX_EVALUATIONS = 64  # cap on trials x primes; the coordinate attempt comes on top
 PACKING_ROUNDS = 600   # rounds of the coordinate packing search, once per spec
 PACKING_RESTART = 100  # rounds without a new best packing before the search restarts
@@ -107,6 +108,20 @@ def _check_order(spec: varieties.SegreVeroneseSpec, k: int, s: int) -> None:
     r = spec.ambient_dim
     if k < 0 or s < 1 or s - 1 > r:
         raise ValueError(f"need k >= 0, s >= 1 and s - 1 <= r, got k={k}, s={s}, r={r}")
+
+
+def _check_size(spec: varieties.SegreVeroneseSpec, s: int) -> None:
+    """Raise ``BudgetExceededError`` before sigma_s(X) builds more entries than the budget.
+
+    Closed form: the largest of each factor's :func:`varieties._power_rule` table,
+    (n_i + 2)(n_i + 1) C(n_i + d_i, d_i); the P**2 bits of :func:`_packing`,
+    P = prod(n_i + 1); and s stacked frames, s(n + 1)(r + 1).
+    """
+    size = max(math.prod(n + 1 for n, _ in spec.factors) ** 2, s * (spec.dim + 1) * (spec.ambient_dim + 1),
+               *((n + 2) * (n + 1) * math.comb(n + d, d) for n, d in spec.factors))
+    if size > DEFAULT_ENUMERATION_BUDGET:
+        raise BudgetExceededError(f"sigma_{s} of {spec} needs {size} entries, "
+                                  f"above the budget of {DEFAULT_ENUMERATION_BUDGET}")
 
 
 def _members(mask: int) -> list[int]:
@@ -314,12 +329,14 @@ def classify_secant_range(
     for every t (:func:`terracini_rank`), and the maximum runs entrywise until
     each order reaches its expected dimension.  Only the coordinate attempt
     draws packing points.  Every report records all evaluations that ran.
+    Orders are checked first, then the size (:func:`_check_size`).
     """
     if not orders:
         raise ValueError("need at least one order s")
     for s in (orders[0], orders[-1]):  # not min(orders): that iterates the whole range
         _check_order(spec, 0, s)
     top, index = max(orders[0], orders[-1]), np.array(orders) - 1
+    _check_size(spec, top)
     dims, ran = _max_rank(
         lambda rng, p: terracini_rank(spec, top, rng, p)[index],
         [expected_secant_dim(spec, s) for s in orders], trials, seed, primes,

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from grasec import cli, field, secant
+from grasec import cli, field, secant, varieties
 from grasec.errors import BudgetExceededError, InconsistencyError, SamplingError
 
 
@@ -238,6 +238,21 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "_cmd_secant", fail)
         code, out, err = run(capsys, "secant", "--spec", "1,1", "--s", "2")
         assert code == 2 and out == "" and err == f"{label}: boom\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("secant", "--spec", "30:30", "--s", "2"),
+        ("grassmann", "--spec", "30:30", "--k", "1", "--s", "2"),
+        ("identifiability", "--spec", "30:30", "--k", "1", "--s", "2"),
+    ])
+    def test_oversized_spec_is_two_before_any_table(self, capsys, monkeypatch, argv):
+        # C(60, 30) monomials: the closed-form size check must come before any
+        # power-rule table or coordinate packing is built
+        def unbuilt(*args):
+            raise AssertionError("built before the size check")
+        monkeypatch.setattr(varieties, "_power_rule", unbuilt)
+        monkeypatch.setattr(secant, "_packing", unbuilt)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("budget exceeded: sigma_2 of ")
 
     @pytest.mark.parametrize("argv", [
         ("identifiability", "--spec", "2:4", "--k", "-2", "--s", "0"),

@@ -31,7 +31,7 @@ CASES = {
     "identifiability_format_4-4_k1_s3.txt": [
         "identifiability", "--format", "4,4", "--k", "1", "--s", "3",
     ],
-    # a recorded info and holds step, then both computed criteria
+    # a recorded holds step, then both computed criteria
     "identifiability_format_4-4_k3_s4.txt": [
         "identifiability", "--format", "4,4", "--k", "3", "--s", "4",
     ],

@@ -1,6 +1,11 @@
 """The reproduction catalog computes each secant and direct rank it checks, and each witness tensor, once."""
 
-from grasec import criteria, field, grassec, phimap, reproduce, secant
+import dataclasses
+
+import pytest
+
+from grasec import criteria, field, grassec, phimap, reproduce, secant, varieties
+from grasec.errors import SamplingError
 
 
 def _spy(monkeypatch, module, name) -> list:
@@ -117,3 +122,44 @@ def test_soundness_row_fails_when_the_rule_admits_every_cell(monkeypatch):
     check = reproduce._soundness_check(0, field.DEFAULT_PRIMES)
     assert check["status"] == "FAIL" and check["computed"]["violations"] > 0
 
+
+
+def _proportional(monkeypatch):
+    """Make every F_5 slice span a line, failing after a bounded number of draws."""
+    real, calls = phimap.phi, []
+
+    def phi(tensor):
+        span = real(tensor)
+        if tensor.p != 5:  # the slice-map row's witnesses stay as they are
+            return span
+        calls.append(tensor)
+        assert len(calls) <= varieties.MAX_RESAMPLES, "the redraw loop did not stop"
+        return dataclasses.replace(span, basis=span.basis[:1])
+
+    monkeypatch.setattr(phimap, "phi", phi)
+
+
+def _failing_draw(monkeypatch):
+    real = phimap.random_secant_point
+
+    def draw(spec, k, s, rng, p):
+        if p == 5:
+            raise SamplingError("no F_5 witness")
+        return real(spec, k, s, rng, p)
+
+    monkeypatch.setattr(phimap, "random_secant_point", draw)
+
+
+@pytest.mark.parametrize("patch,error", [
+    (_proportional, "every slice pair drawn on 1,1 over F_5 was proportional"),
+    (_failing_draw, "no F_5 witness"),
+], ids=["redraws-exhausted", "draw-fails"])
+def test_decomposition_count_row_fails_alone_when_its_draws_fail(monkeypatch, patch, error):
+    # a bounded redraw: exhaustion, or a failed draw, is this row's error and
+    # every other row of the catalog still runs and passes
+    patch(monkeypatch)
+    checks = reproduce.run_catalog(0)
+    assert len(checks) == 15
+    failed = [check for check in checks if check["status"] != "PASS"]
+    assert [(check["name"], check["computed"]) for check in failed] == [
+        ("decomposition-count-pairs-f5", {"error": error})]

@@ -14,8 +14,8 @@ import pytest
 
 import reference
 from test_criteria import CENSUS_SPECS
-from grasec import field, reproduce, secant, varieties
-from grasec.errors import InconsistencyError
+from grasec import field, grassec, reproduce, secant, varieties
+from grasec.errors import BudgetExceededError, InconsistencyError
 from grasec.varieties import SegreVeroneseSpec, prepend_projective_factor
 
 PENCILS = SegreVeroneseSpec.parse("1,1,1,1,1")
@@ -371,6 +371,36 @@ def _random_only(spec, s, seed=0, primes=field.DEFAULT_PRIMES):
 
 # the benchmark's secant_dim rows, r = 124, 241, 511, 611
 SECANT_SCALE = (("4,4,4", 10), ("2,2,2,2,2", 22), ("1,1,1,1,1,1,1,1,1", 52), ("4,4,4,4", 36))
+
+
+def _unbuilt(*args, **kwargs):
+    raise AssertionError("built before the size check")
+
+
+class TestSizeCheck:
+    @pytest.mark.parametrize("text,s", [
+        ("30:30", 2),       # C(60, 30) monomials in the power-rule table
+        (",".join("1" * 20), 2),  # a packing of 2**20 bitsets of 2**20 bits
+        (",".join("1" * 14), 16384),  # a frame stack of 16384 x 15 x 16384 entries
+    ])
+    def test_oversized_input_raises_before_anything_is_built(self, text, s, monkeypatch):
+        monkeypatch.setattr(varieties, "_power_rule", _unbuilt)
+        monkeypatch.setattr(varieties, "tangent_frame", _unbuilt)
+        monkeypatch.setattr(secant, "_packing", _unbuilt)
+        spec = SegreVeroneseSpec.parse(text)
+        for call in (lambda: secant.secant_dim(spec, s), lambda: grassec.gs_dim_direct(spec, 1, s)):
+            with pytest.raises(BudgetExceededError, match="above the budget of 100000000"):
+                call()
+
+    def test_every_test_and_benchmark_input_fits(self):
+        # the largest orders any test, golden, CI step or benchmark row reaches:
+        # the r + 1 <= 256 oracle at s = r + 1, 1^10 at s = 94 and 1^11 at s = 171
+        cases = [(",".join(map(str, dims)), None) for dims in _segre_formats(256)]
+        cases += [*SECANT_SCALE, (",".join("1" * 10), 94), (",".join("1" * 11), 171)]
+        for text, s in cases:
+            spec = SegreVeroneseSpec.parse(text)
+            secant._check_size(spec, s or spec.ambient_dim + 1)
+            secant._check_size(prepend_projective_factor(spec, 3), 5)  # gs_report at k = 3
 
 
 class TestPacking:
