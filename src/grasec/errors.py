@@ -10,4 +10,4 @@ class InconsistencyError(RuntimeError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A brute-force enumeration, or a secant computation's tables or frames, would exceed the budget."""
+    """A brute-force enumeration, or a computation's tables, packing or frames, would exceed the budget."""

@@ -3,9 +3,8 @@
 Everything downstream reduces to matrix ranks over F_p, so this module is
 deliberately small: dense integer matrices reduced mod p, one elimination
 kernel (:func:`_echelon`) behind every rank, row rank profile, echelon
-form and row-space basis, a stacked elimination (:func:`_stacked_pivots`)
-behind the decomposition count, and the monomial-table evaluator that
-builds every tangent frame (:func:`dual_evaluate`).  :func:`quotient` is the one map
+form and row-space basis, and the monomial-table evaluator that builds
+every tangent frame (:func:`dual_evaluate`).  :func:`quotient` is the one map
 V -> V/L by a span L: the subspace test, the direct Grassmann-secant
 route's Hom(L, V/L) and the decomposition count all reduce through it,
 and its image of the identity is a kernel basis of the span.  Every
@@ -33,14 +32,6 @@ pivots with the per-column loop on a 128-row head, inverts its pivot block
 by halving through the Schur complement (:func:`_inverse`), and clears the
 pivot columns with one limb product.  A rank or row rank profile only
 clears the rows below each pivot; bases get the full reduced echelon form.
-
-:func:`_stacked_pivots` ranks a stack of small matrices, such as the
-s-subsets of X(F_q) that ``phimap.count_decompositions`` tests, in one
-per-column loop vectorized over the stack.  On a single matrix it takes
-about twice as long as the forward-only :func:`_gauss_jordan` (15 x 15:
-575 vs 267 us; 60 x 35: 1687 vs 941 us; a 612 x 64 panel: 16.9 vs 8.8 ms;
-min of 7 repeats at p = 2**31 - 1 on a 2-vCPU Xeon), so :func:`_echelon`
-reduces every single matrix.
 """
 
 from __future__ import annotations
@@ -275,35 +266,6 @@ def row_space_basis(rows, p: int) -> np.ndarray:
     plain array comparison.
     """
     return _echelon(rows, p)[0]
-
-
-def _stacked_pivots(m: np.ndarray, p: int) -> np.ndarray:
-    """Rank over F_p of every matrix of a stack, as its number of pivot rows.
-
-    ``m`` holds the matrices transposed along its last axis, shape (cols,
-    rows, B), so every pass runs contiguously along the stack; it is
-    reduced (entries in [0, p)) in place, one column at a time.  At column
-    c each matrix takes its first non-pivot row with a nonzero entry as
-    pivot row (a masked ``argmax``), scales its rows by that entry and
-    subtracts multiples of the pivot row from the other non-pivot rows:
-    two products of residues per entry, exact in int64, and no inverse.
-    The loop stops once every non-pivot row is zero.
-    """
-    stack, pivot = np.arange(m.shape[2]), np.zeros(m.shape[1:], dtype=bool)
-    for c in range(len(m)):
-        free = ~pivot & (m[c] != 0)
-        i = free.argmax(axis=0)
-        found = free[i, stack]
-        pivot[i, stack] |= found
-        right = m[c:]
-        top = right[:, i, stack]
-        factors = np.where(pivot, 0, m[c])
-        right *= np.where(found, top[0], 1)
-        right -= top[:, None] * factors
-        right %= p
-        if not (right[1:].any(axis=0) & ~pivot).any():
-            break
-    return pivot.sum(axis=0)
 
 
 def quotient(span_rows, rows, p: int) -> tuple[int, np.ndarray]:

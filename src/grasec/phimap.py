@@ -10,8 +10,8 @@ The module also counts exhaustively, over tiny finite fields, the
 s-subsets of X(F_q) whose span contains a target's span L: the subsets
 that can hold a decomposition, and the decomposition count itself when
 dim L = s.  X(F_q) is row 0 of one tangent-frame stack, and
-:func:`field.quotient` maps it to V/L, where each subset is decided by
-its rank.
+:func:`field.quotient` maps it to V/L; one more quotient per prefix of
+s - 1 points then decides every subset that extends the prefix.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ import numpy as np
 
 from . import field, secant, varieties
 from .errors import BudgetExceededError, SamplingError
-from .secant import DEFAULT_ENUMERATION_BUDGET
-
-# int64 entries of one chunk's stack of subsets: from 2**15 to 2**18 count alike
-_CHUNK_ENTRIES = 2**17
 
 
 @dataclass(frozen=True)
@@ -117,6 +113,11 @@ def random_secant_point(
     raise SamplingError(f"could not sample an independent secant witness on {spec}")
 
 
+def _point_count(spec: varieties.SegreVeroneseSpec, q: int) -> int:
+    """#X(F_q) = prod #P^{n_i}(F_q): the embedding is injective on F_q-points."""
+    return math.prod((q ** (n + 1) - 1) // (q - 1) for n, _ in spec.factors)
+
+
 @functools.lru_cache(maxsize=None)
 def enumerate_variety_points(spec: varieties.SegreVeroneseSpec, q: int) -> np.ndarray:
     """All F_q-points of the embedded variety, one row each, in sorted order.
@@ -126,8 +127,10 @@ def enumerate_variety_points(spec: varieties.SegreVeroneseSpec, q: int) -> np.nd
     The embedding of a normalized parameter point is already normalized and
     determines the point, so the rows are canonical and pairwise distinct;
     see the frame invariant in :mod:`grasec.varieties`.  Built once per
-    (spec, q) and read-only, like ``varieties._frame_table``.
+    (spec, q) and read-only, like ``varieties._frame_table``; the size of
+    those #X(F_q) frames is checked before any point is listed.
     """
+    varieties._check_frames(spec, _point_count(spec, q))
     factors = [[(0,) * pivot + (1,) + tail
                 for pivot in range(n + 1)
                 for tail in itertools.product(range(q), repeat=n - pivot)]
@@ -153,36 +156,33 @@ def count_decompositions(
     counted hold no decomposition of T with s nonzero terms.
 
     With d = dim L and pi: V -> V/L from :func:`field.quotient`, L lies in
-    span(S) iff rank S = d + rank pi(S).  So only subsets with rank pi(S) <=
-    s - d can pass, and only those are ranked whole; with d = s only the
-    points inside L take part, and with d > s none.  After the budget check
-    on C(#X(F_q), s), the subsets are ranked in chunks, pi(S) first.  A
-    target whose rows are not as long as X's raises ``ValueError``.
+    span(S) iff rank S = d + rank pi(S); with d = s only the points inside L
+    take part, and with d > s none.  S is a prefix T of s - 1 points and a
+    later point x: rank S = rank T + [x not in span T], likewise for pi(S),
+    so one quotient by pi(T) and one by T decide every x.  s < 1 raises
+    ``ValueError``, and so does a target whose rows are not as long as X's.
     """
     q = target.p
     if q not in (2, 3, 5, 7):
         raise ValueError(f"exhaustive enumeration needs a prime q <= 7, got q={q}")
-    # #X(F_q) = prod #P^{n_i}(F_q): the embedding is injective on F_q-points
-    total = math.comb(math.prod((q ** (n + 1) - 1) // (q - 1) for n, _ in spec.factors), s)
-    if total > DEFAULT_ENUMERATION_BUDGET:
-        raise BudgetExceededError(
-            f"{total} span tests exceed the budget of {DEFAULT_ENUMERATION_BUDGET}"
-        )
+    if s < 1:
+        raise ValueError(f"need s >= 1, got s={s}")
+    if (total := math.comb(_point_count(spec, q), s)) > varieties.DEFAULT_ENUMERATION_BUDGET:
+        raise BudgetExceededError(f"{total} span tests exceed the budget of {varieties.DEFAULT_ENUMERATION_BUDGET}")
     points = enumerate_variety_points(spec, q)
     rows = target.basis if isinstance(target, PluckerPoint) else target.slices
-    d, quotient = field.quotient(rows, points, q)
+    d, image = field.quotient(rows, points, q)
     if d > s:
         return 0
     if d == s:  # span(S) = L: only the points inside L, where pi vanishes
-        inside = ~quotient.any(axis=1)
-        points, quotient = points[inside], quotient[inside, :0]
-    chunk = max(1, _CHUNK_ENTRIES // (s * points.shape[1]))
-    subsets = itertools.combinations(range(len(points)), s)
+        inside = ~image.any(axis=1)
+        points, image = points[inside], image[inside, :0]
     count = 0
-    for _ in range(0, math.comb(len(points), s), chunk):
-        flat = itertools.chain.from_iterable(itertools.islice(subsets, chunk))
-        idx = np.fromiter(flat, dtype=np.int64).reshape(-1, s).T
-        low = field._stacked_pivots(quotient.T[:, idx], q)  # stacked as (columns, s, subsets)
-        passed = low <= s - d
-        count += int((field._stacked_pivots(points.T[:, idx[:, passed]], q) == d + low[passed]).sum())
+    for prefix in itertools.combinations(range(len(points) - 1), s - 1):
+        t, later = list(prefix), slice(prefix[-1] + 1 if prefix else 0, None)
+        low, beyond = field.quotient(image[t], image[later], q) if image.shape[1] else (0, image[later])
+        if d + low > s:  # rank S <= s < d + rank pi(S) for every x
+            continue
+        rank, outside = field.quotient(points[t], points[later], q)
+        count += int((rank + outside.any(axis=1) == d + low + beyond.any(axis=1)).sum())
     return count

@@ -30,10 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import field, varieties
-from .errors import BudgetExceededError, InconsistencyError
+from .errors import InconsistencyError
 
 DEFAULT_TRIALS = 3
-DEFAULT_ENUMERATION_BUDGET = 10**8  # entries built, or span tests run, by one computation
 MAX_EVALUATIONS = 64  # cap on trials x primes; the coordinate attempt comes on top
 PACKING_ROUNDS = 600   # rounds of the coordinate packing search, once per spec
 PACKING_RESTART = 100  # rounds without a new best packing before the search restarts
@@ -113,15 +112,10 @@ def _check_order(spec: varieties.SegreVeroneseSpec, k: int, s: int) -> None:
 def _check_size(spec: varieties.SegreVeroneseSpec, s: int) -> None:
     """Raise ``BudgetExceededError`` before sigma_s(X) builds more entries than the budget.
 
-    Closed form: the largest of each factor's :func:`varieties._power_rule` table,
-    (n_i + 2)(n_i + 1) C(n_i + d_i, d_i); the P**2 bits of :func:`_packing`,
-    P = prod(n_i + 1); and s stacked frames, s(n + 1)(r + 1).
+    :func:`varieties._check_frames` for s frames, with the P**2 bits of
+    :func:`_packing`, P = prod(n_i + 1).
     """
-    size = max(math.prod(n + 1 for n, _ in spec.factors) ** 2, s * (spec.dim + 1) * (spec.ambient_dim + 1),
-               *((n + 2) * (n + 1) * math.comb(n + d, d) for n, d in spec.factors))
-    if size > DEFAULT_ENUMERATION_BUDGET:
-        raise BudgetExceededError(f"sigma_{s} of {spec} needs {size} entries, "
-                                  f"above the budget of {DEFAULT_ENUMERATION_BUDGET}")
+    varieties._check_frames(spec, s, f"sigma_{s} of {spec}", math.prod(n + 1 for n, _ in spec.factors) ** 2)
 
 
 def _members(mask: int) -> list[int]:
@@ -303,16 +297,17 @@ def generic_rank(
 ) -> int:
     """Least s with the s-th secant variety filling the ambient space.
 
-    :func:`classify_secant_range` over f .. S, where no order below
-    f = ceil((r+1)/(n+1)) fills, for S = f, 2f, 4f, ... capped at r + 1,
-    until some order fills; sigma_{r+1} always does.
+    :func:`classify_secant_range` up to S = f, 2f, 4f, ... capped at r + 1,
+    f = ceil((r+1)/(n+1)) (no lower order fills), until some order fills;
+    sigma_{r+1} always does.  Each round takes only the orders above the
+    last one's: a range up to S draws the same S points from any start.
     """
     low = high = _fill_floor(spec)
     while (s := _filling_order(classify_secant_range(
             spec, range(low, high + 1), trials=trials, seed=seed, primes=primes))) is None:
         if high > spec.ambient_dim:
             raise InconsistencyError(f"no filling secant variety found for {spec} up to s = r + 1")
-        high = min(2 * high, spec.ambient_dim + 1)
+        low, high = high + 1, min(2 * high, spec.ambient_dim + 1)
     return s
 
 

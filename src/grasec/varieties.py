@@ -43,10 +43,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import field
+from .errors import BudgetExceededError
 
 ParameterPoint = tuple[tuple[int, ...], ...]
 
 MAX_RESAMPLES = 5  # draws of a degenerate random point set before SamplingError
+DEFAULT_ENUMERATION_BUDGET = 10**8  # entries built, or span tests run, by one computation
 
 
 @dataclass(frozen=True)
@@ -138,6 +140,20 @@ def _frame_table(spec: SegreVeroneseSpec) -> tuple[np.ndarray, np.ndarray, tuple
     return gather, coeff, tuple(parts), top
 
 
+def _check_frames(spec: SegreVeroneseSpec, count: int, subject: str = "", bits: int = 0) -> None:
+    """Raise ``BudgetExceededError`` before ``count`` frames of X would build more entries than the budget.
+
+    Closed form: the largest of each factor's :func:`_power_rule` table,
+    (n_i + 2)(n_i + 1) C(n_i + d_i, d_i), count(n + 1)(r + 1) frame entries
+    and the caller's ``bits``.
+    """
+    size = max(bits, count * (spec.dim + 1) * (spec.ambient_dim + 1),
+               *((n + 2) * (n + 1) * math.comb(n + d, d) for n, d in spec.factors))
+    if size > DEFAULT_ENUMERATION_BUDGET:
+        raise BudgetExceededError(f"{subject or f'{spec} at {count} point(s)'} needs {size} entries, "
+                                  f"above the budget of {DEFAULT_ENUMERATION_BUDGET}")
+
+
 def tangent_frame(spec: SegreVeroneseSpec, points: list[ParameterPoint], p: int) -> np.ndarray:
     """Frames of ``points``, an int64 stack of shape (len(points), n + 1, r + 1), mod p.
 
@@ -148,9 +164,11 @@ def tangent_frame(spec: SegreVeroneseSpec, points: list[ParameterPoint], p: int)
     over factors of the factor's Veronese vector, except that the factor
     owning the row's direction contributes its partial instead, all from one
     :func:`field.dual_evaluate` call; entries are reduced after every
-    product, which keeps the int64 arithmetic exact for p < 2**31.
+    product, which keeps the int64 arithmetic exact for p < 2**31.  The
+    size is checked first (:func:`_check_frames`).
     """
     field._check_modulus(p)
+    _check_frames(spec, len(points))
     if any(len(u) != len(spec.factors) for u in points):
         raise ValueError("parameter point has the wrong number of factors")
     if any(len(x) != n + 1 for u in points for x, (n, _) in zip(u, spec.factors)):

@@ -1,6 +1,7 @@
 """The slice map, secant witnesses and micro-enumeration."""
 
 import dataclasses
+import itertools
 import random
 
 import numpy as np
@@ -12,6 +13,10 @@ from grasec.phimap import SlicedTensor
 from grasec.varieties import SegreVeroneseSpec
 
 P = field.DEFAULT_PRIME
+
+
+def _unbuilt(*args, **kwargs):
+    raise AssertionError("built before the size check")
 
 
 def _rng(seed, p):
@@ -162,9 +167,9 @@ class TestCounting:
             reference.count_nonzero_decompositions(spec, s, tensor.slices, q)
 
     def test_budget_enforced(self, monkeypatch):
-        monkeypatch.setattr(phimap, "DEFAULT_ENUMERATION_BUDGET", 10)
         spec = SegreVeroneseSpec.parse("1,1")
         witness = phimap.random_secant_point(spec, 0, 2, _rng(1, 5), 5)
+        monkeypatch.setattr(varieties, "DEFAULT_ENUMERATION_BUDGET", 10)
         with pytest.raises(phimap.BudgetExceededError):
             phimap.count_decompositions(spec, 2, witness.tensor)
 
@@ -173,13 +178,46 @@ class TestCounting:
         def unreachable(spec, q):
             raise AssertionError("enumerated X(F_q) before checking the budget")
 
-        monkeypatch.setattr(phimap, "enumerate_variety_points", unreachable)
-        monkeypatch.setattr(phimap, "DEFAULT_ENUMERATION_BUDGET", 10)
         spec = SegreVeroneseSpec.parse("2,2,2")
         witness = phimap.random_secant_point(spec, 0, 2, _rng(1, 7), 7)
+        monkeypatch.setattr(phimap, "enumerate_variety_points", unreachable)
+        monkeypatch.setattr(varieties, "DEFAULT_ENUMERATION_BUDGET", 10)
         with pytest.raises(phimap.BudgetExceededError,
                            match="^17148131028 span tests exceed the budget of 10$"):
             phimap.count_decompositions(spec, 2, witness.tensor)
+
+    @pytest.mark.parametrize("s", [0, -1])
+    @pytest.mark.parametrize("rows", [((0, 0, 0, 0),), ((1, 0, 0, 0),)])
+    def test_order_below_one_rejected(self, s, rows):
+        # the package's rule s >= 1, before the budget check: no prefix has s - 1 < 0 points
+        with pytest.raises(ValueError, match=f"^need s >= 1, got s={s}$"):
+            phimap.count_decompositions(SegreVeroneseSpec.parse("1,1"), s, phimap.PluckerPoint(5, rows))
+
+    def test_frames_of_x_checked_before_any_point_is_listed(self, monkeypatch):
+        # C(8**8, 1) subsets fit the budget, but X(F_7) of 1^8 would take
+        # 8**8 frames of 9 x 256 entries
+        def unlisted(*args, **kwargs):
+            raise AssertionError("listed points of X(F_q) before the size check")
+
+        monkeypatch.setattr(itertools, "product", unlisted)
+        target = phimap.PluckerPoint(7, ((1,) + (0,) * 255,))
+        with pytest.raises(phimap.BudgetExceededError,
+                           match=r"^1,1,1,1,1,1,1,1 at 16777216 point\(s\) needs 38654705664 entries"):
+            phimap.count_decompositions(SegreVeroneseSpec.parse(",".join("1" * 8)), 1, target)
+
+    def test_oversized_witness_raises_before_any_table(self, monkeypatch):
+        # 30:30 has C(60, 30) monomials
+        monkeypatch.setattr(varieties, "_power_rule", _unbuilt)
+        with pytest.raises(phimap.BudgetExceededError, match="above the budget of 100000000$"):
+            phimap.random_secant_point(SegreVeroneseSpec.parse("30:30"), 1, 2, _rng(0, P), P)
+
+    def test_witness_builds_no_packing(self):
+        # sigma_2 of 1^14 is rejected by its packing's P**2 bits; a witness
+        # checks only its tables and frames
+        spec = SegreVeroneseSpec.parse(",".join("1" * 14))
+        with pytest.raises(phimap.BudgetExceededError, match="^sigma_2 of "):
+            secant._check_size(spec, 2)
+        assert len(phimap.random_secant_point(spec, 1, 2, _rng(0, P), P).embedded_points) == 2
 
     def test_large_field_rejected(self):
         # q is the target's field: one built over F_11 or F_P cannot be enumerated

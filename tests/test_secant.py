@@ -14,7 +14,7 @@ import pytest
 
 import reference
 from test_criteria import CENSUS_SPECS
-from grasec import field, grassec, reproduce, secant, varieties
+from grasec import field, grassec, phimap, reproduce, secant, varieties
 from grasec.errors import BudgetExceededError, InconsistencyError
 from grasec.varieties import SegreVeroneseSpec, prepend_projective_factor
 
@@ -173,7 +173,8 @@ class TestGenericRank:
         assert secant.generic_rank(spec, seed=seed) == reference.generic_rank(spec, seed=seed)
 
     def test_none_filling_raises(self, monkeypatch):
-        # every report's dim made r - 1, so none fills: the top order doubles up to r + 1
+        # every report's dim made r - 1, so none fills: the top order doubles up to
+        # r + 1, and each round classifies only the orders above the last round's
         real, calls = secant.classify_secant_range, []
 
         def short(spec, orders, **kwargs):
@@ -182,8 +183,8 @@ class TestGenericRank:
                     for rep in real(spec, orders, **kwargs)]
 
         monkeypatch.setattr(secant, "classify_secant_range", short)
-        for text, ranges in (("1,1", [(2, 2), (2, 4)]),  # f = 2, r + 1 = 4
-                             ("1,1,1,1,1", [(6, 6), (6, 12), (6, 24), (6, 32)])):  # f = 6, r + 1 = 32
+        for text, ranges in (("1,1", [(2, 2), (3, 4)]),  # f = 2, r + 1 = 4
+                             ("1,1,1,1,1", [(6, 6), (7, 12), (13, 24), (25, 32)])):  # f = 6, r + 1 = 32
             calls.clear()
             message = f"^no filling secant variety found for {text} up to s = r \\+ 1$"
             with pytest.raises(InconsistencyError, match=message):
@@ -390,6 +391,17 @@ class TestSizeCheck:
         spec = SegreVeroneseSpec.parse(text)
         for call in (lambda: secant.secant_dim(spec, s), lambda: grassec.gs_dim_direct(spec, 1, s)):
             with pytest.raises(BudgetExceededError, match="above the budget of 100000000"):
+                call()
+
+    def test_one_budget_for_every_size_check(self, monkeypatch):
+        # the packing, the frames and the decomposition count all read one name
+        monkeypatch.setattr(varieties, "DEFAULT_ENUMERATION_BUDGET", 10)
+        spec = SegreVeroneseSpec.parse("1,1")
+        target = phimap.PluckerPoint(5, ((1, 0, 0, 0),))
+        for call in (lambda: secant.secant_dim(spec, 2), lambda: grassec.gs_dim_direct(spec, 1, 2),
+                     lambda: varieties.tangent_frame(spec, [((1, 0), (1, 0))], field.DEFAULT_PRIME),
+                     lambda: phimap.count_decompositions(spec, 1, target)):
+            with pytest.raises(BudgetExceededError, match="the budget of 10$"):
                 call()
 
     def test_every_test_and_benchmark_input_fits(self):

@@ -8,6 +8,7 @@ import pytest
 
 import reference
 from grasec import field, phimap, secant, varieties
+from grasec.errors import BudgetExceededError
 from grasec.varieties import SegreVeroneseSpec, prepend_projective_factor
 
 P = field.DEFAULT_PRIME
@@ -166,6 +167,19 @@ class TestTangentFrames:
     def test_composite_modulus_rejected(self, points, n):
         with pytest.raises(ValueError, match=f"modulus {n} is not prime"):
             varieties.tangent_frame(SegreVeroneseSpec.parse("1,2"), points, n)
+
+    def test_oversized_frames_raise_before_any_table(self, monkeypatch):
+        # 30:30 has C(60, 30) monomials: a frame and a frame draw check their size first
+        def unbuilt(*args):
+            raise AssertionError("built before the size check")
+
+        monkeypatch.setattr(varieties, "_power_rule", unbuilt)
+        spec = SegreVeroneseSpec.parse("30:30")
+        point = ((1,) + (0,) * 30,)
+        for call in (lambda: varieties.tangent_frame(spec, [point], P),
+                     lambda: varieties.random_frames(spec, 1, random.Random(0), P)):
+            with pytest.raises(BudgetExceededError, match=r"^30:30 at 1 point\(s\) needs .* above the budget of 100000000$"):
+                call()
 
     def test_frame_contains_embedding(self):
         spec = SegreVeroneseSpec.parse("1:3")
