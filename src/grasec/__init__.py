@@ -6,7 +6,7 @@ computed exactly over large prime fields; see the README for the CLI.
 
 from .field import CONFIRMATION_PRIME, DEFAULT_PRIME, DEFAULT_PRIMES
 from .varieties import SegreVeroneseSpec, prepend_projective_factor
-from .secant import SecantReport, classify_secant_range, expected_secant_dim, generic_rank, secant_dim
+from .secant import SecantReport, classify_secant_range, expected_secant_dim, generic_rank, secant_dim, upper_secant_dim
 from .grassec import GrassmannSecantReport, expected_gs_dim, gs_dim_direct, gs_report
 from .phimap import PluckerPoint, SecantWitness, SlicedTensor, count_decompositions, phi, random_secant_point
 from .criteria import (
@@ -34,6 +34,7 @@ __all__ = [
     "expected_secant_dim",
     "generic_rank",
     "secant_dim",
+    "upper_secant_dim",
     "GrassmannSecantReport",
     "expected_gs_dim",
     "gs_dim_direct",

@@ -4,9 +4,11 @@ The dimension of the s-th secant variety equals the rank of the stacked
 tangent frames at s generic points, minus one.  Evaluating at random
 points over a large prime field gives a certified lower bound for the
 generic (characteristic-0) dimension: specialization can only drop the
-rank.  When the computed value reaches the expected dimension the bound
-is an equality certificate; a strict gap across all trials and both
-default primes is reported as defective with high confidence.  Before the
+rank.  The trials stop once the computed value reaches a proven upper
+bound, :func:`upper_secant_dim`: the parameter count, or below it a
+flattening bound, which certifies the defect exactly.  A value short of
+that bound across all trials and both default primes is reported as
+defective with high confidence.  Before the
 trials x primes budget comes one more evaluation with most points at
 coordinate points (Draisma, JPAA 2008), which only ranks a small residual;
 they are drawn from one cached packing per spec, found by a local search.
@@ -63,8 +65,11 @@ class SecantReport:
 
     @property
     def certification(self) -> str:
+        """Exact when ``dim`` meets the parameter count or, below it, :func:`upper_secant_dim`."""
         if self.dim == self.expected_dim:
             return "exact (matches parameter count)"
+        if self.dim == upper_secant_dim(self.spec, self.s):
+            return "exact (meets flattening bound); defective"
         return "certified lower bound; defective (high confidence)"
 
     def to_dict(self) -> dict:
@@ -86,6 +91,32 @@ def expected_secant_dim(spec: varieties.SegreVeroneseSpec, s: int) -> int:
     """min(s*(n+1) - 1, r): the parameter-count prediction."""
     _check_order(spec, 0, s)
     return min(s * (spec.dim + 1) - 1, spec.ambient_dim)
+
+
+@functools.lru_cache(maxsize=None)
+def _flattening_sizes(spec: varieties.SegreVeroneseSpec) -> tuple[int, ...]:
+    """Row counts of the whole-factor flattenings: distinct subset products of the C(n_i + d_i, d_i)."""
+    sizes = {1}
+    for n, d in spec.factors:
+        sizes |= {a * math.comb(n + d, d) for a in sizes}
+    return tuple(sorted(sizes))
+
+
+def upper_secant_dim(spec: varieties.SegreVeroneseSpec, s: int) -> int:
+    """A proven upper bound on dim sigma_s, in closed form: the least of three terms.
+
+    The parameter count; s(a + b - s) - 1 for each split of the factors
+    into groups with a and b coordinates and s < min(a, b), as sigma_s lies
+    in the a x b matrices of rank <= s; and on v_2(P^n) with s <= n,
+    s(n+1) - C(s, 2) - 1, the symmetric matrices of rank <= s (Landsberg &
+    Ottaviani, Ann. Mat. Pura Appl. 2013).
+    """
+    r1, (n, _) = spec.ambient_dim + 1, spec.factors[0]
+    bounds = [expected_secant_dim(spec, s)]
+    bounds += [s * (a + r1 // a - s) - 1 for a in _flattening_sizes(spec) if s < min(a, r1 // a)]
+    if spec.factors == ((n, 2),) and s <= n:
+        bounds.append(s * (n + 1) - math.comb(s, 2) - 1)
+    return min(bounds)
 
 
 def subseed(seed: int, trial: int, prime: int) -> int:
@@ -239,7 +270,8 @@ def _max_rank(
     ``Random(subseed(seed, t, p))``, so a repeated prime would only rerun
     the same evaluations and is rejected, and so is a budget of more than
     MAX_EVALUATIONS evaluations; an ``attempt`` runs first, as trial -1 on
-    primes[0].  An entry above its bound raises.
+    primes[0].  ``bound`` is a proven upper bound: an entry that meets it is
+    exact, and an entry above it raises.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -261,7 +293,7 @@ def _max_rank(
         ran.append(p)
         if (over := value > bound).any():
             raise InconsistencyError(f"computed dimension {value[over][0]} exceeds "
-                                     f"the expected dimension {bound[over][0]}")
+                                     f"its upper bound {bound[over][0]}")
         best = np.maximum(best, value)
         if (best == bound).all():
             break
@@ -322,7 +354,7 @@ def classify_secant_range(
 
     Each evaluation gives dim sigma_t at the first t of max(orders) points
     for every t (:func:`terracini_rank`), and the maximum runs entrywise until
-    each order reaches its expected dimension.  Only the coordinate attempt
+    each order reaches :func:`upper_secant_dim`.  Only the coordinate attempt
     draws packing points.  Every report records all evaluations that ran.
     Orders are checked first, then the size (:func:`_check_size`).
     """
@@ -334,7 +366,7 @@ def classify_secant_range(
     _check_size(spec, top)
     dims, ran = _max_rank(
         lambda rng, p: terracini_rank(spec, top, rng, p)[index],
-        [expected_secant_dim(spec, s) for s in orders], trials, seed, primes,
+        [upper_secant_dim(spec, s) for s in orders], trials, seed, primes,
         attempt=lambda rng, p: terracini_rank(spec, top, rng, p, coordinates=True)[index],
     )
     used = tuple(dict.fromkeys(ran))  # the distinct primes, in order

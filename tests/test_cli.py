@@ -51,17 +51,18 @@ class TestSecantCommand:
 
     @pytest.mark.parametrize("orders", ["4..5", "1..5"])
     def test_s_range_rows_match_single_orders(self, orders, capsys, monkeypatch):
-        # each range draws 5 points per evaluation on 2,2 (r = 8, n = 4); sigma_2
-        # is defective, so 1..5 runs the whole budget and 4..5 stops at the attempt
+        # each range draws 5 points per evaluation on 1,1,1,1 (r = 15, n = 4);
+        # sigma_3 is defective and no flattening bound meets it, so 1..5 runs
+        # the whole budget and 4..5 stops at the attempt
         calls = []
         real = secant.terracini_rank
         monkeypatch.setattr(secant, "terracini_rank",
                             lambda spec, s, *args, **kw: calls.append(s) or real(spec, s, *args, **kw))
-        rows = run_json(capsys, "secant", "--spec", "2,2", "--s", orders)["results"]
+        rows = run_json(capsys, "secant", "--spec", "1,1,1,1", "--s", orders)["results"]
         assert calls == [5] * (1 if orders == "4..5" else 7)
         monkeypatch.undo()
         for row in rows:
-            single = run_json(capsys, "secant", "--spec", "2,2", "--s", str(row["s"]))["results"][0]
+            single = run_json(capsys, "secant", "--spec", "1,1,1,1", "--s", str(row["s"]))["results"][0]
             assert row["dim"] == single["dim"] and row["trials_used"] == len(calls)
 
     def test_schema_fields(self, capsys):

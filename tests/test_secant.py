@@ -99,9 +99,22 @@ class TestTrialLedger:
         assert rep.to_dict()["primes_used"] == [field.DEFAULT_PRIME]
 
     def test_defective_runs_the_whole_budget(self):
-        # the coordinate attempt, then trials x primes
-        rep = secant.secant_dim(SegreVeroneseSpec.parse("2,2"), 2, trials=2)
+        # the coordinate attempt, then trials x primes: no flattening bound meets
+        # sigma_3 of (P^1)^4, a defect the parameter count alone cannot certify
+        spec = SegreVeroneseSpec.parse("1,1,1,1")
+        rep = secant.secant_dim(spec, 3, trials=2)
+        assert rep.defect == 1 and rep.dim < secant.upper_secant_dim(spec, 3)
         assert rep.trials_used == 2 * 2 + 1 and rep.primes_used == field.DEFAULT_PRIMES
+        assert rep.certification == "certified lower bound; defective (high confidence)"
+
+    @pytest.mark.parametrize("text,s", [("2,2", 2), ("1,1,3", 3)])
+    def test_certified_defect_stops_at_the_first_evaluation(self, text, s):
+        # 3 x 3 and 4 x 4 flattenings: the attempt meets s(a + b - s) - 1 at once
+        spec = SegreVeroneseSpec.parse(text)
+        rep = secant.secant_dim(spec, s)
+        assert rep.defect == 1 and rep.dim == secant.upper_secant_dim(spec, s)
+        assert rep.trials_used == 1 and rep.primes_used == (field.DEFAULT_PRIME,)
+        assert rep.certification == "exact (meets flattening bound); defective"
 
     def test_loop_order_and_seeds(self):
         calls = []
@@ -141,7 +154,7 @@ class TestTrialLedger:
         assert calls == []
 
     def test_rank_above_bound_raises(self):
-        with pytest.raises(InconsistencyError, match="exceeds the expected dimension 3"):
+        with pytest.raises(InconsistencyError, match="exceeds its upper bound 3"):
             secant._max_rank(lambda rng, p: 4, 3, 1, 0, (7,))
 
     def test_arrays_take_the_entrywise_maximum_until_every_bound_is_met(self):
@@ -152,7 +165,7 @@ class TestTrialLedger:
 
     def test_array_entry_above_its_bound_raises_naming_it(self):
         with pytest.raises(InconsistencyError,
-                           match="^computed dimension 7 exceeds the expected dimension 6$"):
+                           match="^computed dimension 7 exceeds its upper bound 6$"):
             secant._max_rank(lambda rng, p: np.array([1, 7, 2]), [3, 6, 1], 1, 0, (7,))
 
 
@@ -271,11 +284,12 @@ class TestClassifyRange:
         assert all(rep.defect == 0 and rep.trials_used == ran for rep in reports)
 
     def test_defective_entry_forces_computation(self, monkeypatch):
-        # sigma_2 of 3x3 matrices is defective, so no evaluation meets every bound
+        # sigma_3 of (P^1)^4 is defective below every flattening bound, so no
+        # evaluation meets every bound
         calls = self._spy(monkeypatch)
-        reports = secant.classify_secant_range(SegreVeroneseSpec.parse("2,2"), range(1, 4))
+        reports = secant.classify_secant_range(SegreVeroneseSpec.parse("1,1,1,1"), range(2, 5))
         assert [rep.defect for rep in reports] == [0, 1, 0]
-        assert calls == [(3, True)] + [(3, False)] * (2 * secant.DEFAULT_TRIALS)
+        assert calls == [(4, True)] + [(4, False)] * (2 * secant.DEFAULT_TRIALS)
         assert all(rep.trials_used == 7 and rep.primes_used == field.DEFAULT_PRIMES
                    for rep in reports)
 
@@ -301,42 +315,62 @@ def _segre_formats(max_size: int, prefix: tuple[int, ...] = (), size: int = 1):
         n += 1
 
 
-def _abo_ottaviani_peterson_defective(dims: tuple[int, ...], s: int) -> bool:
-    """When sigma_s(P^n_1 x ... x P^n_t), t >= 3 and n_1 <= ... <= n_t, is defective.
+def _abo_ottaviani_peterson_dim(dims: tuple[int, ...], s: int) -> int:
+    """dim sigma_s(P^n_1 x ... x P^n_t), t >= 3 and n_1 <= ... <= n_t.
 
-    The list of Abo, Ottaviani & Peterson (Trans. AMS 2009), with (P^1)^4 at
-    s = 3 from Catalisano, Geramita & Gimigliano (2011): the unbalanced
-    case, a - b < s < min(n_t + 1, a) with a = prod(n_i + 1) and
-    b = sum(n_i) over i < t; P^2 x P^n x P^n, n even, at s = 3n/2 + 1;
-    P^2 x P^3 x P^3 at s = 5; and P^1 x P^1 x P^n x P^n at s = 2n + 1.
+    The defective cells are those of Abo, Ottaviani & Peterson (Trans. AMS
+    2009), with (P^1)^4 at s = 3 from Catalisano, Geramita & Gimigliano
+    (2011).  In the unbalanced case, a - b < s < min(n_t + 1, a) with
+    a = prod(n_i + 1) and b = sum(n_i) over i < t, sigma_s is the locus of
+    rank <= s in the a x (n_t + 1) flattening, of dimension
+    s(a + n_t + 1 - s) - 1.  The sporadic cells have defect 1:
+    P^2 x P^n x P^n, n even, at s = 3n/2 + 1; P^2 x P^3 x P^3 at s = 5; and
+    P^1 x P^1 x P^n x P^n at s = 2n + 1.  Every other cell has the expected
+    dimension.
     """
     *rest, top = dims
     a, b = math.prod(n + 1 for n in rest), sum(rest)
-    return (a - b < s < min(top + 1, a)
-            or (len(dims) == 3 and dims[0] == 2 and dims[1] == top and top % 2 == 0
-                and s == 3 * top // 2 + 1)
-            or (dims == (2, 3, 3) and s == 5)
-            or (len(dims) == 4 and dims[:2] == (1, 1) and dims[2] == top and s == 2 * top + 1))
+    expected = min(s * (sum(dims) + 1) - 1, a * (top + 1) - 1)
+    if a - b < s < min(top + 1, a):
+        return s * (a + top + 1 - s) - 1
+    sporadic = ((len(dims) == 3 and dims[0] == 2 and dims[1] == top and top % 2 == 0
+                 and s == 3 * top // 2 + 1)
+                or (dims == (2, 3, 3) and s == 5)
+                or (len(dims) == 4 and dims[:2] == (1, 1) and dims[2] == top and s == 2 * top + 1))
+    return expected - sporadic
 
 
-def segre_oracle(max_size: int) -> tuple[int, int, int, list]:
-    """Formats, cells, defective cells and oracle mismatches of every Segre format up to max_size.
+def _segre_cells(max_size: int):
+    """(dims, report) of every Segre format up to max_size, from s = 1 to its generic rank.
 
-    Each format is classified from s = 1 up to its generic rank, one trial
-    per prime; run from the repository root as
-    ``PYTHONPATH=src:tests python -c 'from test_secant import segre_oracle; print(segre_oracle(256))'``.
+    One trial per prime, as in :func:`segre_oracle`.
     """
-    formats, cells, defective, mismatches = 0, 0, 0, []
     for dims in _segre_formats(max_size):
         spec = SegreVeroneseSpec.parse(",".join(map(str, dims)))
         rank = secant.generic_rank(spec, trials=1)
-        formats += 1
         for rep in secant.classify_secant_range(spec, range(1, rank + 1), trials=1):
-            cells += 1
-            defective += rep.defect > 0
-            if (rep.defect > 0) != _abo_ottaviani_peterson_defective(dims, rep.s):
-                mismatches.append((dims, rep.s, rep.defect))
-    return formats, cells, defective, mismatches
+            yield dims, rep
+
+
+def segre_oracle(max_size: int) -> tuple[int, int, int, int, list]:
+    """Formats, cells, defective and certified defective cells, and oracle mismatches up to max_size.
+
+    Every Segre format is classified from s = 1 up to its generic rank, one
+    trial per prime, and each dimension is compared with the closed form of
+    :func:`_abo_ottaviani_peterson_dim`; a defect is certified when the
+    dimension meets :func:`secant.upper_secant_dim`.  Run from the
+    repository root as
+    ``PYTHONPATH=src:tests python -c 'from test_secant import segre_oracle; print(segre_oracle(256))'``.
+    """
+    formats, cells, defective, certified, mismatches = set(), 0, 0, 0, []
+    for dims, rep in _segre_cells(max_size):
+        formats.add(dims)
+        cells += 1
+        defective += rep.defect > 0
+        certified += rep.defect > 0 and rep.dim == secant.upper_secant_dim(rep.spec, rep.s)
+        if rep.dim != (oracle := _abo_ottaviani_peterson_dim(dims, rep.s)):
+            mismatches.append((dims, rep.s, rep.dim, oracle))
+    return len(formats), cells, defective, certified, mismatches
 
 
 class TestDefectivityOracle:
@@ -359,8 +393,86 @@ class TestDefectivityOracle:
 
     def test_segre_products_match_abo_ottaviani_peterson(self):
         # every format with at least three factors and r + 1 <= 128, walked up
-        # to its generic rank; CI runs the same census up to r + 1 <= 256
-        assert segre_oracle(128) == (169, 1226, 168, [])
+        # to its generic rank, every dimension against its closed form; 161 of
+        # the 168 defects meet a flattening bound; CI runs the same census up
+        # to r + 1 <= 256
+        assert segre_oracle(128) == (169, 1226, 168, 161, [])
+
+
+class TestUpperSecantDim:
+    """The closed-form upper bound at which the trial loop stops."""
+
+    @pytest.mark.parametrize("text,bounds", [
+        ("2,2", [4, 7, 8, 8]),          # 3 x 3 matrices of rank <= 2: the determinant
+        ("1,1,3", [5, 11, 14, 15]),     # the 4 x 4 flattening cuts s = 3 only
+        ("1,3,1", [5, 11, 14, 15]),     # the same split, its factors not adjacent
+        ("1,1,1,1", [4, 9, 14, 15]),    # its 4 x 4 flattening meets the parameter count
+        ("2:2", [2, 4, 5]),             # symmetric 3 x 3 matrices of rank <= 2
+        ("4:2", [4, 8, 11, 13, 14]),    # symmetric 5 x 5 matrices, s <= n = 4
+    ])
+    def test_values(self, text, bounds):
+        spec = SegreVeroneseSpec.parse(text)
+        assert [secant.upper_secant_dim(spec, s) for s in range(1, len(bounds) + 1)] == bounds
+
+    def test_order_is_checked(self):
+        with pytest.raises(ValueError, match="got k=0, s=0, r=8$"):
+            secant.upper_secant_dim(SegreVeroneseSpec.parse("2,2"), 0)
+
+    @pytest.mark.parametrize("text,sizes", [
+        (",".join("1" * 16), tuple(2 ** i for i in range(17))),  # 17 products, not 2**16 splits
+        ("2:2,1,1", (1, 2, 4, 6, 12, 24)),
+    ])
+    def test_flattening_sizes_are_the_distinct_subset_products(self, text, sizes):
+        assert secant._flattening_sizes(SegreVeroneseSpec.parse(text)) == sizes
+
+    @pytest.mark.parametrize("text", ["2:2,1,1", "1:3,2,1:2", "1,1,1,1"])
+    def test_points_of_x_are_rank_one_in_every_split(self, text):
+        # the bound needs the plain monomial coordinates of the frame builder:
+        # row 0 of a frame, reshaped to any split of the factors, has rank 1
+        spec, p = SegreVeroneseSpec.parse(text), field.DEFAULT_PRIME
+        sizes = [math.comb(n + d, d) for n, d in spec.factors]
+        (frame,) = varieties.random_frames(spec, 1, random.Random(3), p)
+        tensor = frame[0].reshape(sizes)
+        for size in range(1, len(sizes)):
+            for group in itertools.combinations(range(len(sizes)), size):
+                order = list(group) + [i for i in range(len(sizes)) if i not in group]
+                rows = math.prod(sizes[i] for i in group)
+                assert field.matrix_rank(tensor.transpose(order).reshape(rows, -1), p) == 1, group
+
+    # the defects no closed-form bound meets: AOP's sporadic cells and the
+    # Alexander-Hirschowitz cells of degree above 2
+    OPEN = {("1,1,1,1", 3), ("1,1,2,2", 5), ("1,1,3,3", 7), ("1,1,4,4", 9), ("2,2,2", 4),
+            ("2,3,3", 5), ("2,4,4", 7), ("2:4", 5), ("3:4", 9), ("4:3", 7), ("4:4", 14)}
+
+    def test_early_stop_never_changes_a_dimension(self, monkeypatch):
+        # every AOP cell with r + 1 <= 128 and every Veronese oracle cell, once
+        # stopping at the bound and once through the whole budget, which a
+        # defect never stops, as it stops at the parameter count alone
+        def census() -> dict:
+            cells = {(str(rep.spec), rep.s): rep.dim for _, rep in _segre_cells(128)}
+            for text in _veronese_specs(130):
+                spec = SegreVeroneseSpec.parse(text)
+                reports = secant.classify_secant_range(spec, range(1, secant._fill_floor(spec) + 1))
+                cells.update(((text, rep.s), rep.dim) for rep in reports)
+            return cells
+
+        early = census()
+        with monkeypatch.context() as patched:
+            patched.setattr(secant, "upper_secant_dim", secant.expected_secant_dim)
+            full = census()
+        assert early == full
+        defective, certified = [], []
+        for (text, s), dim in full.items():
+            spec = SegreVeroneseSpec.parse(text)
+            assert secant.upper_secant_dim(spec, s) >= dim, (text, s)
+            if dim < secant.expected_secant_dim(spec, s):
+                defective.append((text, s))
+                if dim == secant.upper_secant_dim(spec, s):
+                    certified.append((text, s))
+        assert set(defective) - set(certified) == self.OPEN
+        veronese = [[cell for cell in cells if ":" in cell[0]] for cells in (defective, certified)]
+        assert (len(defective), len(certified)) == (168 + 12, 161 + 8)
+        assert list(map(len, veronese)) == [12, 8]
 
 
 def _random_only(spec, s, seed=0, primes=field.DEFAULT_PRIMES):
@@ -555,7 +667,8 @@ class TestCoordinateAttempt:
         for s in range(1, math.ceil((spec.ambient_dim + 1) / (spec.dim + 1)) + 1):
             assert secant.secant_dim(spec, s).dim == _random_only(spec, s), s
 
-    @pytest.mark.parametrize("text,s", [("1,1,1,1", 3), ("2,2,2", 4), ("1,1,3", 3), ("2,3,3", 5)])
+    # defects no flattening bound meets (AOP's sporadic cells), so every trial runs
+    @pytest.mark.parametrize("text,s", [("1,1,1,1", 3), ("2,2,2", 4), ("1,1,2,2", 5), ("2,3,3", 5)])
     def test_defective_results_come_from_the_trials(self, text, s, monkeypatch):
         spec = SegreVeroneseSpec.parse(text)
         calls = []
