@@ -21,17 +21,18 @@ matrix products (:func:`matmul_mod`) split the left factor into 16-bit
 limbs and multiply in float64, 64 inner terms at a time: such a sum stays
 below 64 * 2**16 * 2**31 = 2**53, where float64 is exact.  Eliminations
 delay the reduction too, as FFLAS-FFPACK does.  From 2**13 entries the
-per-column loop (:func:`_gauss_jordan`) takes each step's factors and
-pivot row as balanced residues, |v| <= p // 2 < 2**30, so each product is
-below 2**60 and an entry in [0, p) stays inside int64 for 7 updates
-(2**31 + 7 * 2**60 < 2**63); it reduces the pivot column before each step,
-so pivots and factors come from exact residues, and the trailing block
-after every 7th.  Wider than 128 columns and larger than 256 in some
-dimension, :func:`_echelon` is blocked: each 64-column panel finds its
-pivots with the per-column loop on a 128-row head, inverts its pivot block
-by halving through the Schur complement (:func:`_inverse`), and clears the
-pivot columns with one limb product.  A rank or row rank profile only
-clears the rows below each pivot; bases get the full reduced echelon form.
+per-column loops take each step's factors and pivot row as balanced
+residues, |v| <= p // 2 < 2**30, so each product is below 2**60 and an
+entry in [0, p) stays inside int64 for 7 updates (2**31 + 7 * 2**60 <
+2**63); they reduce the pivot column before each step, so pivots and
+factors come from exact residues, and the trailing block after every 7th.
+Bases get the reduced echelon form in place (:func:`_gauss_jordan`); a
+rank or row rank profile needs only the pivots, and eliminates forward on
+a shrinking contiguous block (:func:`_forward`).  Wider than 128 columns
+and larger than 256 in some dimension, :func:`_echelon` is blocked: each
+64-column panel finds its pivots with the forward loop on a 128-row head,
+inverts its pivot block by halving through the Schur complement
+(:func:`_inverse`), and clears the pivot columns with one limb product.
 """
 
 from __future__ import annotations
@@ -68,9 +69,9 @@ def _check_modulus(p: int) -> None:
 
 
 def as_matrix(rows, p: int) -> np.ndarray:
-    """Copy ``rows`` into an int64 array with entries in [0, p), reducing only if needed."""
+    """Copy ``rows`` into a C-ordered int64 array with entries in [0, p), reducing only if needed."""
     _check_modulus(p)
-    m = np.array(rows, dtype=np.int64)
+    m = np.array(rows, dtype=np.int64, order="C")
     if m.ndim == 1:
         m = m.reshape(1, -1)
     if m.ndim != 2:
@@ -110,58 +111,97 @@ def matmul_mod(a, b, p: int) -> np.ndarray:
     return _limb_product(as_matrix(a, p), as_matrix(b, p), p)
 
 
-def _reduce(v: np.ndarray, p: int, scratch: np.ndarray) -> None:
-    """v %= p in place, as v - (v // p) * p: numpy divides by a scalar far faster than it takes %."""
+def _reduce(v: np.ndarray, p: int, scratch: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """v mod p into ``out`` (v itself by default), as v - (v // p) * p, with ``scratch`` of v's
+    shape, which may be ``out``: numpy divides by a scalar far faster than it takes %."""
     np.floor_divide(v, p, out=scratch)
     scratch *= p
-    v -= scratch
+    return np.subtract(v, scratch, out=v if out is None else out)
 
 
-def _gauss_jordan(m: np.ndarray, p: int, jordan: bool = True) -> tuple[list[int], list[tuple[int, int]]]:
-    """Reduce ``m`` (entries in [0, p)) in place, one column at a time.
+def _gauss_jordan(m: np.ndarray, p: int) -> list[int]:
+    """Reduce ``m`` (entries in [0, p)) in place to its RREF, one column at a time.
 
-    Returns the pivot columns and the row swaps made, in order.  The RREF
-    is unique, so the pivot row may be any row with a nonzero entry.  At
-    pivot column c the pivot row is zero left of c, so each update touches
-    columns ``c:`` only.  With ``jordan`` false only rows from the pivot
-    down are updated: a Jordan step changes only rows that hold a pivot
-    already, so the pivots and swaps are the same.  From _LAZY_FROM
+    Returns the pivot columns.  The RREF is unique, so the pivot row may be
+    any row with a nonzero entry.  At pivot column c the pivot row is zero
+    left of c, so each update touches columns ``c:`` only.  From _LAZY_FROM
     entries the reduction mod p is delayed (see the module docstring).
     """
     nrows, ncols = m.shape
     lazy, half = m.size >= _LAZY_FROM, p // 2
     scratch = np.empty_like(m) if lazy else None
     pivots: list[int] = []
-    swaps: list[tuple[int, int]] = []
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
             break
-        first = 0 if jordan else r
         if lazy:
-            m[first:, c] %= p
+            m[:, c] %= p
         if not m[r, c]:
             i = r + int(m[r:, c].argmax())
             if not m[i, c]:
                 continue
             m[[r, i]] = m[[i, r]]
-            swaps.append((r, i))
-        right = m[first:, c:]
+        right = m[:, c:]
         inv = pow(int(m[r, c]), -1, p)
         # Subtracting factors[i] * (row r) clears column c in the other
-        # updated rows and leaves inv * (row r) in row r.
+        # rows and leaves inv * (row r) in row r.
         factors = right[:, 0] * inv % p
-        factors[r - first] = 1 - inv
+        factors[r] = 1 - inv
         if lazy:  # balanced residues, |v| <= p // 2
             right -= ((factors + half) % p - half)[:, None] * ((m[r, c:] + half) % p - half)
-            if len(pivots) % _DELAY == _DELAY - 1:
-                _reduce(right, p, scratch[first:, c:])
+            if r % _DELAY == _DELAY - 1:
+                _reduce(right, p, scratch[:, c:])
         else:
             right -= factors[:, None] * m[r, c:]
             right %= p
         pivots.append(c)
     if lazy:
         _reduce(m, p, scratch)
+    return pivots
+
+
+def _forward(a: np.ndarray, p: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """Pivot columns and row swaps of the forward elimination of ``a`` (entries in [0, p)).
+
+    The pivots and pivot rows of :func:`_gauss_jordan`, whose Jordan steps
+    change only rows with a pivot.  ``a`` is consumed and should be
+    C-contiguous: it keeps only the rows without a pivot, so ``a[1:]`` is
+    one block that numpy updates in a single pass, not row by row.  The
+    update runs at full width, as the pivot row is 0 mod p left of its
+    pivot; finished columns drop whenever the trailing block is written
+    anew, at every eager step and at every _DELAY-th lazy reduction.
+    """
+    nrows, ncols = a.shape
+    lazy, half = a.size >= _LAZY_FROM, p // 2
+    pivots: list[int] = []
+    swaps: list[tuple[int, int]] = []
+    start = 0  # the column a[:, 0] holds
+    for c in range(ncols):
+        r, j = len(pivots), c - start
+        if r == nrows:
+            break
+        if lazy:
+            a[:, j] %= p
+        if not a[0, j]:
+            i = int(a[:, j].argmax())
+            if not a[i, j]:
+                continue
+            a[[0, i]] = a[[i, 0]]
+            swaps.append((r, r + i))
+        row, a = a[0], a[1:]
+        inv = pow(int(row[j]), -1, p)
+        if lazy:  # balanced residues, |v| <= p // 2
+            a -= ((a[:, j] * inv + half) % p - half)[:, None] * ((row + half) % p - half)
+            if r % _DELAY == _DELAY - 1:
+                tail = np.empty((len(a), a.shape[1] - j - 1), dtype=np.int64)
+                a, start = _reduce(a[:, j + 1:], p, tail, tail), c + 1
+        else:
+            tail = a[:, j, None] * inv % p * row[j + 1:]
+            np.subtract(a[:, j + 1:], tail, out=tail)
+            tail %= p
+            a, start = tail, c + 1
+        pivots.append(c)
     return pivots, swaps
 
 
@@ -187,12 +227,13 @@ def _inverse(t: np.ndarray, p: int) -> np.ndarray:
     return np.vstack([_limb_product(a_inv, upper, p), lower])
 
 
-def _echelon(rows, p: int, jordan: bool = True) -> tuple[np.ndarray, list[int]]:
+def _echelon(rows, p: int, jordan: bool = True) -> tuple[np.ndarray, list[int]] | list[int]:
     """Reduced row-echelon basis of the row space over F_p, and its pivot columns.
 
     Each pivot is scaled to 1 and alone in its column, so equal row spaces
     give byte-identical bases.  With ``jordan`` false (the rank path) only
-    rows below a pivot are cleared: the same pivots, on an echelon basis.
+    rows below a pivot are cleared and only the pivot columns are returned;
+    one panel runs :func:`_forward`.
     Past _BLOCKED_ABOVE columns and twice that in the larger dimension,
     each _PANEL-column panel of the rows without a pivot yet finds pivot
     rows and columns C forward only on a copy, first among 2 * _PANEL of
@@ -209,14 +250,16 @@ def _echelon(rows, p: int, jordan: bool = True) -> tuple[np.ndarray, list[int]]:
     m = as_matrix(rows, p)
     nrows, ncols = m.shape
     if ncols <= _BLOCKED_ABOVE or max(nrows, ncols) <= 2 * _BLOCKED_ABOVE:
-        pivots = _gauss_jordan(m, p, jordan)[0]
+        if not jordan:
+            return _forward(m, p)[0]
+        pivots = _gauss_jordan(m, p)
         return m[:len(pivots)], pivots
     pivots = []
     for c0 in range(0, ncols, _PANEL):
         r, width = len(pivots), min(_PANEL, ncols - c0)
-        cols, swaps = _gauss_jordan(m[r:r + 2 * _PANEL, c0:c0 + _PANEL].copy(), p, False)
+        cols, swaps = _forward(m[r:r + 2 * _PANEL, c0:c0 + _PANEL].copy(), p)
         if len(cols) < width and nrows - r > 2 * _PANEL:
-            cols, swaps = _gauss_jordan(m[r:, c0:c0 + _PANEL].copy(), p, False)
+            cols, swaps = _forward(m[r:, c0:c0 + _PANEL].copy(), p)
         k = len(cols)
         if k:
             for a, b in swaps:
@@ -233,12 +276,12 @@ def _echelon(rows, p: int, jordan: bool = True) -> tuple[np.ndarray, list[int]]:
         # short of pivots, the panel left the other rows zero up to its last column
         if k < width and not m[r + k:, c0 + _PANEL:].any():
             break
-    return m[:len(pivots)], pivots
+    return (m[:len(pivots)], pivots) if jordan else pivots
 
 
 def matrix_rank(rows, p: int) -> int:
     """Rank of a matrix over F_p, by forward elimination only (see :func:`_echelon`)."""
-    return len(_echelon(rows, p, jordan=False)[1])
+    return len(_echelon(rows, p, jordan=False))
 
 
 def rank_profile(rows, p: int) -> list[int]:
@@ -247,7 +290,7 @@ def rank_profile(rows, p: int) -> list[int]:
     They are the pivot columns of the forward elimination of the transpose,
     so the number of them below t is the rank of the first t rows.
     """
-    return _echelon(np.ascontiguousarray(np.atleast_2d(rows).T), p, jordan=False)[1]
+    return _echelon(np.atleast_2d(rows).T, p, jordan=False)
 
 
 def rref(rows, p: int) -> np.ndarray:

@@ -134,7 +134,7 @@ def _direct_rank(spec: varieties.SegreVeroneseSpec, w: int, s: int, rng: random.
     # With J the pivot columns of lam's echelon form, lam_J is invertible, so a
     # coefficient direction is g @ lam (g @ M lies in L) plus one outside J:
     # the (w+1)(s-1-w) outside J span them all, reduced point b in row a.
-    outside = np.delete(np.arange(s), field._echelon(lam, p, jordan=False)[1])
+    outside = np.delete(np.arange(s), field._echelon(lam, p, jordan=False))
     coeff_part = np.eye(w + 1, dtype=np.int64)[:, None, :, None] * reduced[:, outside, 0][:, None]
     height = (w + 1) * (r - w)  # spelled out: -1 cannot be inferred with no rows (w = r)
     jacobian = np.concatenate([point_part.reshape(height, s * n),

@@ -14,7 +14,9 @@
   the oracle for every rank and echelon form, the kernel in
   :mod:`grasec.field` included.  :func:`prefix_ranks` inserts rows one at
   a time into an echelon basis, which gives the rank of every prefix of a
-  matrix too large to rank prefix by prefix.
+  matrix too large to rank prefix by prefix.  :func:`forward` eliminates
+  forward only, with the pivot rule of the kernel's loops, and records the
+  row swaps that rule makes.
 * :func:`variety_points` lists X(F_q) by embedding every nonzero
   parameter vector, scaling each row to first nonzero coordinate 1 and
   removing duplicates.
@@ -60,6 +62,37 @@ def rref(rows, p: int) -> tuple[list[list[int]], list[int]]:
                 m[j] = [(a - f * b) % p for a, b in zip(m[j], m[r])]
         pivots.append(c)
     return m, pivots
+
+
+def forward(rows, p: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """Pivot columns and row swaps of forward elimination, on Python integers.
+
+    The pivot row of column c is the first row without a pivot if its entry
+    there is nonzero, else the first row holding the column's largest
+    residue; the swap (r, i) brings row i up to row r.  Only the rows below
+    a pivot are cleared.
+    """
+    m = [[int(v) % p for v in row] for row in rows]
+    pivots: list[int] = []
+    swaps: list[tuple[int, int]] = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == len(m):
+            break
+        column = [row[c] for row in m[r:]]
+        i = r if column[0] else r + column.index(max(column))
+        if not m[i][c]:
+            continue
+        if i != r:
+            m[r], m[i] = m[i], m[r]
+            swaps.append((r, i))
+        inv = pow(m[r][c], -1, p)
+        for j in range(r + 1, len(m)):
+            if m[j][c]:
+                f = m[j][c] * inv % p
+                m[j][c:] = [(a - f * b) % p for a, b in zip(m[j][c:], m[r][c:])]
+        pivots.append(c)
+    return pivots, swaps
 
 
 def rank(rows, p: int) -> int:

@@ -208,7 +208,7 @@ class TestSubtractProduct:
 def _one_panel(rows, q):
     """The per-column loop over the whole matrix, which the blocked route must match."""
     m = field.as_matrix(rows, q)
-    pivots = field._gauss_jordan(m, q)[0]
+    pivots = field._gauss_jordan(m, q)
     return m[:len(pivots)], pivots
 
 
@@ -308,13 +308,16 @@ class TestBlockedEchelon:
         # panels 2-6 run nothing, on the basis and on the rank path alike
         rng = np.random.default_rng(6)
         m = field.matmul_mod(rng.integers(0, P, (300, 100)), rng.integers(0, P, (100, 400)), P)
-        calls, gauss_jordan = [], field._gauss_jordan
+        calls = []
 
-        def counted(panel, p, jordan=True):
-            calls.append((panel.shape, jordan))
-            return gauss_jordan(panel, p, jordan)
+        def counted(loop, jordan):
+            def call(panel, p):
+                calls.append((panel.shape, jordan))
+                return loop(panel, p)
+            return call
 
-        monkeypatch.setattr(field, "_gauss_jordan", counted)
+        monkeypatch.setattr(field, "_gauss_jordan", counted(field._gauss_jordan, True))
+        monkeypatch.setattr(field, "_forward", counted(field._forward, False))
         expected_calls = [
             ((128, 64), False), *[((16, 32), True)] * 4,
             ((128, 64), False), ((236, 64), False), *[((9, 18), True)] * 4,
@@ -369,22 +372,32 @@ class TestInverse:
         assert field.matmul_mod(inverse, t, q).tolist() == np.eye(k, dtype=np.int64).tolist()
 
 
-def _gauss_jordan_on(m, q, lazy, jordan=True):
-    """Pivots, swaps and the reduced copy of ``m`` from the per-column loop, with the delayed
-    reduction forced on or off; checks that the loop took the path it was sent down."""
-    out, reduced, reduce = m.copy(), [], field._reduce
+@contextlib.contextmanager
+def _mode(m, lazy):
+    """Force the delayed reduction on or off for eliminations of matrices of ``m``'s size."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(field, "_LAZY_FROM", 0 if lazy else m.size + 1)
-        mp.setattr(field, "_reduce", lambda v, p, scratch: reduced.append(v.shape) or reduce(v, p, scratch))
-        pivots, swaps = field._gauss_jordan(out, q, jordan)
-    assert bool(reduced) == lazy
-    return pivots, swaps, out
+        yield
+
+
+def _loop_on(m, q, lazy, jordan):
+    """A per-column loop on a copy of ``m`` with the delayed reduction forced on or off: the
+    RREF loop's pivots and reduced copy, or the forward loop's pivots and swaps.  Checks that
+    the loop took the path it was sent down: the lazy mode reduces its trailing block after
+    every _DELAY-th pivot (and the RREF loop the whole matrix at the end), the eager never."""
+    out, reduced, reduce = m.copy(), [], field._reduce
+    with _mode(m, lazy), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "_reduce", lambda v, *args: reduced.append(v.shape) or reduce(v, *args))
+        result = (field._gauss_jordan(out, q), out) if jordan else field._forward(out, q)
+    assert len(reduced) == (len(result[0]) // field._DELAY + jordan if lazy else 0)
+    return result
 
 
 @st.composite
 def _elimination_matrices(draw, q, max_rows, max_cols, min_entries=1):
     """Matrices over F_q with at least ``min_entries`` entries: X @ Y mod q of any rank, or
-    every entry q // 2 or q - 1, optionally with zero leading rows, so that pivots need swaps."""
+    every entry q // 2 or q - 1, optionally with repeated rows and with zero columns between
+    the pivots, and with zero leading rows, so that pivots need swaps."""
     nrows = draw(st.integers(-(-min_entries // max_cols), max_rows))
     ncols = draw(st.integers(-(-min_entries // nrows), max_cols))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -393,6 +406,10 @@ def _elimination_matrices(draw, q, max_rows, max_cols, min_entries=1):
         m = field.matmul_mod(rng.integers(0, q, (nrows, rank)), rng.integers(0, q, (rank, ncols)), q)
     else:
         m = np.where(rng.integers(0, 2, (nrows, ncols)) == 1, q // 2, q - 1)
+    if draw(st.booleans()):
+        m = m[rng.integers(0, nrows, nrows)]
+    if draw(st.booleans()):
+        m[:, rng.integers(0, 3, ncols) == 0] = 0
     m[:draw(st.integers(0, nrows // 2))] = 0
     return m
 
@@ -401,21 +418,21 @@ _REFERENCE_PRIMES = pytest.mark.parametrize("q", [2, 3, 101, P])
 
 
 class TestDelayedReduction:
-    """The per-column loop gives the same pivots, swaps and matrix with and without the
-    delayed reduction, and both give the reference RREF."""
+    """Each per-column loop gives the same result with and without the delayed reduction:
+    the RREF loop the reference RREF and its pivots, the forward loop the reference pivots
+    and row swaps (it leaves no echelon form behind)."""
 
     @staticmethod
     def _check(m, q, lazy):
         expected, expected_pivots = reference.rref(m.tolist(), q)
-        for jordan in (True, False):
-            pivots, swaps, out = _gauss_jordan_on(m, q, lazy, jordan)
-            other_pivots, other_swaps, other = _gauss_jordan_on(m, q, not lazy, jordan)
-            assert (pivots, swaps) == (other_pivots, other_swaps)
-            assert pivots == expected_pivots
-            assert out.tolist() == other.tolist()
-            assert out.min() >= 0 and out.max() < q
-            if jordan:
-                assert out.tolist() == expected
+        pivots, out = _loop_on(m, q, lazy, jordan=True)
+        other_pivots, other = _loop_on(m, q, not lazy, jordan=True)
+        assert pivots == other_pivots == expected_pivots
+        assert out.tolist() == other.tolist() == expected
+        forward = _loop_on(m, q, lazy, jordan=False)
+        assert forward == _loop_on(m, q, not lazy, jordan=False)
+        assert forward == reference.forward(m.tolist(), q)
+        assert forward[0] == expected_pivots
 
     @_REFERENCE_PRIMES
     @settings(max_examples=30, deadline=None)
@@ -432,17 +449,71 @@ class TestDelayedReduction:
 
     @pytest.mark.parametrize("multiplier", [P - P // 2, P - 1])
     def test_largest_products_do_not_overflow(self, multiplier):
-        # M = L U, 24 x 40, with every multiplier below L's diagonal -(p // 2) (or -1)
+        # M = L U, 30 x 40, with every multiplier below L's diagonal -(p // 2) (or -1)
         # and U's entries on and above its diagonal p // 2, except 1 in every other column
         # past 24: each step adds (p // 2)**2 ~ 2**60 to the entries in the other columns,
         # so nine steps without a reduction pass 2**63 there (as would four with -1 taken
-        # as p - 1), and the wrapped entries change the RREF
+        # as p - 1), and the wrapped entries change the RREF; L's last six rows are all
+        # multipliers, so M has rank 24 and wrapped entries there give the forward loop
+        # more pivots
         half = P // 2
-        lower = np.tril(np.full((24, 24), multiplier), -1) + np.eye(24, dtype=np.int64)
+        lower = np.tril(np.full((30, 24), multiplier), -1) + np.eye(30, 24, dtype=np.int64)
         upper = np.triu(np.full((24, 40), half))
         upper[:, 24::2] = 1
         m = field.matmul_mod(lower, upper, P)
         self._check(m, P, lazy=True)
+
+
+@functools.cache
+def _secant_scale_residuals() -> tuple[np.ndarray, ...]:
+    """The residuals that secant_dim ranks on the four secant_scale queries at seed 0."""
+    residuals, profile = [], field.rank_profile
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "rank_profile", lambda rows, p: residuals.append(rows) or profile(rows, p))
+        for text, s in [("4,4,4", 10), ("2,2,2,2,2", 22), ("1,1,1,1,1,1,1,1,1", 52), ("4,4,4,4", 36)]:
+            secant.secant_dim(varieties.SegreVeroneseSpec.parse(text), s, trials=1, seed=0, primes=(P,))
+    assert [rows.shape for rows in residuals] == [(65, 60), (66, 67), (130, 122), (187, 200)]
+    return tuple(residuals)
+
+
+class TestForwardElimination:
+    """The rank path's forward loop, in both modes, against the reference ranks and swaps."""
+
+    @_REFERENCE_PRIMES
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_ranks_and_profiles_match_the_reference(self, q, data):
+        m = data.draw(_elimination_matrices(q, max_rows=20, max_cols=24))
+        expected = reference.prefix_ranks(m.tolist(), q)
+        assert expected[-1] == reference.rank(m.tolist(), q)
+        for lazy in (True, False):
+            with _mode(m, lazy):
+                assert field.matrix_rank(m, q) == expected[-1]
+                profile = field.rank_profile(m, q)
+            assert [int(np.searchsorted(profile, t)) for t in range(len(m) + 1)] == expected
+
+    @_REFERENCE_PRIMES
+    def test_secant_scale_residuals_keep_their_pivots_and_swaps(self, q):
+        # rank_profile eliminates each residual's transpose; the pivot rule picks
+        # the same rows as the in-place loop did, whichever mode runs
+        for rows in _secant_scale_residuals():
+            m = field.as_matrix(rows.T, q)
+            expected = reference.forward(m.tolist(), q)
+            for lazy in (True, False):
+                assert _loop_on(m, q, lazy, jordan=False) == expected
+
+    @_REFERENCE_PRIMES
+    def test_memory_order_does_not_change_the_pivots(self, q, monkeypatch):
+        # transposed and Fortran-ordered input is copied once into C order, so it
+        # reaches the forward loop contiguous
+        contiguous, forward = [], field._forward
+        monkeypatch.setattr(field, "_forward", lambda a, p: contiguous.append(a.flags.c_contiguous) or forward(a, p))
+        for rows in _profile_matrices(q).values():
+            c_order, f_order = np.ascontiguousarray(rows), np.asfortranarray(rows)
+            assert field.rank_profile(f_order, q) == field.rank_profile(c_order, q)
+            assert field.matrix_rank(f_order, q) == field.matrix_rank(c_order, q)
+            assert field.matrix_rank(c_order.T, q) == field.matrix_rank(c_order, q)
+        assert contiguous and all(contiguous)
 
 
 @functools.cache
